@@ -2,10 +2,11 @@
 //! column store, buffer pool and replication pipeline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use olxpbench::engine::model::BufferPool;
 use olxpbench::prelude::*;
 use olxpbench::storage::{
-    BufferPool, ColumnPredicate, ColumnTable, MutationOp, PredicateOp, PruningMode, ReplicationLog,
-    Replicator, RowTable, ScanPredicate,
+    ColumnPredicate, ColumnTable, MutationOp, PredicateOp, PruningMode, ReplicationLog, Replicator,
+    RowTable, ScanPredicate,
 };
 use std::sync::Arc;
 use std::time::Duration;

@@ -63,11 +63,6 @@ impl BufferPool {
         }
     }
 
-    /// Pool capacity in pages.
-    pub fn capacity_pages(&self) -> u64 {
-        self.capacity_pages
-    }
-
     /// Record an access of `pages` pages of `table` and return the hit/miss
     /// split.  Missing pages become resident, evicting pages of other tables
     /// (largest resident set first) when the pool is full.
@@ -108,11 +103,9 @@ impl BufferPool {
                     need -= take;
                     self.evictions.fetch_add(take, Ordering::Relaxed);
                 }
-                // If other tables could not absorb the pressure, shrink the
-                // requesting table's own target (it thrashes against itself).
-                if need > 0 {
-                    // Nothing else to evict: clamp growth.
-                }
+                // If other tables could not absorb the pressure, the
+                // requesting table thrashes against itself: growth is
+                // clamped to the capacity below.
             }
             let current = residency.tables.get(table).copied().unwrap_or(0);
             let new_resident = (current + growth).min(self.capacity_pages);

@@ -1,4 +1,5 @@
-//! Simulated cluster: nodes, worker pools and partition placement.
+//! Simulated cluster: nodes, worker pools and buffer pools (a private part
+//! of [`crate::model`]).
 //!
 //! The paper deploys its systems on 4-node (main experiments) and 16-node
 //! (scalability) clusters.  The relevant behaviours of that deployment are:
@@ -11,20 +12,17 @@
 //! * the dual-engine architecture dedicates half of the nodes to columnar
 //!   replicas (two TiFlash servers out of four in the paper's deployment).
 //!
-//! [`Cluster`] models exactly these three things: per-node worker pools
-//! (acquire/occupy/release with queue-wait measurement), hash partitioning of
-//! keys to nodes, and a storage/analytical node split for the dual engine.
+//! [`Cluster`] models the first and the third: per-node worker pools
+//! (acquire/occupy/release with queue-wait measurement) and a
+//! storage/analytical node split for the dual engine.  Key placement on the
+//! storage nodes is [`crate::model::Placement`]'s.
 
+use crate::bufferpool::BufferPool;
 use crate::config::{EngineArchitecture, EngineConfig};
-use olxp_storage::{BufferPool, Key};
+use crate::model::NodeId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Identifier of a cluster node.
-pub type NodeId = usize;
 
 /// A counting semaphore modelling one node's worker threads.
 #[derive(Debug)]
@@ -64,22 +62,9 @@ impl WorkerPool {
 
 /// One simulated server.
 #[derive(Debug)]
-pub struct Node {
-    id: NodeId,
+struct Node {
     workers: WorkerPool,
     buffer_pool: BufferPool,
-}
-
-impl Node {
-    /// Node identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's buffer pool.
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.buffer_pool
-    }
 }
 
 /// The simulated cluster.
@@ -106,8 +91,7 @@ impl Cluster {
     /// Build the cluster described by an [`EngineConfig`].
     pub fn from_config(config: &EngineConfig) -> Cluster {
         let nodes: Vec<Node> = (0..config.nodes)
-            .map(|id| Node {
-                id,
+            .map(|_| Node {
                 workers: WorkerPool::new(config.workers_per_node),
                 buffer_pool: BufferPool::new(config.buffer_pool_pages),
             })
@@ -132,11 +116,6 @@ impl Cluster {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Nodes hosting the row store.
     pub fn storage_nodes(&self) -> &[NodeId] {
         &self.storage_nodes
@@ -147,18 +126,9 @@ impl Cluster {
         &self.analytical_nodes
     }
 
-    /// A node reference.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id]
-    }
-
-    /// The storage node owning `(table, key)`.
-    pub fn partition_for(&self, table: &str, key: &Key) -> NodeId {
-        let mut hasher = DefaultHasher::new();
-        table.hash(&mut hasher);
-        key.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % self.storage_nodes.len();
-        self.storage_nodes[idx]
+    /// A node's buffer pool.
+    pub fn buffer_pool(&self, node: NodeId) -> &BufferPool {
+        &self.nodes[node].buffer_pool
     }
 
     /// The storage node owning a whole-table operation (scans start here and
@@ -193,11 +163,6 @@ impl Cluster {
             queue_wait_nanos,
             service_nanos,
         }
-    }
-
-    /// The configured time scale.
-    pub fn time_scale(&self) -> f64 {
-        self.time_scale
     }
 }
 
@@ -243,13 +208,15 @@ fn low_parallelism_host() -> bool {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::model::Placement;
+    use olxp_storage::Key;
     use std::sync::Arc;
     use std::thread;
 
     #[test]
     fn dual_engine_splits_nodes() {
         let cluster = Cluster::from_config(&EngineConfig::dual_engine().with_nodes(4));
-        assert_eq!(cluster.node_count(), 4);
+        assert_eq!(cluster.nodes.len(), 4);
         assert_eq!(cluster.storage_nodes().len(), 2);
         assert_eq!(cluster.analytical_nodes().len(), 2);
         assert!(cluster
@@ -268,10 +235,9 @@ mod tests {
     #[test]
     fn partitioning_is_deterministic_and_in_range() {
         let cluster = Cluster::from_config(&EngineConfig::dual_engine().with_nodes(4));
-        let a = cluster.partition_for("ITEM", &Key::int(42));
-        let b = cluster.partition_for("ITEM", &Key::int(42));
-        assert_eq!(a, b);
-        assert!(cluster.storage_nodes().contains(&a));
+        let place = |key| Placement::of("ITEM", &Key::int(key), 1, cluster.storage_nodes()).node;
+        assert_eq!(place(42), place(42));
+        assert!(cluster.storage_nodes().contains(&place(42)));
     }
 
     #[test]

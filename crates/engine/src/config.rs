@@ -1,7 +1,8 @@
 //! Engine configuration.
 
 use crate::error::{EngineError, EngineResult};
-use olxp_storage::{CostParams, PruningMode, StorageMedium, SyncPolicy, DEFAULT_BATCH_SIZE};
+use crate::model::{CostParams, StorageMedium};
+use olxp_storage::{PruningMode, SyncPolicy, DEFAULT_BATCH_SIZE};
 use olxp_txn::IsolationLevel;
 use serde::{Deserialize, Serialize};
 

@@ -10,10 +10,10 @@
 //! is behaviorally identical to the unsharded engine (including WAL file
 //! names), which keeps the seed configuration and all existing tests valid.
 
-use crate::cluster::Cluster;
-use crate::config::{EngineArchitecture, EngineConfig};
+use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics, WorkClass};
+use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics};
+use crate::model::{Model, Placement};
 use crate::session::Session;
 use crate::slowlog::{SlowQueryLog, SlowTxnLog};
 use crate::telemetry::{self, HealthReport, TelemetrySampler, TelemetryState};
@@ -27,9 +27,7 @@ use olxp_storage::{
 use olxp_trace::{TelemetryPoint, TelemetryServer};
 use olxp_txn::TransactionManager;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -97,17 +95,14 @@ impl CompactionSignal {
 
 /// The shard owning `(table, key)` among `shard_count` hash partitions.
 ///
-/// Deterministic across processes (SipHash with fixed keys), so checkpoint
-/// rows and WAL records re-route to the same shard on recovery, and tests can
-/// predict key placement.
+/// The shard half of [`Placement::of`]: deterministic across processes, so
+/// checkpoint rows and WAL records re-route to the same shard on recovery,
+/// and tests can predict key placement.
 pub fn shard_of(table: &str, key: &Key, shard_count: usize) -> usize {
     if shard_count <= 1 {
         return 0;
     }
-    let mut hasher = DefaultHasher::new();
-    table.hash(&mut hasher);
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % shard_count
+    Placement::of(table, key, shard_count, &[0]).shard
 }
 
 /// WAL stream name for one shard.  A single-shard engine keeps the legacy
@@ -136,12 +131,6 @@ struct Shard {
     /// checkpointer takes every shard's gate for write to pick a consistent
     /// `(commit_ts, per-shard LSN)` cut with no transaction mid-flight.
     commit_gate: RwLock<()>,
-    /// Simulated log device for the cost model: a WAL stream is a serial
-    /// resource, so modelled log-force time is paid while holding this lock
-    /// and commits to the same shard queue behind each other (commits to
-    /// different shards proceed in parallel).  Uncontended and delay-free at
-    /// `time_scale 0`.
-    wal_device: Mutex<()>,
 }
 
 /// What crash recovery found and rebuilt when a durable database was opened.
@@ -180,7 +169,7 @@ pub struct RecoveryReport {
 ///
 /// The database owns the catalog, the sharded row store, the columnar
 /// replicas, the per-shard replication pipelines, the transaction manager,
-/// the simulated cluster and the engine metrics.  Benchmark threads interact
+/// the performance model and the engine metrics.  Benchmark threads interact
 /// with it through [`Session`]s obtained from [`HybridDatabase::session`].
 ///
 /// When [`EngineConfig::background_applier`] is set (the default), opening the
@@ -203,7 +192,7 @@ pub struct HybridDatabase {
     /// picked up on its next sweep.
     col_tables: SharedColumnTables,
     txn_mgr: TransactionManager,
-    cluster: Cluster,
+    model: Model,
     metrics: Arc<EngineMetrics>,
     olap_route_counter: AtomicU64,
     commit_counter: AtomicU64,
@@ -308,11 +297,10 @@ impl HybridDatabase {
                 applier: Mutex::new(None),
                 wal,
                 commit_gate: RwLock::new(()),
-                wal_device: Mutex::new(()),
             });
         }
         let metrics = Arc::new(EngineMetrics::with_shards(shard_count));
-        let cluster = Cluster::from_config(&config);
+        let model = Model::new(&config, Arc::clone(&metrics));
         let txn_mgr = TransactionManager::with_shards(
             Duration::from_millis(config.lock_wait_timeout_ms),
             shard_count,
@@ -326,7 +314,7 @@ impl HybridDatabase {
             shards,
             col_tables: Arc::new(RwLock::new(Arc::new(HashMap::new()))),
             txn_mgr,
-            cluster,
+            model,
             metrics,
             olap_route_counter: AtomicU64::new(0),
             commit_counter: AtomicU64::new(0),
@@ -403,9 +391,9 @@ impl HybridDatabase {
         &self.catalog
     }
 
-    /// The simulated cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+    /// The performance model sessions report their work to.
+    pub(crate) fn model(&self) -> &Model {
+        &self.model
     }
 
     /// The transaction manager.
@@ -560,18 +548,13 @@ impl HybridDatabase {
     }
 
     /// One shard's partition of a table.
-    fn row_partition(&self, shard: usize, table: &str) -> EngineResult<Arc<RowTable>> {
+    pub(crate) fn row_partition(&self, shard: usize, table: &str) -> EngineResult<Arc<RowTable>> {
         self.shards[shard]
             .row_tables
             .read()
             .get(table)
             .cloned()
             .ok_or_else(|| EngineError::UnknownTable(table.to_string()))
-    }
-
-    /// The row-table partition owning `key` of `table`.
-    pub fn row_table_for(&self, table: &str, key: &Key) -> EngineResult<Arc<RowTable>> {
-        self.row_partition(self.shard_for(table, key), table)
     }
 
     /// Every shard's partition of `table`, in shard order.
@@ -626,9 +609,11 @@ impl HybridDatabase {
         self.txn_ids.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// One shard's write-ahead log, when durability is enabled.
-    pub(crate) fn wal_for_shard(&self, shard: usize) -> Option<&Arc<Wal>> {
-        self.shards[shard].wal.as_ref()
+    /// One shard's write-ahead log.  Only for durable engines: either every
+    /// shard has one or none does.
+    pub(crate) fn wal_for_shard(&self, shard: usize) -> &Arc<Wal> {
+        let wal = self.shards[shard].wal.as_ref();
+        wal.expect("durable engine has a WAL per shard")
     }
 
     /// Shared hold on one shard's commit gate.  Committers keep it across
@@ -730,8 +715,8 @@ impl HybridDatabase {
     }
 
     /// Shard 0's partition of the row table for `name`.  With one shard (the
-    /// default) this is the whole table; sharded callers wanting a key's
-    /// partition use [`Self::row_table_for`].
+    /// default) this is the whole table; sharded callers route a key with
+    /// [`Self::shard_for`].
     pub fn row_table(&self, name: &str) -> EngineResult<Arc<RowTable>> {
         self.row_partition(0, name)
     }
@@ -1200,8 +1185,18 @@ impl HybridDatabase {
                     report.in_doubt_committed += 1;
                 }
                 max_ts = max_ts.max(commit_ts);
-                for (op, op_ts) in ops {
-                    self.recover_apply(&op, op_ts)?;
+                // Every version a transaction writes carries its one commit
+                // timestamp, so `recover_apply`'s overlap rule would take a
+                // second write of a key for one the checkpoint already holds:
+                // only the last image of each key is applied.
+                let mut last_write: HashMap<(&str, &Key), usize> = HashMap::new();
+                for (i, (op, _)) in ops.iter().enumerate() {
+                    last_write.insert((op.table.as_str(), &op.key), i);
+                }
+                for (i, (op, op_ts)) in ops.iter().enumerate() {
+                    if last_write[&(op.table.as_str(), &op.key)] == i {
+                        self.recover_apply(op, *op_ts)?;
+                    }
                     report.wal_mutations_replayed += 1;
                 }
             }
@@ -1246,7 +1241,7 @@ impl HybridDatabase {
     /// snapshot never saw becomes an insert, and a delete of an absent key is
     /// a no-op.
     fn recover_apply(&self, op: &WalOp, commit_ts: Timestamp) -> EngineResult<()> {
-        let row_table = self.row_table_for(&op.table, &op.key)?;
+        let row_table = self.row_partition(self.shard_for(&op.table, &op.key), &op.table)?;
         if row_table
             .latest_commit_ts(&op.key)
             .is_some_and(|latest| latest >= commit_ts)
@@ -1297,32 +1292,6 @@ impl HybridDatabase {
         }
     }
 
-    /// Charge `service_nanos` of simulated work of `class` to `node`,
-    /// blocking for queueing plus scaled service time.
-    pub fn charge(&self, node: usize, class: WorkClass, service_nanos: u64) {
-        let occupation = self.cluster.occupy(node, service_nanos);
-        self.metrics.add_busy(class, occupation.service_nanos);
-        self.metrics
-            .add_queue_wait(class, occupation.queue_wait_nanos);
-    }
-
-    /// Occupy `shard`'s simulated WAL device for `service_nanos` of modelled
-    /// log-force time.  Unlike [`HybridDatabase::charge`], which draws from a
-    /// node's multi-worker pool, a log stream admits one force at a time:
-    /// commits to the same shard serialise here while other shards' streams
-    /// proceed in parallel — the modelled counterpart of one fsync queue per
-    /// `wal-shard<K>` stream.  At `time_scale 0` the delay is zero and the
-    /// lock is uncontended for longer than the metrics bookkeeping.
-    pub(crate) fn occupy_wal_device(&self, shard: usize, class: WorkClass, service_nanos: u64) {
-        let started = std::time::Instant::now();
-        let _stream = self.shards[shard].wal_device.lock();
-        let queue_wait_nanos = started.elapsed().as_nanos() as u64;
-        let real = (service_nanos as f64 * self.config.time_scale) as u64;
-        crate::cluster::precise_delay(Duration::from_nanos(real));
-        self.metrics.add_busy(class, service_nanos);
-        self.metrics.add_queue_wait(class, queue_wait_nanos);
-    }
-
     /// Record a commit.  Without a background applier, trigger an
     /// opportunistic replication step every few commits so the columnar
     /// replicas keep up; with the appliers running, the append itself already
@@ -1361,11 +1330,6 @@ impl HybridDatabase {
         (lock_wait + queue_wait) / busy
     }
 
-    /// Whether this database models the MemSQL-like single engine.
-    pub fn is_single_engine(&self) -> bool {
-        self.config.architecture == EngineArchitecture::SingleEngine
-    }
-
     /// Total number of live rows across all shards and row tables (for
     /// sanity checks).
     pub fn total_live_rows(&self) -> usize {
@@ -1389,11 +1353,6 @@ impl HybridDatabase {
             .iter()
             .map(|s| s.row_tables.read().get(table).map_or(0, |t| t.key_count()))
             .sum()
-    }
-
-    /// Look up the partition (storage node) owning a key.
-    pub fn partition_for(&self, table: &str, key: &Key) -> usize {
-        self.cluster.partition_for(table, key)
     }
 }
 
@@ -1568,6 +1527,8 @@ impl std::fmt::Debug for HybridDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::WorkClass;
+    use crate::model::Work;
     use olxp_storage::{ColumnDef, DataType, Value};
 
     fn item_schema() -> TableSchema {
@@ -1649,7 +1610,7 @@ mod tests {
             let key = Key::int(i);
             let shard = db.shard_for("ITEM", &key);
             assert!(db
-                .row_table_for("ITEM", &key)
+                .row_partition(shard, "ITEM")
                 .unwrap()
                 .get(&key, ts)
                 .is_some());
@@ -1950,11 +1911,26 @@ mod tests {
                 .with_time_scale(0.0),
         )
         .unwrap();
-        db.charge(0, WorkClass::Oltp, 5_000);
-        db.charge(0, WorkClass::Olap, 10_000);
+        let (oltp, olap) = (WorkClass::Oltp, WorkClass::Olap);
+        db.model()
+            .charge(oltp, Work::WriteStatement { table: "T", txn: 1 });
+        db.model().charge(
+            olap,
+            Work::FullScan {
+                table: "T",
+                rows: 10,
+            },
+        );
+        let cost = db.config().cost;
         let snapshot = db.metrics_snapshot();
-        assert_eq!(snapshot.busy_nanos[0], 5_000);
-        assert_eq!(snapshot.busy_nanos[1], 10_000);
+        assert_eq!(
+            snapshot.busy_nanos[0],
+            cost.statement_overhead_ns + cost.mem_point_read_ns
+        );
+        assert_eq!(
+            snapshot.busy_nanos[1],
+            cost.statement_overhead_ns + 10 * cost.mem_scan_row_ns
+        );
     }
 
     #[test]
@@ -2044,7 +2020,7 @@ mod tests {
         for i in 0..60i64 {
             let key = Key::int(i);
             assert!(
-                db.row_table_for("ITEM", &key)
+                db.row_partition(db.shard_for("ITEM", &key), "ITEM")
                     .unwrap()
                     .get(&key, ts)
                     .is_some(),

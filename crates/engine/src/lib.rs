@@ -21,32 +21,38 @@
 //! * [`config::EngineArchitecture::SharedNothing`] — OceanBase-like
 //!   configuration used only by the scalability experiment.
 //!
-//! A [`cluster::Cluster`] models the distributed deployment (hash
-//! partitioning, per-node worker pools, two-phase commit, scatter-gather) and
-//! the [`olxp_storage::CostParams`] service-time model converts the physical
-//! work reported by the executor into latency, so that the *shape* of every
-//! result in the paper's evaluation can be reproduced on one host.
+//! The engine is real — MVCC stores, locks, WAL, replication, executor — and
+//! the deployment is modelled: [`model::Model`] owns the simulated cluster
+//! (per-node worker pools and buffer pools, two-phase commit, scatter-gather)
+//! and the [`model::CostParams`] service-time constants.  A session does the
+//! real work and reports it once through [`model::Model::charge`], which
+//! converts it into modelled service time and, at `time_scale > 0`, into
+//! queueing and latency, so that the *shape* of every result in the paper's
+//! evaluation can be reproduced on one host.
 //!
 //! The public entry point is [`database::HybridDatabase`]; benchmark driver
 //! threads obtain a [`session::Session`] each and execute online transactions,
 //! standalone analytical queries and hybrid transactions through it.
 
-pub mod cluster;
+mod bufferpool;
+mod cluster;
 pub mod config;
+mod cost;
 pub mod database;
 pub mod error;
 pub mod metrics;
+pub mod model;
 pub mod session;
 pub mod slowlog;
 pub mod telemetry;
 
-pub use cluster::{Cluster, NodeId};
 pub use config::{DurabilityConfig, EngineArchitecture, EngineConfig, FreshnessPolicy};
 pub use database::{shard_of, AnalyticalRoute, HybridDatabase, RecoveryReport};
 pub use error::{EngineError, EngineResult};
 pub use metrics::{
     EngineMetrics, FreshnessSample, MetricsSnapshot, ShardBreakdown, WalMetrics, WorkClass,
 };
+pub use model::{CostParams, Model, Placement, StorageMedium, Work};
 pub use olxp_storage::SyncPolicy;
 pub use session::{Session, TxnHandle};
 pub use slowlog::{SlowQueryLog, SlowQueryRecord, SlowTxnLog, SlowTxnRecord};

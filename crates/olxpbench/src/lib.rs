@@ -50,15 +50,13 @@ pub use olxpbench_workloads as workloads;
 /// Everything needed to configure and run a benchmark.
 pub mod prelude {
     pub use olxp_engine::{
-        DurabilityConfig, EngineArchitecture, EngineConfig, EngineError, EngineResult,
+        CostParams, DurabilityConfig, EngineArchitecture, EngineConfig, EngineError, EngineResult,
         FreshnessPolicy, FreshnessSample, HealthCheck, HealthReport, HybridDatabase,
         RecoveryReport, Session, ShardBreakdown, SlowQueryLog, SlowQueryRecord, SlowTxnLog,
-        SlowTxnRecord, SyncPolicy, TxnHandle, WalMetrics, WorkClass,
+        SlowTxnRecord, StorageMedium, SyncPolicy, TxnHandle, WalMetrics, WorkClass,
     };
     pub use olxp_query::{col, lit, AggFunc, AggSpec, JoinKind, Plan, QueryBuilder, SortKey};
-    pub use olxp_storage::{
-        ColumnDef, CostParams, DataType, Key, Row, StorageMedium, TableSchema, Value,
-    };
+    pub use olxp_storage::{ColumnDef, DataType, Key, Row, TableSchema, Value};
     pub use olxp_trace::{
         chrome_trace_json, prometheus_text, LogHistogram, SpanCategory, SpanEvent, StageBreakdown,
         TaggedSpan, TelemetryPoint, TelemetryServer, TimeSeriesRing,

@@ -197,6 +197,58 @@ fn kill_mid_write_loses_nothing_committed() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn key_written_twice_in_one_transaction_recovers_its_last_image() {
+    // Both versions carry the transaction's one commit timestamp, so replay
+    // must not mistake the second for one it already holds (NewOrder with a
+    // repeated item updates one STOCK row twice).  A second key in the same
+    // transaction makes the four-shard run cross-shard on most layouts.
+    for shards in [1usize, 4] {
+        let dir = temp_dir(&format!("written-twice-{shards}"));
+        let config = || durable_config(&dir, SyncPolicy::Always).with_shards(shards);
+        {
+            let db = HybridDatabase::open(config()).unwrap();
+            db.create_table(account_schema()).unwrap();
+            let session = db.session();
+            commit_insert(&session, 1, 10);
+            let mut txn = session.begin(WorkClass::Oltp);
+            session
+                .update(&mut txn, "ACCOUNT", &Key::int(1), account_row(1, 20))
+                .unwrap();
+            session
+                .insert(&mut txn, "ACCOUNT", account_row(2, 5))
+                .unwrap();
+            session
+                .update(&mut txn, "ACCOUNT", &Key::int(1), account_row(1, 30))
+                .unwrap();
+            session
+                .update(&mut txn, "ACCOUNT", &Key::int(2), account_row(2, 6))
+                .unwrap();
+            session.commit(txn).unwrap();
+            db.simulate_crash();
+        }
+        let db = HybridDatabase::open(config()).unwrap();
+        let session = db.session();
+        let mut txn = session.begin(WorkClass::Oltp);
+        for (id, balance) in [(1, 30), (2, 6)] {
+            let row = session
+                .read(&mut txn, "ACCOUNT", &Key::int(id))
+                .unwrap()
+                .expect("row recovered");
+            assert_eq!(
+                row[2],
+                Value::Decimal(balance),
+                "account {id} recovers its second image at {shards} shards"
+            );
+        }
+        session.commit(txn).unwrap();
+        assert_eq!(analytical_count(&db), 2);
+        drop(session);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// The newest WAL segment in `dir` (highest sequence number).
 fn newest_segment(dir: &str) -> PathBuf {
     let mut segments: Vec<PathBuf> = std::fs::read_dir(Path::new(dir))

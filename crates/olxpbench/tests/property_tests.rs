@@ -328,12 +328,14 @@ proptest! {
         keys in proptest::collection::vec(-10_000i64..10_000, 1..40),
         n_shards in 1usize..=8,
     ) {
-        use olxpbench::engine::shard_of;
+        use olxpbench::engine::{shard_of, Placement};
         for &k in &keys {
             let key = Key::int(k);
             let shard = shard_of("T", &key, n_shards);
             prop_assert!(shard < n_shards);
             prop_assert_eq!(shard, shard_of("T", &key, n_shards));
+            // The write path's placement agrees, whatever the node layout.
+            prop_assert_eq!(Placement::of("T", &key, n_shards, &[0, 1, 2]).shard, shard);
             prop_assert_eq!(shard_of("T", &key, 1), 0);
             // Composite keys route on the whole key, deterministically too.
             let composite = Key::ints(&[k, k + 1]);

@@ -16,13 +16,6 @@
 //! * an asynchronous **replication log** ([`replication`]) that ships committed
 //!   row-store mutations into the column store, modelling TiDB's TiKV→TiFlash
 //!   log replication;
-//! * a **buffer-pool model** ([`bufferpool::BufferPool`]) that accounts for the
-//!   cache churn caused by large analytical scans (the mechanism behind the
-//!   OLTP/OLAP interference the paper measures);
-//! * a **storage cost model** ([`cost::CostParams`]) describing the relative
-//!   service times of memory-resident and SSD-resident data, which is how the
-//!   MemSQL-like (in-memory) and TiDB-like (SSD) deployments of the paper are
-//!   distinguished on a single host;
 //! * a **durability subsystem**: a segmented, CRC-checksummed **write-ahead
 //!   log** ([`wal::Wal`]) with group commit, and **checkpoints**
 //!   ([`checkpoint`]) that snapshot the row store + catalog so the log can be
@@ -35,11 +28,9 @@
 //! laptop.
 
 pub mod batch;
-pub mod bufferpool;
 pub mod catalog;
 pub mod checkpoint;
 pub mod colstore;
-pub mod cost;
 pub mod delta;
 pub mod encode;
 pub mod error;
@@ -57,11 +48,9 @@ pub mod zonemap;
 pub(crate) mod test_util;
 
 pub use batch::{BatchBuilder, ColumnBatch, DEFAULT_BATCH_SIZE};
-pub use bufferpool::{BufferPool, BufferPoolStats};
 pub use catalog::Catalog;
 pub use checkpoint::{CheckpointData, TableCheckpoint};
 pub use colstore::{ColumnTable, ColumnTableStats, MemoryFootprint};
-pub use cost::{CostParams, StorageMedium};
 pub use delta::MainChunk;
 pub use encode::{EncodedColumn, Encoding};
 pub use error::{StorageError, StorageResult};

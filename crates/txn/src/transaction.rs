@@ -141,8 +141,6 @@ pub struct Transaction {
     state: TxnState,
     write_set: WriteSet,
     lock_wait_nanos: u64,
-    /// Number of statements executed (used by the engine to charge per-statement overhead).
-    statements: u64,
 }
 
 impl Transaction {
@@ -155,7 +153,6 @@ impl Transaction {
             state: TxnState::Active,
             write_set: WriteSet::new(),
             lock_wait_nanos: 0,
-            statements: 0,
         }
     }
 
@@ -202,16 +199,6 @@ impl Transaction {
     /// Total lock wait time charged so far.
     pub fn lock_wait_nanos(&self) -> u64 {
         self.lock_wait_nanos
-    }
-
-    /// Record one executed statement.
-    pub fn note_statement(&mut self) {
-        self.statements += 1;
-    }
-
-    /// Number of statements executed.
-    pub fn statements(&self) -> u64 {
-        self.statements
     }
 
     /// Mark committed (manager only).
@@ -295,9 +282,7 @@ mod tests {
         let mut txn = Transaction::new(3, IsolationLevel::RepeatableRead, 42);
         assert!(txn.is_active());
         assert_eq!(txn.begin_read_ts(), 42);
-        txn.note_statement();
         txn.add_lock_wait(1_000);
-        assert_eq!(txn.statements(), 1);
         assert_eq!(txn.lock_wait_nanos(), 1_000);
         txn.mark_committed();
         assert_eq!(txn.state(), TxnState::Committed);
