@@ -36,6 +36,54 @@ fn item(id: i64) -> Row {
     ])
 }
 
+/// Sum the batch columns `positions` of a scan asked for `projection`.
+fn sum_columns(table: &ColumnTable, projection: Option<&[usize]>, positions: &[usize]) -> f64 {
+    let mut sum = 0f64;
+    table.scan_batches(projection, 1024, |batch| {
+        for &position in positions {
+            let values = batch.column(position);
+            for row in batch.selected_rows() {
+                sum += values[row].as_f64().unwrap_or(0.0);
+            }
+        }
+    });
+    sum
+}
+
+/// A 34-column table shaped like tabenchmark's SUBSCRIBER: a key, a phone
+/// number string, then flag / small-int / byte-string columns.
+fn wide_table(rows: i64) -> ColumnTable {
+    let mut columns = vec![
+        ColumnDef::new("s_id", DataType::Int, false),
+        ColumnDef::new("sub_nbr", DataType::Str, false),
+    ];
+    for i in 2..34 {
+        let data_type = if i % 3 == 0 {
+            DataType::Str
+        } else {
+            DataType::Int
+        };
+        columns.push(ColumnDef::new(format!("c{i}"), data_type, false));
+    }
+    let table = ColumnTable::new(Arc::new(
+        TableSchema::new("WIDE", columns, vec!["s_id"]).unwrap(),
+    ));
+    for id in 0..rows {
+        let mut values = vec![Value::Int(id), Value::Str(format!("{id:015}"))];
+        for i in 2..34i64 {
+            values.push(if i % 3 == 0 {
+                Value::Str(format!("v{}", (id + i) % 97))
+            } else {
+                Value::Int((id * i) % 251)
+            });
+        }
+        table
+            .apply_insert(&Key::int(id), &Row::new(values), 1, id as u64 + 1)
+            .unwrap();
+    }
+    table
+}
+
 fn loaded_row_table(rows: i64) -> RowTable {
     let table = RowTable::new(item_schema());
     for i in 0..rows {
@@ -80,7 +128,14 @@ fn bench_rowstore(c: &mut Criterion) {
     group.bench_function("batched_scan_10k", |b| {
         b.iter(|| {
             let mut count = 0usize;
-            table.scan_batches(10, 1024, |batch| count += batch.num_rows());
+            table.scan_batches(10, None, 1024, |batch| count += batch.num_rows());
+            count
+        })
+    });
+    group.bench_function("batched_scan_10k_project_1_of_3", |b| {
+        b.iter(|| {
+            let mut count = 0usize;
+            table.scan_batches(10, Some(&[2]), 1024, |batch| count += batch.num_rows());
             count
         })
     });
@@ -107,21 +162,18 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
             .unwrap();
     }
     group.bench_function("projected_scan_10k", |b| {
-        b.iter(|| {
-            let mut sum = 0f64;
-            col.scan_projected(&[2], |v| sum += v[0].as_f64().unwrap_or(0.0));
-            sum
-        })
+        b.iter(|| sum_columns(&col, Some(&[2]), &[0]))
     });
-    group.bench_function("aggregate_column_10k", |b| {
-        b.iter(|| col.aggregate_column(2, |_| true))
+    group.bench_function("full_width_scan_10k", |b| {
+        b.iter(|| sum_columns(&col, None, &[2]))
     });
 
     group.finish();
 
     // Row-at-a-time vs. vectorized consumption of the same columnar data.
     // `scan_rows` materializes a `Row` per live tuple; `scan_batches` hands
-    // out zero-copy column slices with a selection bitmap.
+    // out the projected columns (zero-copy slices in the delta tier, decoded
+    // vectors in the main tier) with a selection bitmap.
     let mut group = c.benchmark_group("colstore_batch");
     group.measurement_time(Duration::from_millis(800));
     group.sample_size(10);
@@ -138,20 +190,24 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
         })
     });
     group.bench_function("batched_scan_100k", |b| {
-        b.iter(|| {
-            let mut sum = 0f64;
-            big.scan_batches(Some(&[2]), 1024, |batch| {
-                let prices = batch.column(0);
-                for row in batch.selected_rows() {
-                    sum += prices[row].as_f64().unwrap_or(0.0);
-                }
-            });
-            sum
-        })
+        b.iter(|| sum_columns(&big, Some(&[2]), &[0]))
     });
-    group.bench_function("aggregate_column_100k", |b| {
-        b.iter(|| big.aggregate_column(2, |_| true))
-    });
+    // Column pruning in one line: the same two columns summed out of a
+    // 34-column table, asking the scan for those two or for all 34.  The
+    // delta tier lends slices either way (the gap is the per-batch slice
+    // bookkeeping); the main tier decodes what it is asked for.
+    let wide = wide_table(20_000);
+    for tier in ["delta", "main"] {
+        if tier == "main" {
+            wide.compact();
+        }
+        group.bench_function(format!("wide34_project_2_of_34_{tier}_20k"), |b| {
+            b.iter(|| sum_columns(&wide, Some(&[2, 4]), &[0, 1]))
+        });
+        group.bench_function(format!("wide34_all_34_{tier}_20k"), |b| {
+            b.iter(|| sum_columns(&wide, None, &[2, 4]))
+        });
+    }
     group.finish();
 
     // Chunk pruning: the same selective equality scan with each pruning mode.
@@ -220,16 +276,7 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("full_scan_sum_100k_{label}"), |b| {
-            b.iter(|| {
-                let mut sum = 0f64;
-                table.scan_batches(Some(&[2]), 1024, |batch| {
-                    let prices = batch.column(0);
-                    for row in batch.selected_rows() {
-                        sum += prices[row].as_f64().unwrap_or(0.0);
-                    }
-                });
-                sum
-            })
+            b.iter(|| sum_columns(table, Some(&[2]), &[0]))
         });
     }
     group.finish();

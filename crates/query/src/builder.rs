@@ -31,6 +31,7 @@ impl QueryBuilder {
             plan: Plan::TableScan {
                 table: table.into(),
                 filter: None,
+                columns: None,
             },
         }
     }
@@ -41,6 +42,7 @@ impl QueryBuilder {
             plan: Plan::TableScan {
                 table: table.into(),
                 filter: Some(filter),
+                columns: None,
             },
         }
     }

@@ -11,6 +11,7 @@
 //! materializations, which is how tests assert that the vectorized path never
 //! re-rowifies a scan.
 
+use crate::colprune::{output_width, prune_columns};
 use crate::error::{QueryError, QueryResult};
 use crate::expr::{AggFunc, ValueAccess};
 use crate::plan::{AggSpec, JoinKind, Plan, SortKey};
@@ -22,12 +23,14 @@ use std::collections::HashMap;
 /// How the executor consumes base-table scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// Consume [`DataSource::scan_batches`]: columnar chunks, no per-row
-    /// tuple at the storage boundary.  The default.
+    /// Consume [`DataSource::scan_batches`]: columnar chunks of only the
+    /// columns the plan reads (see [`crate::colprune`]), no per-row tuple at
+    /// the storage boundary.  The default.
     Batched,
-    /// Consume the legacy row-at-a-time [`DataSource::scan`] callback and
-    /// re-batch the rows inside the executor.  Kept for equivalence testing
-    /// and as a baseline for the micro-benchmarks.
+    /// Consume the row-at-a-time [`DataSource::scan`] callback and re-batch
+    /// the rows inside the executor.  The plan runs as written, at full
+    /// width: this is the oracle the batched path is tested against, and a
+    /// baseline for the micro-benchmarks.
     RowAtATime,
 }
 
@@ -206,7 +209,11 @@ pub fn execute_with(
         source_kind: Some(source.kind()),
         ..ExecStats::default()
     };
-    let chunked = run(plan, source, &mut stats, &opts)?;
+    let pruned = match opts.scan_mode {
+        ScanMode::Batched => prune_columns(plan, source),
+        ScanMode::RowAtATime => None,
+    };
+    let chunked = run(pruned.as_ref().unwrap_or(plan), source, &mut stats, &opts)?;
     let rows = chunked.into_rows(&mut stats);
     stats.output_rows = rows.len() as u64;
     Ok(QueryOutput { rows, stats })
@@ -253,14 +260,6 @@ impl Chunked {
         match self {
             Chunked::Batches(batches) => batches.iter().map(ColumnBatch::selected_count).sum(),
             Chunked::Rows(rows) => rows.len(),
-        }
-    }
-
-    /// Width of the result's rows (0 when empty).
-    fn width(&self) -> usize {
-        match self {
-            Chunked::Batches(batches) => batches.first().map_or(0, ColumnBatch::width),
-            Chunked::Rows(rows) => rows.first().map_or(0, Row::arity),
         }
     }
 
@@ -384,9 +383,18 @@ fn run_node(
     opts: &ExecOptions,
 ) -> QueryResult<Chunked> {
     match plan {
-        Plan::TableScan { table, filter } => {
-            scan_table(table, filter.as_ref(), source, stats, opts)
-        }
+        Plan::TableScan {
+            table,
+            filter,
+            columns,
+        } => scan_table(
+            table,
+            filter.as_ref(),
+            columns.as_deref(),
+            source,
+            stats,
+            opts,
+        ),
         Plan::IndexScan {
             table,
             index,
@@ -483,7 +491,19 @@ fn run_node(
             let left_in = run(left, source, stats, opts)?;
             let right_in = run(right, source, stats, opts)?;
             join(
-                &left_in, &right_in, left_keys, right_keys, *kind, stats, opts,
+                JoinInput {
+                    rows: &left_in,
+                    keys: left_keys,
+                    width: output_width(left, source)?,
+                },
+                JoinInput {
+                    rows: &right_in,
+                    keys: right_keys,
+                    width: output_width(right, source)?,
+                },
+                *kind,
+                stats,
+                opts,
             )
         }
         Plan::Aggregate {
@@ -542,16 +562,24 @@ fn run_node(
 }
 
 /// Base-table scan: stream batches (or rows, in [`ScanMode::RowAtATime`])
-/// from the source, apply the pushed-down filter per selected slot, and emit
-/// owned batches of the surviving rows.
+/// of the scan's `columns` from the source, apply the pushed-down filter per
+/// selected slot, and emit owned batches of the surviving rows.
 fn scan_table(
     table: &str,
     filter: Option<&crate::expr::Expr>,
+    columns: Option<&[usize]>,
     source: &dyn DataSource,
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> QueryResult<Chunked> {
-    let width = source.schema(table)?.column_count();
+    let table_width = source.schema(table)?.column_count();
+    if let Some(&position) = columns.and_then(|c| c.iter().find(|&&c| c >= table_width)) {
+        return Err(QueryError::ColumnOutOfRange {
+            position,
+            width: table_width,
+        });
+    }
+    let width = columns.map_or(table_width, <[usize]>::len);
     let mut out = Vec::new();
     let mut builder = BatchBuilder::new(width, opts.batch_size);
     let mut err: Option<QueryError> = None;
@@ -564,11 +592,12 @@ fn scan_table(
             // only ever removes chunks that cannot contain a matching row;
             // the full filter still runs on every surviving slot below.
             let pruner = match filter {
-                Some(f) => ChunkPruner::from_filter(f, opts.pruning),
+                Some(f) => ChunkPruner::from_filter(f, columns, opts.pruning),
                 None => ChunkPruner::unfiltered(opts.pruning),
             };
-            let outcome = source.scan_batches_pruned(
+            let outcome = source.scan_batches(
                 table,
+                columns,
                 opts.batch_size,
                 pruner.as_ref(),
                 &mut |batch| {
@@ -627,8 +656,10 @@ fn scan_table(
                 return;
             }
             materialized += 1;
+            let projected: Option<Vec<Value>> =
+                columns.map(|c| c.iter().map(|&c| row[c].clone()).collect());
             let keep = match filter {
-                Some(f) => match f.matches(row.values()) {
+                Some(f) => match f.matches(projected.as_deref().unwrap_or(row.values())) {
                     Ok(keep) => keep,
                     Err(e) => {
                         err = Some(e);
@@ -638,7 +669,10 @@ fn scan_table(
                 None => true,
             };
             if keep {
-                builder.push_row(row.values());
+                match projected {
+                    Some(values) => builder.push_row_values(values),
+                    None => builder.push_row(row.values()),
+                }
                 if builder.is_full() {
                     out.push(builder.finish());
                     batches += 1;
@@ -657,37 +691,43 @@ fn scan_table(
     Ok(Chunked::Batches(out))
 }
 
+/// One input of a hash join: its rows, its key positions, and the width the
+/// plan gives it — a result with no rows cannot tell its own.
+struct JoinInput<'a> {
+    rows: &'a Chunked,
+    keys: &'a [usize],
+    width: usize,
+}
+
 /// Hash join: build on the right, probe with the left so LeftOuter can emit
 /// unmatched left rows.  Build-side rows are addressed by batch slot — only
 /// emitted matches gather values.
 fn join(
-    left: &Chunked,
-    right: &Chunked,
-    left_keys: &[usize],
-    right_keys: &[usize],
+    left: JoinInput<'_>,
+    right: JoinInput<'_>,
     kind: JoinKind,
     stats: &mut ExecStats,
     opts: &ExecOptions,
 ) -> QueryResult<Chunked> {
-    stats.join_build_rows += right.selected_len() as u64;
-    let left_width = left.width();
-    let right_width = right.width();
+    let build_rows = right.rows.selected_len();
+    stats.join_build_rows += build_rows as u64;
+    let right_width = right.width;
 
     // Build: hash each selected right slot by its join key.
-    let mut locators: Vec<RowAt<'_>> = Vec::with_capacity(right.selected_len());
-    let mut hash: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.selected_len());
-    right.for_each(|row| {
-        let key = extract_key(&row, right_keys)?;
+    let mut locators: Vec<RowAt<'_>> = Vec::with_capacity(build_rows);
+    let mut hash: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build_rows);
+    right.rows.for_each(|row| {
+        let key = extract_key(&row, right.keys)?;
         hash.entry(key).or_default().push(locators.len());
         locators.push(row);
         Ok(())
     })?;
 
     let mut out = Vec::new();
-    let mut builder = BatchBuilder::new(left_width + right_width, opts.batch_size);
-    left.for_each(|lrow| {
+    let mut builder = BatchBuilder::new(left.width + right_width, opts.batch_size);
+    left.rows.for_each(|lrow| {
         stats.join_probes += 1;
-        let key = extract_key(&lrow, left_keys)?;
+        let key = extract_key(&lrow, left.keys)?;
         match hash.get(&key) {
             Some(matches) => {
                 for &loc in matches {
@@ -1097,9 +1137,181 @@ mod tests {
                 )
                 .unwrap();
         }
+        let customers = Arc::new(olxp_storage::ColumnTable::new(Arc::new(
+            TableSchema::new(
+                "CUSTOMER",
+                vec![
+                    ColumnDef::new("c_id", DataType::Int, false),
+                    ColumnDef::new("c_name", DataType::Str, false),
+                ],
+                vec!["c_id"],
+            )
+            .unwrap(),
+        )));
+        for (lsn, (c, name)) in [(10, "alice"), (20, "bob")].into_iter().enumerate() {
+            customers
+                .apply_insert(
+                    &Key::int(c),
+                    &Row::new(vec![Value::Int(c), Value::Str(name.into())]),
+                    5,
+                    lsn as u64 + 1,
+                )
+                .unwrap();
+        }
         let mut tables = StdHashMap::new();
         tables.insert("ORDERS".to_string(), orders);
+        tables.insert("CUSTOMER".to_string(), customers);
         tables
+    }
+
+    /// Regression: a result with no rows has no width of its own, so the join
+    /// used to take the right input for zero columns wide and emit left-arity
+    /// rows; anything above it reading a right-side column then failed with
+    /// `ColumnOutOfRange`.
+    #[test]
+    fn left_outer_join_with_an_empty_right_input_pads_to_the_plan_width() {
+        let row_tables = fixture();
+        let col_tables = col_fixture();
+        let sources: [&dyn DataSource; 2] = [
+            &RowSource::new(&row_tables, 10),
+            &crate::source::ColumnSource::new(&col_tables),
+        ];
+        let join = QueryBuilder::scan("ORDERS").join(
+            QueryBuilder::scan_where("CUSTOMER", col(0).eq(lit(999))),
+            vec![1],
+            vec![0],
+            JoinKind::LeftOuter,
+        );
+        for source in sources {
+            for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+                let out = execute_with(&join.clone().build(), source, opts).unwrap();
+                assert_eq!(out.rows.len(), 4);
+                assert_eq!(
+                    out.rows[0].values(),
+                    [
+                        Value::Int(1),
+                        Value::Int(10),
+                        Value::Decimal(500),
+                        Value::Null,
+                        Value::Null
+                    ]
+                );
+                // An operator above the join can read the right side.
+                let above = join
+                    .clone()
+                    .filter(col(4).is_null())
+                    .project(vec![col(0), col(4)]);
+                let out = execute_with(&above.build(), source, opts).unwrap();
+                assert_eq!(out.rows.len(), 4);
+                assert_eq!(out.rows[3].values(), [Value::Int(4), Value::Null]);
+            }
+        }
+    }
+
+    /// A position past the input's width is the same typed error whether or
+    /// not the plan around it could be narrowed: the pruning pass declines
+    /// such plans, so the error still names the position as written and the
+    /// width of the full input.
+    #[test]
+    fn out_of_range_positions_stay_typed_errors_under_column_pruning() {
+        let tables = fixture();
+        let source = RowSource::new(&tables, 10);
+        let orders = || QueryBuilder::scan_where("ORDERS", col(1).eq(lit(10)));
+        for (plan, position, width) in [
+            (
+                orders().aggregate(vec![], vec![AggSpec::new(AggFunc::Sum, 7)]),
+                7,
+                3,
+            ),
+            (
+                orders().aggregate(vec![3], vec![AggSpec::new(AggFunc::Sum, 2)]),
+                3,
+                3,
+            ),
+            (orders().project(vec![col(0), col(5).add(col(2))]), 5, 3),
+            (
+                orders().filter(col(4).is_null()).project(vec![col(0)]),
+                4,
+                3,
+            ),
+            (
+                orders().sort(vec![SortKey::asc(8)]).project(vec![col(0)]),
+                8,
+                3,
+            ),
+            (
+                orders()
+                    .join(
+                        QueryBuilder::scan("CUSTOMER"),
+                        vec![1],
+                        vec![2],
+                        JoinKind::Inner,
+                    )
+                    .project(vec![col(0)]),
+                2,
+                2,
+            ),
+            (
+                orders()
+                    .join(
+                        QueryBuilder::scan("CUSTOMER"),
+                        vec![1],
+                        vec![0],
+                        JoinKind::Inner,
+                    )
+                    .project(vec![col(5)]),
+                5,
+                5,
+            ),
+        ] {
+            let plan = plan.build();
+            for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+                assert_eq!(
+                    execute_with(&plan, &source, opts).unwrap_err(),
+                    QueryError::ColumnOutOfRange { position, width },
+                    "{plan:?}"
+                );
+            }
+        }
+        // A scan asked for a column its table does not have.
+        let plan = Plan::TableScan {
+            table: "ORDERS".into(),
+            filter: None,
+            columns: Some(vec![0, 3]),
+        };
+        for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+            assert_eq!(
+                execute_with(&plan, &source, opts).unwrap_err(),
+                QueryError::ColumnOutOfRange {
+                    position: 3,
+                    width: 3
+                }
+            );
+        }
+    }
+
+    /// A hand-written column list means the same thing in both scan modes.
+    #[test]
+    fn a_scan_with_a_column_list_emits_those_columns_in_that_order() {
+        let tables = fixture();
+        let source = RowSource::new(&tables, 10);
+        let plan = Plan::TableScan {
+            table: "ORDERS".into(),
+            filter: Some(col(0).ge(lit(Value::Decimal(500)))),
+            columns: Some(vec![2, 0]),
+        };
+        for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+            let out = execute_with(&plan, &source, opts).unwrap();
+            let rows: Vec<&[Value]> = out.rows.iter().map(Row::values).collect();
+            assert_eq!(
+                rows,
+                [
+                    [Value::Decimal(500), Value::Int(1)],
+                    [Value::Decimal(800), Value::Int(3)]
+                ]
+            );
+            assert_eq!(out.stats.rows_scanned, 4);
+        }
     }
 
     #[test]

@@ -159,6 +159,55 @@ impl Expr {
         Expr::IsNull(Box::new(self))
     }
 
+    /// Call `f` with every column position the expression names (a position
+    /// named twice is reported twice).
+    pub fn for_each_column(&self, f: &mut dyn FnMut(usize)) {
+        match self {
+            Expr::Column(pos) => f(*pos),
+            Expr::Literal(_) => {}
+            Expr::Eq(a, b)
+            | Expr::Ne(a, b)
+            | Expr::Lt(a, b)
+            | Expr::Le(a, b)
+            | Expr::Gt(a, b)
+            | Expr::Ge(a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b) => {
+                a.for_each_column(f);
+                b.for_each_column(f);
+            }
+            Expr::Not(e) | Expr::Like(e, _) | Expr::IsNull(e) => e.for_each_column(f),
+        }
+    }
+
+    /// Rewrite every column position the expression names through `f`.
+    pub fn remap_columns(&mut self, f: &dyn Fn(usize) -> usize) {
+        match self {
+            Expr::Column(pos) => *pos = f(*pos),
+            Expr::Literal(_) => {}
+            Expr::Eq(a, b)
+            | Expr::Ne(a, b)
+            | Expr::Lt(a, b)
+            | Expr::Le(a, b)
+            | Expr::Gt(a, b)
+            | Expr::Ge(a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b) => {
+                a.remap_columns(f);
+                b.remap_columns(f);
+            }
+            Expr::Not(e) | Expr::Like(e, _) | Expr::IsNull(e) => e.remap_columns(f),
+        }
+    }
+
     /// Evaluate against a row of values.
     pub fn eval(&self, row: &[Value]) -> QueryResult<Value> {
         self.eval_access(row)
@@ -384,6 +433,25 @@ mod tests {
         assert_eq!(avg, Value::Float(2.5));
         assert_eq!(col(0).div(lit(0)).eval(&r).unwrap(), Value::Null);
         assert_eq!(col(0).mul(lit(3)).eval(&r).unwrap(), Value::Float(30.0));
+    }
+
+    #[test]
+    fn columns_are_listed_and_rewritten_through_every_operator() {
+        let mut e = col(3)
+            .eq(lit(1))
+            .and(
+                col(1)
+                    .like("x%")
+                    .or(col(3).add(col(5)).mul(lit(2)).ge(col(0))),
+            )
+            .and(col(7).is_null().not());
+        let mut seen = Vec::new();
+        e.for_each_column(&mut |pos| seen.push(pos));
+        assert_eq!(seen, vec![3, 1, 3, 5, 0, 7]);
+        e.remap_columns(&|pos| pos * 10);
+        let mut seen = Vec::new();
+        e.for_each_column(&mut |pos| seen.push(pos));
+        assert_eq!(seen, vec![30, 10, 30, 50, 0, 70]);
     }
 
     #[test]

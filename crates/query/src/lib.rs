@@ -25,6 +25,7 @@
 //! model to derive service times.
 
 pub mod builder;
+pub mod colprune;
 pub mod error;
 pub mod exec;
 pub mod expr;

@@ -66,8 +66,12 @@ pub enum Plan {
     TableScan {
         /// Table name.
         table: String,
-        /// Optional pushed-down filter.
+        /// Optional pushed-down filter, over the columns the scan emits.
         filter: Option<Expr>,
+        /// Base-table columns the scan emits, in this order; `None` emits
+        /// every column in schema order.  Plans are built with `None`; the
+        /// executor's column-pruning pass narrows it to what the plan reads.
+        columns: Option<Vec<usize>>,
     },
     /// Look up rows through an index (or the primary key) by key prefix.
     IndexScan {
@@ -204,6 +208,7 @@ mod tests {
                 left: Box::new(Plan::TableScan {
                     table: "ORDERS".into(),
                     filter: None,
+                    columns: None,
                 }),
                 right: Box::new(Plan::IndexScan {
                     table: "ORDER_LINE".into(),
@@ -227,6 +232,7 @@ mod tests {
             right: Box::new(Plan::TableScan {
                 table: "ORDERS".into(),
                 filter: None,
+                columns: None,
             }),
             left_keys: vec![0],
             right_keys: vec![0],

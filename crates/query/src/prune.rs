@@ -25,14 +25,33 @@ pub struct ChunkPruner {
 impl ChunkPruner {
     /// Pruner for a scan with a filter expression.  Returns `None` when
     /// `mode` is [`PruningMode::Off`] (sources then take the unpruned path).
-    pub fn from_filter(filter: &Expr, mode: PruningMode) -> Option<ChunkPruner> {
+    ///
+    /// The filter addresses the columns the scan emits; chunk summaries are
+    /// kept per base-table column, so `columns` (the scan's column list,
+    /// `None` = every column in schema order) translates each conjunct back.
+    /// A conjunct on a position the scan does not emit is dropped — fewer
+    /// conjuncts only prune less — and left to the filter itself to report.
+    pub fn from_filter(
+        filter: &Expr,
+        columns: Option<&[usize]>,
+        mode: PruningMode,
+    ) -> Option<ChunkPruner> {
         if mode == PruningMode::Off {
             return None;
         }
-        Some(ChunkPruner {
-            predicate: extract_sargable(filter),
-            mode,
-        })
+        let mut predicate = extract_sargable(filter);
+        if let Some(columns) = columns {
+            predicate
+                .predicates
+                .retain_mut(|p| match columns.get(p.column) {
+                    Some(&base) => {
+                        p.column = base;
+                        true
+                    }
+                    None => false,
+                });
+        }
+        Some(ChunkPruner { predicate, mode })
     }
 
     /// Pruner for an unfiltered scan: no conjuncts, but fully deleted chunks
@@ -162,12 +181,30 @@ mod tests {
     #[test]
     fn pruner_construction_respects_mode() {
         let filter = col(0).eq(lit(Value::Int(1)));
-        assert!(ChunkPruner::from_filter(&filter, PruningMode::Off).is_none());
+        assert!(ChunkPruner::from_filter(&filter, None, PruningMode::Off).is_none());
         assert!(ChunkPruner::unfiltered(PruningMode::Off).is_none());
-        let pruner = ChunkPruner::from_filter(&filter, PruningMode::Both).unwrap();
+        let pruner = ChunkPruner::from_filter(&filter, None, PruningMode::Both).unwrap();
         assert_eq!(pruner.mode(), PruningMode::Both);
         assert_eq!(pruner.predicate().predicates.len(), 1);
         let pruner = ChunkPruner::unfiltered(PruningMode::ZoneMapOnly).unwrap();
         assert!(pruner.predicate().is_empty());
+    }
+
+    #[test]
+    fn conjuncts_are_translated_to_base_table_columns() {
+        // The scan emits base columns [4, 9]; the filter addresses those as
+        // positions 0 and 1, and names a position 2 the scan does not emit.
+        let filter = col(1)
+            .eq(lit(Value::Int(7)))
+            .and(col(0).lt(lit(Value::Int(3))))
+            .and(col(2).gt(lit(Value::Int(0))));
+        let pruner = ChunkPruner::from_filter(&filter, Some(&[4, 9]), PruningMode::Both).unwrap();
+        let columns: Vec<usize> = pruner
+            .predicate()
+            .predicates
+            .iter()
+            .map(|p| p.column)
+            .collect();
+        assert_eq!(columns, vec![9, 4]);
     }
 }

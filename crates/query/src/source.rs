@@ -6,6 +6,14 @@
 //! of a hybrid transaction), while [`ColumnSource`] reads the columnar
 //! replicas (what the dual-engine architecture uses for standalone analytical
 //! queries).
+//!
+//! Every source serves the same one batched scan: the executor names the
+//! base-table columns a plan reads and, where the filter allows, a chunk
+//! pruner; the source hands back batches of exactly those columns.  The row
+//! stores clone nothing else out of their version chains and ignore the
+//! pruner (they keep no chunk summaries); the column store borrows only those
+//! delta vectors, decodes only those main-tier columns, and skips the chunks
+//! the pruner excludes.
 
 use crate::error::{QueryError, QueryResult};
 use crate::prune::ChunkPruner;
@@ -34,47 +42,33 @@ pub trait DataSource {
     /// Schema of a table.
     fn schema(&self, table: &str) -> QueryResult<Arc<TableSchema>>;
 
-    /// Scan every visible row, calling `f` for each.  Returns the number of
-    /// physical rows examined.
+    /// Scan every visible row at full width, calling `f` for each.  Returns
+    /// the number of physical rows examined.
     ///
-    /// This is the legacy row-at-a-time path; the executor's default is
-    /// [`DataSource::scan_batches`].
+    /// This is the row-at-a-time path kept as the test oracle; the executor's
+    /// default is [`DataSource::scan_batches`].
     fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize>;
 
     /// Vectorized scan: stream the visible rows as [`ColumnBatch`]es of up to
-    /// `batch_size` row slots, calling `f` for each batch.  Returns the
-    /// number of physical rows examined.
+    /// `batch_size` row slots, calling `f` for each batch.
     ///
-    /// The column store hands out zero-copy batches (borrowed column slices
-    /// with deleted slots deselected); the row store transposes visible MVCC
-    /// rows into owned batches.  Either way no per-row [`Row`] is
+    /// `projection` names the base-table columns each batch carries, in that
+    /// order (`None` = every column in schema order); every position must be
+    /// a column of the table.  `pruner` lets sources with chunk summaries
+    /// (the column store) skip chunks that provably or probably cannot
+    /// satisfy its predicate, and deselect rows on encoded data; sources
+    /// without them (the row stores) scan everything and report zeroed chunk
+    /// counters.  Neither changes which rows are *examined* for a surviving
+    /// chunk, only how many values are moved.  No per-row [`Row`] is
     /// materialized at the storage/query boundary.
     fn scan_batches(
         &self,
         table: &str,
+        projection: Option<&[usize]>,
         batch_size: usize,
+        pruner: Option<&ChunkPruner>,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<usize>;
-
-    /// Vectorized scan with an optional chunk pruner pushed down from the
-    /// executor.  Sources with pruning structures (the column store) skip
-    /// chunks that provably or probably cannot satisfy the pruner's
-    /// predicate; the default implementation ignores the pruner and scans
-    /// everything (the row stores have no chunk summaries), reporting the
-    /// examined slots with zeroed chunk counters.
-    fn scan_batches_pruned(
-        &self,
-        table: &str,
-        batch_size: usize,
-        _pruner: Option<&ChunkPruner>,
-        f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<ScanOutcome> {
-        let slots_examined = self.scan_batches(table, batch_size, f)?;
-        Ok(ScanOutcome {
-            slots_examined,
-            ..ScanOutcome::default()
-        })
-    }
+    ) -> QueryResult<ScanOutcome>;
 
     /// Look up rows by an index (or primary-key) prefix.  Returns the matching
     /// rows and the number of physical entries examined.
@@ -123,11 +117,16 @@ impl DataSource for RowSource<'_> {
     fn scan_batches(
         &self,
         table: &str,
+        projection: Option<&[usize]>,
         batch_size: usize,
+        _pruner: Option<&ChunkPruner>,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<usize> {
+    ) -> QueryResult<ScanOutcome> {
         let t = self.table(table)?;
-        Ok(t.scan_batches(self.read_ts, batch_size, |batch| f(&batch)))
+        Ok(ScanOutcome {
+            slots_examined: t.scan_batches(self.read_ts, projection, batch_size, |b| f(&b)),
+            ..ScanOutcome::default()
+        })
     }
 
     fn index_lookup(
@@ -212,14 +211,17 @@ impl DataSource for ShardedRowSource {
     fn scan_batches(
         &self,
         table: &str,
+        projection: Option<&[usize]>,
         batch_size: usize,
+        _pruner: Option<&ChunkPruner>,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<usize> {
-        let mut examined = 0;
+    ) -> QueryResult<ScanOutcome> {
+        let mut outcome = ScanOutcome::default();
         for part in self.partitions(table)? {
-            examined += part.scan_batches(self.read_ts, batch_size, |batch| f(&batch));
+            outcome.slots_examined +=
+                part.scan_batches(self.read_ts, projection, batch_size, |b| f(&b));
         }
-        Ok(examined)
+        Ok(outcome)
     }
 
     fn index_lookup(
@@ -283,16 +285,7 @@ impl DataSource for ColumnSource<'_> {
     fn scan_batches(
         &self,
         table: &str,
-        batch_size: usize,
-        f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<usize> {
-        let t = self.table(table)?;
-        Ok(t.scan_batches(None, batch_size, |batch| f(batch)))
-    }
-
-    fn scan_batches_pruned(
-        &self,
-        table: &str,
+        projection: Option<&[usize]>,
         batch_size: usize,
         pruner: Option<&ChunkPruner>,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
@@ -310,7 +303,7 @@ impl DataSource for ColumnSource<'_> {
             Some(p) => (Some(p.predicate()), p.mode()),
             None => (None, PruningMode::Off),
         };
-        Ok(t.scan_batches_pruned(None, batch_size, predicate, mode, |batch| f(batch)))
+        Ok(t.scan_batches_pruned(projection, batch_size, predicate, mode, |batch| f(batch)))
     }
 
     fn index_lookup(
@@ -428,10 +421,14 @@ mod tests {
         source.scan("ITEM", &mut |_| count += 1).unwrap();
         assert_eq!(count, 6, "scan concatenates every shard's partition");
         let mut batched = 0;
-        source
-            .scan_batches("ITEM", 4, &mut |b| batched += b.selected_rows().count())
+        let outcome = source
+            .scan_batches("ITEM", Some(&[1]), 4, None, &mut |b| {
+                assert_eq!(b.width(), 1);
+                batched += b.selected_count();
+            })
             .unwrap();
         assert_eq!(batched, 6);
+        assert_eq!(outcome.slots_examined, 6);
         let (rows, _) = source.index_lookup("ITEM", None, &Key::int(101)).unwrap();
         assert_eq!(rows.len(), 1, "lookup unions per-shard results");
         assert!(source.scan("NOPE", &mut |_| {}).is_err());

@@ -3,11 +3,14 @@
 //! The read path of the stack is batch-first: storage scans hand the executor
 //! [`ColumnBatch`]es — one `Vec`/slice per column plus an optional *selection
 //! bitmap* marking which rows are live — instead of materializing a [`Row`]
-//! per tuple.  The column store produces **borrowed** batches whose columns
-//! are zero-copy slices into its column vectors; the MVCC row store and the
-//! query operators produce **owned** batches built with [`BatchBuilder`].
-//! Rows are only materialized "late", at a plan root or inside operators that
-//! genuinely need full tuples (sorting, final output).
+//! per tuple.  A scan names the columns it wants and a batch carries exactly
+//! those, in that order: the column store's delta tier lends them out as
+//! **borrowed** zero-copy slices of its column vectors and decodes only them
+//! from its compressed main tier; the MVCC row store and the query operators
+//! produce **owned** batches built with [`BatchBuilder`], cloning no value of
+//! a column nobody asked for.  Rows are only materialized "late", at a plan
+//! root or inside operators that genuinely need full tuples (sorting, final
+//! output).
 //!
 //! This is the standard HTAP recipe (TiFlash, SAP HANA, the vectorized
 //! engines surveyed by Zhang et al. 2024): the columnar replica only pays off
@@ -235,6 +238,20 @@ impl BatchBuilder {
         assert_eq!(values.len(), self.columns.len(), "row arity mismatch");
         for (col, value) in self.columns.iter_mut().zip(values) {
             col.push(value.clone());
+        }
+        self.rows += 1;
+    }
+
+    /// Append one row holding `values[src]` for each `src` in `projection`,
+    /// in that order; the other values are never cloned.
+    ///
+    /// # Panics
+    /// Panics if `projection.len() != width` or a position is out of range
+    /// (operator arity bug).
+    pub fn push_row_projected(&mut self, values: &[Value], projection: &[usize]) {
+        assert_eq!(projection.len(), self.columns.len(), "row arity mismatch");
+        for (col, &src) in self.columns.iter_mut().zip(projection) {
+            col.push(values[src].clone());
         }
         self.rows += 1;
     }

@@ -548,12 +548,14 @@ impl ColumnTable {
     }
 
     /// Decide whether one chunk can be skipped, charging the outcome counters.
+    /// `probes` holds the fingerprint of every equality conjunct of
+    /// `predicate`, computed once per scan.
     fn chunk_survives(
         &self,
         data: &ColumnData,
         chunk: usize,
-        slots: usize,
         predicate: Option<&ScanPredicate>,
+        probes: &[u64],
         mode: PruningMode,
         outcome: &mut ScanOutcome,
     ) -> bool {
@@ -569,23 +571,15 @@ impl ColumnTable {
                     return false;
                 }
             }
-            if mode.uses_filters() {
-                // Filters only exist for sealed (fully populated) chunks:
-                // a growing tail chunk would invalidate on every append.
-                let sealed = (chunk + 1) * self.chunk_size <= slots;
-                let probes: Vec<u64> = predicate
-                    .map(|p| {
-                        p.equality_predicates()
-                            .filter_map(|eq| fingerprint_hash(eq.column, &eq.value))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if sealed && !probes.is_empty() {
-                    if let Some(filter) = self.chunk_filter(data, chunk) {
-                        if probes.iter().any(|&key| !filter.contains(key)) {
-                            outcome.chunks_pruned_filter += 1;
-                            return false;
-                        }
+            // Filters only exist for sealed (fully populated) chunks: a
+            // growing tail chunk would invalidate on every append.  `probes`
+            // is empty unless the mode consults filters.
+            let sealed = (chunk + 1) * self.chunk_size <= data.deleted.len();
+            if sealed && !probes.is_empty() {
+                if let Some(filter) = self.chunk_filter(data, chunk) {
+                    if probes.iter().any(|&key| !filter.contains(key)) {
+                        outcome.chunks_pruned_filter += 1;
+                        return false;
                     }
                 }
             }
@@ -660,8 +654,15 @@ impl ColumnTable {
         };
 
         let num_chunks = slots.div_ceil(self.chunk_size);
+        let probes: Vec<u64> = match predicate {
+            Some(p) if mode.uses_filters() => p
+                .equality_predicates()
+                .filter_map(|eq| fingerprint_hash(eq.column, &eq.value))
+                .collect(),
+            _ => Vec::new(),
+        };
         let survivors: Vec<bool> = (0..num_chunks)
-            .map(|chunk| self.chunk_survives(&data, chunk, slots, predicate, mode, &mut outcome))
+            .map(|chunk| self.chunk_survives(&data, chunk, predicate, &probes, mode, &mut outcome))
             .collect();
 
         let mut live_rows = 0u64;
@@ -757,23 +758,6 @@ impl ColumnTable {
         outcome
     }
 
-    /// Scan live rows, materialising only the projected columns.
-    ///
-    /// `projection` holds column positions; the callback receives the projected
-    /// values in projection order.  Returns the number of slots examined.
-    pub fn scan_projected<F>(&self, projection: &[usize], mut f: F) -> usize
-    where
-        F: FnMut(&[crate::Value]),
-    {
-        let mut buf: Vec<crate::Value> = Vec::with_capacity(projection.len());
-        self.scan_batches(Some(projection), DEFAULT_BATCH_SIZE, |batch| {
-            for row in batch.selected_rows() {
-                batch.gather_row_into(row, &mut buf);
-                f(&buf);
-            }
-        })
-    }
-
     /// Scan live rows materialising full rows (schema column order).
     pub fn scan_rows<F>(&self, mut f: F) -> usize
     where
@@ -786,36 +770,6 @@ impl ColumnTable {
                 f(&Row::new(std::mem::take(&mut buf)));
             }
         })
-    }
-
-    /// Aggregate one numeric column over live rows matching `filter`.
-    ///
-    /// Returns `(sum, count, min, max)` of the column interpreted as f64.
-    /// Runs over the batch scan: only rows the filter accepts are gathered,
-    /// and the aggregated column is read straight from the batch slice.
-    pub fn aggregate_column<F>(&self, column: usize, filter: F) -> (f64, u64, f64, f64)
-    where
-        F: Fn(&[crate::Value]) -> bool,
-    {
-        let (mut sum, mut count) = (0.0f64, 0u64);
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut rowbuf: Vec<crate::Value> = Vec::with_capacity(self.schema.column_count());
-        self.scan_batches(None, DEFAULT_BATCH_SIZE, |batch| {
-            let agg_column = batch.column(column);
-            for row in batch.selected_rows() {
-                batch.gather_row_into(row, &mut rowbuf);
-                if !filter(&rowbuf) {
-                    continue;
-                }
-                if let Some(v) = agg_column[row].as_f64() {
-                    sum += v;
-                    count += 1;
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-            }
-        });
-        (sum, count, min, max)
     }
 }
 
@@ -944,35 +898,39 @@ mod tests {
             .unwrap();
         assert_eq!(t.live_row_count(), 1);
         let mut amounts = Vec::new();
-        t.scan_projected(&[1], |v| amounts.push(v[0].clone()));
+        t.scan_batches(Some(&[1]), 64, |batch| {
+            amounts.extend(
+                batch
+                    .selected_rows()
+                    .map(|row| batch.column(0)[row].clone()),
+            );
+        });
         assert_eq!(amounts, vec![Value::Decimal(650)]);
     }
 
     #[test]
     fn projected_scan_only_returns_requested_columns() {
-        let t = table();
+        let t = small_chunk_table();
         for i in 0..4 {
             t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64)
                 .unwrap();
         }
-        let mut widths = Vec::new();
-        t.scan_projected(&[2, 0], |vals| widths.push(vals.len()));
-        assert!(widths.iter().all(|&w| w == 2));
-        assert_eq!(widths.len(), 4);
-    }
-
-    #[test]
-    fn aggregate_column_computes_sum_count_min_max() {
-        let t = table();
-        for i in 1..=5i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64)
-                .unwrap();
+        for compacted in [false, true] {
+            let mut ids = Vec::new();
+            t.scan_batches(Some(&[2, 0]), 3, |batch| {
+                assert_eq!(batch.width(), 2, "only the requested columns");
+                for row in batch.selected_rows() {
+                    assert_eq!(batch.column(0)[row], Value::Str("new".into()));
+                    ids.push(batch.column(1)[row].clone());
+                }
+            });
+            assert_eq!(
+                ids,
+                (0..4).map(Value::Int).collect::<Vec<_>>(),
+                "projection order, delta and main alike (compacted: {compacted})"
+            );
+            assert_eq!(t.compact(), usize::from(!compacted));
         }
-        let (sum, count, min, max) = t.aggregate_column(1, |row| row[0].as_int().unwrap() >= 2);
-        assert_eq!(count, 4);
-        assert!((sum - (2.0 + 3.0 + 4.0 + 5.0)).abs() < 1e-9);
-        assert!((min - 2.0).abs() < 1e-9);
-        assert!((max - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1027,9 +985,9 @@ mod tests {
                 .unwrap();
         }
         let mut visits = 0;
-        let examined = t.scan_projected(&[], |values| {
-            assert!(values.is_empty());
-            visits += 1;
+        let examined = t.scan_batches(Some(&[]), 64, |batch| {
+            assert_eq!(batch.width(), 0);
+            visits += batch.selected_count();
         });
         assert_eq!(examined, 3);
         assert_eq!(visits, 3, "zero-width batches keep their row count");

@@ -554,7 +554,13 @@ mod tests {
         assert_eq!(replica.applied_ts(), 8);
 
         let mut amounts = Vec::new();
-        replica.scan_projected(&[1], |v| amounts.push(v[0].clone()));
+        replica.scan_batches(Some(&[1]), 64, |batch| {
+            amounts.extend(
+                batch
+                    .selected_rows()
+                    .map(|row| batch.column(0)[row].clone()),
+            );
+        });
         assert_eq!(amounts, vec![Value::Decimal(99)]);
     }
 

@@ -283,21 +283,36 @@ impl RowTable {
 
     /// Vectorized full scan: pack every row visible at `read_ts` into owned
     /// [`ColumnBatch`]es of up to `batch_size` rows and hand each batch to
-    /// `f`.  Returns the number of keys examined (which can exceed the rows
-    /// batched, since keys whose version chain has no visible row still cost
-    /// a chain walk).
+    /// `f`.  `projection` selects and orders the columns each batch carries
+    /// (`None` = every column in schema order); values of the other columns
+    /// are never cloned.  Returns the number of keys examined (which can
+    /// exceed the rows batched, since keys whose version chain has no visible
+    /// row still cost a chain walk).
     ///
     /// The MVCC row store cannot hand out borrowed column slices the way the
     /// column store does — versions live in per-key chains — so this adapter
     /// transposes visible rows into column vectors, giving downstream
     /// operators one uniform batch interface over both stores.
-    pub fn scan_batches<F>(&self, read_ts: Timestamp, batch_size: usize, mut f: F) -> usize
+    ///
+    /// # Panics
+    /// Panics if a projected position is not a column of the schema.
+    pub fn scan_batches<F>(
+        &self,
+        read_ts: Timestamp,
+        projection: Option<&[usize]>,
+        batch_size: usize,
+        mut f: F,
+    ) -> usize
     where
         F: FnMut(ColumnBatch<'static>),
     {
-        let mut builder = BatchBuilder::new(self.schema.column_count(), batch_size);
+        let width = projection.map_or(self.schema.column_count(), <[usize]>::len);
+        let mut builder = BatchBuilder::new(width, batch_size);
         let examined = self.scan(read_ts, |_, row| {
-            builder.push_row(row.values());
+            match projection {
+                None => builder.push_row(row.values()),
+                Some(columns) => builder.push_row_projected(row.values(), columns),
+            }
             if builder.is_full() {
                 f(builder.finish());
             }
@@ -555,7 +570,7 @@ mod tests {
         t.delete(&Key::int(3), 20).unwrap();
         let mut sizes = Vec::new();
         let mut total = 0usize;
-        let examined = t.scan_batches(25, 4, |batch| {
+        let examined = t.scan_batches(25, None, 4, |batch| {
             assert_eq!(batch.width(), 3);
             assert!(batch.selection().is_none(), "row-store batches are dense");
             sizes.push(batch.num_rows());
@@ -564,6 +579,21 @@ mod tests {
         assert_eq!(examined, 10, "the tombstoned key is still examined");
         assert_eq!(total, 9, "only visible rows are batched");
         assert_eq!(sizes, vec![4, 4, 1], "partial final batch is flushed");
+
+        // A projection narrows and reorders the batch, not the rows visited.
+        let mut prices = Vec::new();
+        let examined = t.scan_batches(25, Some(&[2, 0]), 4, |batch| {
+            assert_eq!(batch.width(), 2);
+            for row in batch.selected_rows() {
+                assert_eq!(
+                    batch.column(0)[row],
+                    Value::Decimal(100 + batch.column(1)[row].as_int().unwrap())
+                );
+                prices.push(batch.column(0)[row].clone());
+            }
+        });
+        assert_eq!(examined, 10);
+        assert_eq!(prices.len(), 9);
     }
 
     #[test]
