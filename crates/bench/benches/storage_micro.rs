@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use olxpbench::engine::model::BufferPool;
 use olxpbench::prelude::*;
 use olxpbench::storage::{
-    ColumnPredicate, ColumnTable, MutationOp, PredicateOp, PruningMode, ReplicationLog, Replicator,
-    RowTable, ScanPredicate,
+    ColumnPredicate, ColumnTable, MutationOp, PredicateOp, ReplicationLog, Replicator, RowTable,
+    ScanPredicate,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -210,11 +210,9 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
     }
     group.finish();
 
-    // Chunk pruning: the same selective equality scan with each pruning mode.
-    // `i_price` is monotone in the row id, so zone maps prune almost every
-    // chunk; the fingerprint filters reach the same verdict from hashed
-    // signatures (their lazily built caches are warmed by the first
-    // iteration).
+    // Chunk pruning: the same selective equality scan with pruning off and
+    // on.  `i_price` is monotone in the row id, so zone maps prune almost
+    // every chunk.
     let mut group = c.benchmark_group("colstore_prune");
     group.measurement_time(Duration::from_millis(800));
     group.sample_size(10);
@@ -223,16 +221,11 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
             .into_iter()
             .collect(),
     );
-    for mode in [
-        PruningMode::Off,
-        PruningMode::ZoneMapOnly,
-        PruningMode::FilterOnly,
-        PruningMode::Both,
-    ] {
-        group.bench_function(format!("eq_scan_100k_{}", mode.label()), |b| {
+    for (label, predicate) in [("off", None), ("on", Some(&predicate))] {
+        group.bench_function(format!("eq_scan_100k_{label}"), |b| {
             b.iter(|| {
                 let mut count = 0usize;
-                big.scan_batches_pruned(Some(&[2]), 1024, Some(&predicate), mode, |batch| {
+                big.scan_batches_pruned(Some(&[2]), 1024, predicate, |batch| {
                     count += batch.selected_rows().count()
                 });
                 count
@@ -265,13 +258,9 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
         group.bench_function(format!("name_eq_scan_100k_{label}"), |b| {
             b.iter(|| {
                 let mut count = 0usize;
-                table.scan_batches_pruned(
-                    Some(&[1]),
-                    1024,
-                    Some(&name_eq),
-                    PruningMode::Off,
-                    |batch| count += batch.selected_rows().count(),
-                );
+                table.scan_batches_pruned(Some(&[1]), 1024, Some(&name_eq), |batch| {
+                    count += batch.selected_rows().count()
+                });
                 count
             })
         });

@@ -22,9 +22,7 @@ use olxpbench::framework::report::render_table;
 use olxpbench::query::{
     col, execute_with, lit, ColumnSource, ExecOptions, Expr, Plan, QueryBuilder,
 };
-use olxpbench::storage::{
-    ColumnDef, ColumnTable, DataType, Key, PruningMode, Row, TableSchema, Value,
-};
+use olxpbench::storage::{ColumnDef, ColumnTable, DataType, Key, Row, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,7 +92,7 @@ fn plan(filter: Option<Expr>) -> Plan {
 /// Best-of-`iters` scan time in microseconds (after one warm-up run), plus
 /// the row count as a cross-check that both copies agree.
 fn measure(source: &ColumnSource, plan: &Plan, iters: u32) -> (f64, usize) {
-    let opts = ExecOptions::batched(1024).with_pruning(PruningMode::Both);
+    let opts = ExecOptions::batched(1024);
     let warm = execute_with(plan, source, opts).expect("scan succeeds");
     let mut best = f64::INFINITY;
     for _ in 0..iters {

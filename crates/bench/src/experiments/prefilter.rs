@@ -1,41 +1,32 @@
 //! Chunk-pruning speedups on the columnar analytical scan path.
 //!
 //! Not a figure from the paper — it is the microbenchmark behind the zone-map
-//! and fingerprint-filter pruning layer: the same point/range-style equality
-//! scan over one column store at selectivities from 0.01% to 100%, under each
-//! [`PruningMode`].  Two data layouts are probed:
+//! pruning layer: the same point/range-style equality scan over one column
+//! store at selectivities from 0.01% to 100%, with chunk pruning off and on.
+//! Two data layouts are probed:
 //!
 //! * **clustered** — the probed column increases monotonically with the row
 //!   id, so every chunk covers a narrow value range and zone maps alone prune
 //!   almost everything;
 //! * **scattered** — the same group ids permuted across the table, so every
-//!   chunk's min/max spans the whole domain (zone maps are useless) and only
-//!   the per-chunk fingerprint filters can rule chunks out.
+//!   chunk's min/max spans the whole domain and zone maps can rule nothing
+//!   out: this layout documents the limit of min/max pruning (1.0x).
 //!
-//! The expected shape: at low selectivity, pruned scans are many times faster
-//! than `off` and the chunk counters show most chunks skipped; at 100%
-//! selectivity nothing can be pruned and the pruning checks must cost ~nothing.
+//! The expected shape: on the clustered layout at low selectivity, pruned
+//! scans are many times faster than `off` and the chunk counters show most
+//! chunks skipped; on the scattered layout, and at 100% selectivity on
+//! either, nothing can be pruned and the pruning checks must cost ~nothing.
 
 use super::ExpOptions;
 use olxpbench::framework::report::render_table;
 use olxpbench::query::{col, execute_with, lit, ColumnSource, ExecOptions, Plan, QueryBuilder};
-use olxpbench::storage::{
-    ColumnDef, ColumnTable, DataType, Key, PruningMode, Row, TableSchema, Value,
-};
+use olxpbench::storage::{ColumnDef, ColumnTable, DataType, Key, Row, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Selectivity sweep: fraction of rows the probe matches.
 const SELECTIVITIES: [f64; 5] = [0.0001, 0.001, 0.01, 0.1, 1.0];
-
-/// Pruning modes compared at every selectivity.
-const MODES: [PruningMode; 4] = [
-    PruningMode::Off,
-    PruningMode::ZoneMapOnly,
-    PruningMode::FilterOnly,
-    PruningMode::Both,
-];
 
 /// Multiplier scattering group ids across the table (odd, so consecutive
 /// clustered ids land far apart modulo any group count).
@@ -87,13 +78,11 @@ struct Measured {
     rows: usize,
     chunks_scanned: u64,
     pruned_zonemap: u64,
-    pruned_filter: u64,
 }
 
-/// Best-of-`iters` scan time (after one warm-up run that also populates the
-/// lazily built fingerprint filters, as a long-lived engine would have them).
-fn measure(source: &ColumnSource, plan: &Plan, mode: PruningMode, iters: u32) -> Measured {
-    let opts = ExecOptions::batched(1024).with_pruning(mode);
+/// Best-of-`iters` scan time (after one warm-up run).
+fn measure(source: &ColumnSource, plan: &Plan, pruning: bool, iters: u32) -> Measured {
+    let opts = ExecOptions::batched(1024).with_pruning(pruning);
     let warm = execute_with(plan, source, opts).expect("scan succeeds");
     let mut best = f64::INFINITY;
     for _ in 0..iters {
@@ -107,7 +96,6 @@ fn measure(source: &ColumnSource, plan: &Plan, mode: PruningMode, iters: u32) ->
         rows: warm.rows.len(),
         chunks_scanned: warm.stats.chunks_scanned,
         pruned_zonemap: warm.stats.chunks_pruned_zonemap,
-        pruned_filter: warm.stats.chunks_pruned_filter,
     }
 }
 
@@ -122,22 +110,21 @@ fn sweep_rows(
         let g = groups_for(*s);
         let plan = probe_plan(column_of(i), probe_of(g));
         // One throwaway unpruned pass so the baseline below isn't the cold run.
-        let _ = measure(source, &plan, PruningMode::Off, 1);
+        let _ = measure(source, &plan, false, 1);
         let mut baseline_micros = f64::NAN;
-        for mode in MODES {
-            let m = measure(source, &plan, mode, iters);
-            if mode == PruningMode::Off {
+        for pruning in [false, true] {
+            let m = measure(source, &plan, pruning, iters);
+            if !pruning {
                 baseline_micros = m.micros;
             }
             rows.push(vec![
                 format!("{:.4}%", s * 100.0),
-                mode.label().to_string(),
+                if pruning { "on" } else { "off" }.to_string(),
                 format!("{:.0}", m.micros),
                 format!("{:.2}x", baseline_micros / m.micros),
                 m.rows.to_string(),
                 m.chunks_scanned.to_string(),
                 m.pruned_zonemap.to_string(),
-                m.pruned_filter.to_string(),
             ]);
         }
     }
@@ -164,7 +151,6 @@ pub fn selectivity_sweep(opts: ExpOptions) -> String {
         "rows out",
         "chunks",
         "zm pruned",
-        "fp pruned",
     ];
     // Probes target the middle group; the scattered probe is that group's id
     // after the same permutation the stored values went through.
@@ -184,6 +170,6 @@ pub fn selectivity_sweep(opts: ExpOptions) -> String {
     format!(
         "Chunk pruning: equality-scan selectivity sweep over {rows_n} rows \
          ({chunk_size}-row chunks)\n\nClustered layout (zone maps effective):\n{clustered}\n\
-         Scattered layout (zone maps blind, fingerprint filters effective):\n{scattered}"
+         Scattered layout (zone maps blind: the limit of min/max pruning):\n{scattered}"
     )
 }

@@ -53,8 +53,6 @@ pub struct BenchmarkResult {
     pub chunks_scanned: u64,
     /// Column-store chunks skipped by zone maps during the run.
     pub chunks_pruned_zonemap: u64,
-    /// Column-store chunks skipped by fingerprint filters during the run.
-    pub chunks_pruned_filter: u64,
     /// Live rows in surviving compressed main-tier chunks deselected by
     /// predicate evaluation on encoded columns during the run.
     pub rows_pruned_encoded: u64,
@@ -314,7 +312,6 @@ impl BenchmarkDriver {
             col_rows_scanned: delta.col_rows_scanned,
             chunks_scanned: delta.chunks_scanned,
             chunks_pruned_zonemap: delta.chunks_pruned_zonemap,
-            chunks_pruned_filter: delta.chunks_pruned_filter,
             rows_pruned_encoded: delta.rows_pruned_encoded,
             chunks_compacted: delta.chunks_compacted,
             // Footprint is a gauge: report the run-end state, not a delta.

@@ -10,7 +10,7 @@
 //! through the cost model.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregate counters for a buffer pool.
@@ -26,8 +26,10 @@ pub struct BufferPoolStats {
 
 #[derive(Debug, Default)]
 struct Residency {
-    /// Pages currently resident per table.
-    tables: HashMap<String, u64>,
+    /// Pages currently resident per table.  Ordered by name so eviction
+    /// breaks ties between equally large tables the same way in every
+    /// process: the modelled numbers must repeat exactly.
+    tables: BTreeMap<String, u64>,
     /// Sum of all resident pages.
     total: u64,
 }
@@ -65,7 +67,7 @@ impl BufferPool {
 
     /// Record an access of `pages` pages of `table` and return the hit/miss
     /// split.  Missing pages become resident, evicting pages of other tables
-    /// (largest resident set first) when the pool is full.
+    /// (largest resident set first, ties by name) when the pool is full.
     pub fn access(&self, table: &str, pages: u64) -> AccessOutcome {
         if pages == 0 {
             return AccessOutcome { hits: 0, misses: 0 };
@@ -177,6 +179,32 @@ mod tests {
         // The OLTP table now misses again: interference.
         let outcome = pool.access("CUSTOMER", 300);
         assert!(outcome.misses > 0);
+    }
+
+    #[test]
+    fn eviction_ties_break_by_name_not_by_touch_order() {
+        // Sixteen equally large tables fill two pools, first touched in
+        // opposite orders; a scan then needs four of them gone.
+        let names: Vec<String> = (0..16).map(|i| format!("T{i:02}")).collect();
+        let forward = BufferPool::new(160);
+        let backward = BufferPool::new(160);
+        for (f, b) in names.iter().zip(names.iter().rev()) {
+            forward.access(f, 10);
+            backward.access(b, 10);
+        }
+        for pool in [&forward, &backward] {
+            pool.access("SCAN", 40);
+            for (i, name) in names.iter().enumerate() {
+                let expected = if i < 4 { 0 } else { 10 };
+                assert_eq!(pool.resident_pages(name), expected, "{name}");
+            }
+            // Re-reading every table misses exactly on the evicted ones.
+            for name in &names {
+                pool.access(name, 10);
+            }
+        }
+        assert_eq!(forward.stats(), backward.stats());
+        assert_eq!(forward.stats().evictions, 80);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::model::{CostParams, StorageMedium};
-use olxp_storage::{PruningMode, SyncPolicy, DEFAULT_BATCH_SIZE};
+use olxp_storage::{SyncPolicy, DEFAULT_BATCH_SIZE};
 use olxp_txn::IsolationLevel;
 use serde::{Deserialize, Serialize};
 
@@ -246,18 +246,10 @@ pub struct EngineConfig {
     /// the `OLXP_TEST_SHARDS` environment variable so the whole test suite can
     /// be re-run against a sharded engine without code changes.
     pub shards: usize,
-    /// Chunk-pruning structures consulted by columnar analytical scans: zone
-    /// maps (min/max per chunk and column), per-chunk fingerprint filters for
-    /// equality predicates, both (the default), or off.  Pruning never changes
-    /// results — it only skips chunks that provably contain no matching live
-    /// rows.  Constructors honour the `OLXP_TEST_PRUNING` environment variable
-    /// (`off`/`zonemap`/`filter`/`both`) so the whole test suite can be re-run
-    /// with pruning disabled without code changes.
-    pub pruning: PruningMode,
     /// Run a dedicated background compactor thread that seals full delta
     /// chunks of the columnar replicas into the compressed, immutable main
     /// tier (dictionary / run-length encoded per column, with tight zone maps
-    /// and fingerprint filters rebuilt during the rewrite).  Compaction never
+    /// rebuilt during the rewrite).  Compaction never
     /// changes results — global slot indices are stable and scans read both
     /// tiers — so disabling it only keeps every chunk in the plain delta
     /// format.  Constructors honour the `OLXP_TEST_COMPRESSION` environment
@@ -313,15 +305,6 @@ fn default_shards() -> usize {
         .unwrap_or(1)
 }
 
-/// Default pruning mode: `OLXP_TEST_PRUNING` if set to a recognised mode
-/// name, otherwise [`PruningMode::Both`].
-fn default_pruning() -> PruningMode {
-    std::env::var("OLXP_TEST_PRUNING")
-        .ok()
-        .and_then(|v| PruningMode::parse(&v))
-        .unwrap_or_default()
-}
-
 /// Default tracing switch: off unless `OLXP_TRACE` asks for tracing
 /// (`on`/`1`/`true`/`yes`).
 fn default_tracing() -> bool {
@@ -372,7 +355,6 @@ impl EngineConfig {
             freshness_timeout_ms: 2_000,
             durability: DurabilityConfig::disabled(),
             shards: default_shards(),
-            pruning: default_pruning(),
             compression: default_compression(),
             compactor_idle_wait_us: 10_000,
             tracing: default_tracing(),
@@ -402,7 +384,6 @@ impl EngineConfig {
             freshness_timeout_ms: 2_000,
             durability: DurabilityConfig::disabled(),
             shards: default_shards(),
-            pruning: default_pruning(),
             compression: default_compression(),
             compactor_idle_wait_us: 10_000,
             tracing: default_tracing(),
@@ -479,12 +460,6 @@ impl EngineConfig {
     /// Override the storage shard count (builder style).
     pub fn with_shards(mut self, shards: usize) -> EngineConfig {
         self.shards = shards;
-        self
-    }
-
-    /// Override the chunk-pruning mode for columnar scans (builder style).
-    pub fn with_pruning(mut self, pruning: PruningMode) -> EngineConfig {
-        self.pruning = pruning;
         self
     }
 

@@ -144,7 +144,6 @@ pub struct EngineMetrics {
     col_rows_scanned: AtomicU64,
     chunks_scanned: AtomicU64,
     chunks_pruned_zonemap: AtomicU64,
-    chunks_pruned_filter: AtomicU64,
     rows_pruned_encoded: AtomicU64,
     chunks_compacted: AtomicU64,
     query_batches: AtomicU64,
@@ -189,8 +188,7 @@ pub struct MetricsSnapshot {
     /// Column-store chunks skipped because their zone maps (min/max + live
     /// counts) proved no row could match the scan predicate.
     pub chunks_pruned_zonemap: u64,
-    /// Column-store chunks skipped because a per-chunk fingerprint filter
-    /// ruled out an equality probe that survived the zone maps.
+    /// Always 0: kept only because `perf/src/layers.rs` still reads it.
     pub chunks_pruned_filter: u64,
     /// Live rows in surviving compressed main-tier chunks that predicate
     /// evaluation on the encoded columns deselected before decoding.
@@ -283,9 +281,6 @@ impl MetricsSnapshot {
         out.chunks_pruned_zonemap = self
             .chunks_pruned_zonemap
             .saturating_sub(earlier.chunks_pruned_zonemap);
-        out.chunks_pruned_filter = self
-            .chunks_pruned_filter
-            .saturating_sub(earlier.chunks_pruned_filter);
         out.rows_pruned_encoded = self
             .rows_pruned_encoded
             .saturating_sub(earlier.rows_pruned_encoded);
@@ -411,25 +406,15 @@ impl EngineMetrics {
     }
 
     /// Record one query's column-store chunk accounting: chunks whose rows
-    /// were scanned, chunks skipped by zone maps or fingerprint filters, and
-    /// rows deselected by predicate evaluation on encoded main-tier columns.
-    pub fn add_chunk_pruning(
-        &self,
-        scanned: u64,
-        pruned_zonemap: u64,
-        pruned_filter: u64,
-        rows_pruned_encoded: u64,
-    ) {
+    /// were scanned, chunks skipped by zone maps, and rows deselected by
+    /// predicate evaluation on encoded main-tier columns.
+    pub fn add_chunk_pruning(&self, scanned: u64, pruned_zonemap: u64, rows_pruned_encoded: u64) {
         if scanned > 0 {
             self.chunks_scanned.fetch_add(scanned, Ordering::Relaxed);
         }
         if pruned_zonemap > 0 {
             self.chunks_pruned_zonemap
                 .fetch_add(pruned_zonemap, Ordering::Relaxed);
-        }
-        if pruned_filter > 0 {
-            self.chunks_pruned_filter
-                .fetch_add(pruned_filter, Ordering::Relaxed);
         }
         if rows_pruned_encoded > 0 {
             self.rows_pruned_encoded
@@ -553,7 +538,7 @@ impl EngineMetrics {
             col_rows_scanned: self.col_rows_scanned.load(Ordering::Relaxed),
             chunks_scanned: self.chunks_scanned.load(Ordering::Relaxed),
             chunks_pruned_zonemap: self.chunks_pruned_zonemap.load(Ordering::Relaxed),
-            chunks_pruned_filter: self.chunks_pruned_filter.load(Ordering::Relaxed),
+            chunks_pruned_filter: 0,
             rows_pruned_encoded: self.rows_pruned_encoded.load(Ordering::Relaxed),
             chunks_compacted: self.chunks_compacted.load(Ordering::Relaxed),
             query_batches: self.query_batches.load(Ordering::Relaxed),

@@ -973,9 +973,9 @@ impl Session {
     }
 
     /// Executor options derived from the engine configuration: vectorized
-    /// scans with the configured batch size and chunk-pruning mode.
+    /// scans with the configured batch size.
     fn exec_options(&self) -> ExecOptions {
-        ExecOptions::batched(self.db.config().batch_size).with_pruning(self.db.config().pruning)
+        ExecOptions::batched(self.db.config().batch_size)
     }
 
     /// Account the batches a query streamed through the vectorized executor
@@ -988,7 +988,6 @@ impl Session {
         self.db.metrics().add_chunk_pruning(
             stats.chunks_scanned,
             stats.chunks_pruned_zonemap,
-            stats.chunks_pruned_filter,
             stats.rows_pruned_encoded,
         );
         // Operator timings only exist while tracing is enabled; one stage

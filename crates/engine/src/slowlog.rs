@@ -17,7 +17,7 @@ use olxp_trace::SpanCategory;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cap on retained slow-transaction records; past it only a drop counter
+/// Cap on retained records per log; past it only a drop counter
 /// advances so a pathological run cannot grow memory without bound.
 const SLOW_LOG_CAP: usize = 1024;
 
@@ -62,76 +62,6 @@ fn fmt_ms(nanos: u64) -> String {
     format!("{:.3}ms", nanos as f64 / 1e6)
 }
 
-/// Bounded store of [`SlowTxnRecord`]s with a fixed latency threshold.
-#[derive(Debug, Default)]
-pub struct SlowTxnLog {
-    threshold_nanos: u64,
-    records: Mutex<Vec<SlowTxnRecord>>,
-    dropped: AtomicU64,
-}
-
-impl SlowTxnLog {
-    /// A log that retains commits slower than `threshold_ms` milliseconds;
-    /// `0` disables recording entirely.
-    pub fn new(threshold_ms: u64) -> SlowTxnLog {
-        SlowTxnLog {
-            threshold_nanos: threshold_ms.saturating_mul(1_000_000),
-            records: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// True when a non-zero threshold was configured.
-    pub fn is_enabled(&self) -> bool {
-        self.threshold_nanos > 0
-    }
-
-    /// The configured threshold in nanoseconds (0 = disabled).
-    pub fn threshold_nanos(&self) -> u64 {
-        self.threshold_nanos
-    }
-
-    /// Record a commit if it crossed the threshold.  Returns true when the
-    /// commit qualified (even if the cap forced it to be dropped).
-    pub fn observe(&self, record: SlowTxnRecord) -> bool {
-        if self.threshold_nanos == 0 || record.total_nanos < self.threshold_nanos {
-            return false;
-        }
-        let mut records = self.records.lock();
-        if records.len() < SLOW_LOG_CAP {
-            records.push(record);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        true
-    }
-
-    /// Copy of the retained records, oldest first.
-    pub fn records(&self) -> Vec<SlowTxnRecord> {
-        self.records.lock().clone()
-    }
-
-    /// Drain the retained records, oldest first.
-    pub fn take(&self) -> Vec<SlowTxnRecord> {
-        std::mem::take(&mut *self.records.lock())
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.lock().len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
-    }
-
-    /// Qualifying commits the cap forced to be dropped.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 /// One analytical query that crossed the slow-query threshold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQueryRecord {
@@ -172,20 +102,43 @@ impl SlowQueryRecord {
     }
 }
 
-/// Bounded store of [`SlowQueryRecord`]s with a fixed latency threshold.
-/// Shares the retention cap and drop accounting of [`SlowTxnLog`].
-#[derive(Debug, Default)]
-pub struct SlowQueryLog {
+/// A record a [`SlowLog`] can gate on its end-to-end latency.
+pub trait SlowRecord {
+    /// End-to-end latency in nanoseconds.
+    fn total_nanos(&self) -> u64;
+}
+
+impl SlowRecord for SlowTxnRecord {
+    fn total_nanos(&self) -> u64 {
+        self.total_nanos
+    }
+}
+
+impl SlowRecord for SlowQueryRecord {
+    fn total_nanos(&self) -> u64 {
+        self.total_nanos
+    }
+}
+
+/// Bounded store of slow records with a fixed latency threshold.
+#[derive(Debug)]
+pub struct SlowLog<R> {
     threshold_nanos: u64,
-    records: Mutex<Vec<SlowQueryRecord>>,
+    records: Mutex<Vec<R>>,
     dropped: AtomicU64,
 }
 
-impl SlowQueryLog {
-    /// A log that retains analytical queries slower than `threshold_ms`
-    /// milliseconds; `0` disables recording entirely.
-    pub fn new(threshold_ms: u64) -> SlowQueryLog {
-        SlowQueryLog {
+/// Bounded store of [`SlowTxnRecord`]s.
+pub type SlowTxnLog = SlowLog<SlowTxnRecord>;
+
+/// Bounded store of [`SlowQueryRecord`]s.
+pub type SlowQueryLog = SlowLog<SlowQueryRecord>;
+
+impl<R: SlowRecord + Clone> SlowLog<R> {
+    /// A log that retains records slower than `threshold_ms` milliseconds;
+    /// `0` disables recording entirely.
+    pub fn new(threshold_ms: u64) -> SlowLog<R> {
+        SlowLog {
             threshold_nanos: threshold_ms.saturating_mul(1_000_000),
             records: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
@@ -202,10 +155,10 @@ impl SlowQueryLog {
         self.threshold_nanos
     }
 
-    /// Record a query if it crossed the threshold.  Returns true when the
-    /// query qualified (even if the cap forced it to be dropped).
-    pub fn observe(&self, record: SlowQueryRecord) -> bool {
-        if self.threshold_nanos == 0 || record.total_nanos < self.threshold_nanos {
+    /// Retain a record if it crossed the threshold.  Returns true when the
+    /// record qualified (even if the cap forced it to be dropped).
+    pub fn observe(&self, record: R) -> bool {
+        if self.threshold_nanos == 0 || record.total_nanos() < self.threshold_nanos {
             return false;
         }
         let mut records = self.records.lock();
@@ -218,12 +171,12 @@ impl SlowQueryLog {
     }
 
     /// Copy of the retained records, oldest first.
-    pub fn records(&self) -> Vec<SlowQueryRecord> {
+    pub fn records(&self) -> Vec<R> {
         self.records.lock().clone()
     }
 
     /// Drain the retained records, oldest first.
-    pub fn take(&self) -> Vec<SlowQueryRecord> {
+    pub fn take(&self) -> Vec<R> {
         std::mem::take(&mut *self.records.lock())
     }
 
@@ -237,7 +190,7 @@ impl SlowQueryLog {
         self.records.lock().is_empty()
     }
 
-    /// Qualifying queries the cap forced to be dropped.
+    /// Qualifying records the cap forced to be dropped.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }

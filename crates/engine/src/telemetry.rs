@@ -197,7 +197,7 @@ fn sample_point(
         wal_bytes: delta.wal.bytes_written,
         chunks_compacted: delta.chunks_compacted,
         chunks_scanned: delta.chunks_scanned,
-        chunks_pruned: delta.chunks_pruned_zonemap + delta.chunks_pruned_filter,
+        chunks_pruned: delta.chunks_pruned_zonemap,
         freshness_timeouts: delta.freshness_timeouts,
         commit_p50_us: p_us(commit, 0.50),
         commit_p95_us: p_us(commit, 0.95),
@@ -435,10 +435,7 @@ pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
         &mut out,
         "olxp_chunks_pruned",
         "Column-store chunks skipped before row access, by pruning mechanism.",
-        &[
-            (&[("reason", "zonemap")], s.chunks_pruned_zonemap as f64),
-            (&[("reason", "filter")], s.chunks_pruned_filter as f64),
-        ],
+        &[(&[("reason", "zonemap")], s.chunks_pruned_zonemap as f64)],
     );
     prometheus_counter(
         &mut out,
@@ -510,7 +507,6 @@ pub(crate) fn render_snapshot_json(db: &HybridDatabase) -> String {
     push_field(&mut out, "checkpoints", s.wal.checkpoints);
     push_field(&mut out, "chunks_scanned", s.chunks_scanned);
     push_field(&mut out, "chunks_pruned_zonemap", s.chunks_pruned_zonemap);
-    push_field(&mut out, "chunks_pruned_filter", s.chunks_pruned_filter);
     push_field(&mut out, "chunks_compacted", s.chunks_compacted);
     push_field(&mut out, "shards", s.shards);
     push_field(&mut out, "col_bytes_resident", s.col_bytes_resident);
@@ -571,7 +567,6 @@ mod tests {
             aborts: 2,
             replication_applied: 40,
             chunks_pruned_zonemap: 3,
-            chunks_pruned_filter: 4,
             freshness_timeouts: 1,
             ..MetricsSnapshot::default()
         };
@@ -583,7 +578,7 @@ mod tests {
         let point = sample_point(1_250, 250, &delta, 9);
         assert_eq!(point.commits, 50);
         assert_eq!(point.oltp_statements, 100);
-        assert_eq!(point.chunks_pruned, 7);
+        assert_eq!(point.chunks_pruned, 3);
         assert_eq!(point.replication_lag, 9);
         assert_eq!(point.freshness_timeouts, 1);
         assert!((point.commit_tps() - 200.0).abs() < 1e-9);

@@ -6,9 +6,10 @@
 //! These properties drive the same mutation histories into two tables, seal
 //! an arbitrary prefix of one of them (including *no* chunks and *every full*
 //! chunk, and mutating main-resident rows afterwards so the delete+re-insert
-//! path is exercised), and assert the scans agree under every plan shape and
-//! every [`PruningMode`] — including reads taken between single-chunk
-//! compaction steps, the state a concurrent reader observes mid-migration.
+//! path is exercised), and assert the scans agree under every plan shape,
+//! with [`ExecOptions::pruning`] off and on — including reads taken between
+//! single-chunk compaction steps, the state a concurrent reader observes
+//! mid-migration.
 //!
 //! The string column draws from a small fixed vocabulary so sealed chunks
 //! dictionary-encode it, and the integer columns are narrow enough that runs
@@ -16,7 +17,7 @@
 
 use olxpbench::prelude::*;
 use olxpbench::query::{execute_with, ColumnSource, ExecOptions, Expr, Plan};
-use olxpbench::storage::{ColumnTable, PruningMode};
+use olxpbench::storage::ColumnTable;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -137,13 +138,13 @@ fn apply(
     }
 }
 
-fn scan(table: &Arc<ColumnTable>, plan: &Plan, mode: PruningMode) -> Vec<Row> {
+fn scan(table: &Arc<ColumnTable>, plan: &Plan, pruning: bool) -> Vec<Row> {
     let mut tables = HashMap::new();
     tables.insert("T".to_string(), Arc::clone(table));
     let source = ColumnSource::new(&tables);
     // A batch size smaller than the chunk size exercises encoded-filter
     // windows that subdivide a main chunk.
-    let mut out = execute_with(plan, &source, ExecOptions::batched(5).with_pruning(mode))
+    let mut out = execute_with(plan, &source, ExecOptions::batched(5).with_pruning(pruning))
         .expect("scan succeeds")
         .rows;
     out.sort_by(|x, y| x[0].cmp(&y[0]));
@@ -155,7 +156,7 @@ proptest! {
 
     /// For any mutation history split around an arbitrary amount of
     /// compaction, the compacted table returns exactly what a never-compacted
-    /// table returns, under every plan shape and pruning mode.
+    /// table returns, under every plan shape, with pruning off and on.
     #[test]
     fn encoded_scan_equals_unencoded_scan(
         rows in proptest::collection::vec((-10i64..10, 0usize..WORDS.len()), 1..120),
@@ -185,18 +186,13 @@ proptest! {
         apply(&encoded, rows.len(), &post_updates, &post_deletes, 2_000);
 
         let plan = QueryBuilder::scan_where("T", predicate.expr()).build();
-        let baseline = scan(&plain, &plan, PruningMode::Off);
-        for mode in [
-            PruningMode::Off,
-            PruningMode::ZoneMapOnly,
-            PruningMode::FilterOnly,
-            PruningMode::Both,
-        ] {
-            let got = scan(&encoded, &plan, mode);
+        let baseline = scan(&plain, &plan, false);
+        for pruning in [false, true] {
+            let got = scan(&encoded, &plan, pruning);
             prop_assert_eq!(
                 &got, &baseline,
-                "encoded mode {:?} diverged for predicate {:?} after {} compaction steps",
-                mode, predicate, compact_steps
+                "encoded scan (pruning {}) diverged for predicate {:?} after {} compaction steps",
+                pruning, predicate, compact_steps
             );
         }
     }
@@ -214,18 +210,18 @@ proptest! {
         apply(&table, rows.len(), &[], &deletes, 1_000);
         let filtered = QueryBuilder::scan_where("T", predicate.expr()).build();
         let full = QueryBuilder::scan("T").build();
-        let filtered_baseline = scan(&table, &filtered, PruningMode::Off);
-        let full_baseline = scan(&table, &full, PruningMode::Off);
+        let filtered_baseline = scan(&table, &filtered, false);
+        let full_baseline = scan(&table, &full, false);
         loop {
             let sealed = table.compact_chunk();
             prop_assert_eq!(
-                scan(&table, &filtered, PruningMode::Both),
+                scan(&table, &filtered, true),
                 filtered_baseline.clone(),
                 "filtered scan diverged at {} sealed chunks ({:?})",
                 table.main_chunk_count(), predicate
             );
             prop_assert_eq!(
-                scan(&table, &full, PruningMode::Both),
+                scan(&table, &full, true),
                 full_baseline.clone(),
                 "full scan diverged at {} sealed chunks",
                 table.main_chunk_count()

@@ -1,17 +1,16 @@
 //! Property-based equivalence of pruned and unpruned columnar scans.
 //!
-//! Chunk pruning (zone maps + fingerprint filters) is a pure optimization: it
-//! may only skip chunks that provably contain no matching live rows, so a
-//! filtered scan must return exactly the same rows under every
-//! [`PruningMode`] — including after updates (which widen zone maps
-//! conservatively) and deletes (which leave stale contributions in both
-//! structures), and for every sargable predicate shape the extractor
-//! understands (equality, ranges, AND-conjunctions) as well as
-//! non-sargable filters that prune nothing.
+//! Chunk pruning (zone maps) is a pure optimization: it may only skip chunks
+//! that provably contain no matching live rows, so a filtered scan must
+//! return exactly the same rows with [`ExecOptions::pruning`] off and on —
+//! including after updates (which widen zone maps conservatively) and
+//! deletes (which leave stale contributions behind), and for every sargable
+//! predicate shape the extractor understands (equality, ranges,
+//! AND-conjunctions) as well as non-sargable filters that prune nothing.
 
 use olxpbench::prelude::*;
 use olxpbench::query::{execute_with, ColumnSource, ExecOptions, Expr, Plan};
-use olxpbench::storage::{ColumnTable, PruningMode};
+use olxpbench::storage::ColumnTable;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,8 +80,8 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
 }
 
 /// Build a column table from inserts, then apply updates and deletes (all
-/// indices taken modulo the row count), leaving widened zone maps, stale
-/// filter entries and dead slots behind.
+/// indices taken modulo the row count), leaving widened zone maps and dead
+/// slots behind.
 fn build(
     rows: &[(i64, i64)],
     updates: &[(usize, i64, i64)],
@@ -121,13 +120,13 @@ fn build(
     table
 }
 
-fn scan(table: &Arc<ColumnTable>, plan: &Plan, mode: PruningMode) -> Vec<Row> {
+fn scan(table: &Arc<ColumnTable>, plan: &Plan, pruning: bool) -> Vec<Row> {
     let mut tables = HashMap::new();
     tables.insert("T".to_string(), Arc::clone(table));
     let source = ColumnSource::new(&tables);
     // A batch size smaller than the chunk size also exercises batch windows
     // that straddle pruned-run boundaries.
-    let mut out = execute_with(plan, &source, ExecOptions::batched(5).with_pruning(mode))
+    let mut out = execute_with(plan, &source, ExecOptions::batched(5).with_pruning(pruning))
         .expect("scan succeeds")
         .rows;
     // Order-insensitive comparison: sort by the primary key (column 0).
@@ -138,7 +137,7 @@ fn scan(table: &Arc<ColumnTable>, plan: &Plan, mode: PruningMode) -> Vec<Row> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A filtered scan returns the same rows under every pruning mode, for
+    /// A filtered scan returns the same rows with pruning off and on, for
     /// any mutation history and any supported predicate shape.
     #[test]
     fn pruned_scan_equals_unpruned_scan(
@@ -149,14 +148,9 @@ proptest! {
     ) {
         let table = build(&rows, &updates, &deletes);
         let plan = QueryBuilder::scan_where("T", predicate.expr()).build();
-        let baseline = scan(&table, &plan, PruningMode::Off);
-        for mode in [PruningMode::ZoneMapOnly, PruningMode::FilterOnly, PruningMode::Both] {
-            let pruned = scan(&table, &plan, mode);
-            prop_assert_eq!(
-                &pruned, &baseline,
-                "mode {:?} diverged for predicate {:?}", mode, predicate
-            );
-        }
+        let baseline = scan(&table, &plan, false);
+        let pruned = scan(&table, &plan, true);
+        prop_assert_eq!(&pruned, &baseline, "diverged for predicate {:?}", predicate);
     }
 
     /// Unfiltered scans agree too: the only pruning opportunity is a fully
@@ -168,8 +162,8 @@ proptest! {
     ) {
         let table = build(&rows, &[], &deletes);
         let plan = QueryBuilder::scan("T").build();
-        let baseline = scan(&table, &plan, PruningMode::Off);
-        let pruned = scan(&table, &plan, PruningMode::Both);
+        let baseline = scan(&table, &plan, false);
+        let pruned = scan(&table, &plan, true);
         prop_assert_eq!(pruned, baseline);
     }
 }

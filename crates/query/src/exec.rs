@@ -17,7 +17,7 @@ use crate::expr::{AggFunc, ValueAccess};
 use crate::plan::{AggSpec, JoinKind, Plan, SortKey};
 use crate::prune::ChunkPruner;
 use crate::source::{DataSource, SourceKind};
-use olxp_storage::{BatchBuilder, ColumnBatch, PruningMode, Row, Value, DEFAULT_BATCH_SIZE};
+use olxp_storage::{BatchBuilder, ColumnBatch, Row, Value, DEFAULT_BATCH_SIZE};
 use std::collections::HashMap;
 
 /// How the executor consumes base-table scans.
@@ -41,10 +41,11 @@ pub struct ExecOptions {
     pub batch_size: usize,
     /// How base-table scans are consumed.
     pub scan_mode: ScanMode,
-    /// Which chunk-pruning structures batched scans may consult.  Sargable
-    /// conjuncts of the scan filter are pushed down as a [`ChunkPruner`];
-    /// sources without pruning structures (the row stores) ignore it.
-    pub pruning: PruningMode,
+    /// Whether batched scans may prune chunks.  When on, sargable conjuncts
+    /// of the scan filter are pushed down as a [`ChunkPruner`]; sources
+    /// without chunk summaries (the row stores) ignore it.  Off is the
+    /// reference the equivalence tests compare against.
+    pub pruning: bool,
 }
 
 impl Default for ExecOptions {
@@ -52,7 +53,7 @@ impl Default for ExecOptions {
         ExecOptions {
             batch_size: DEFAULT_BATCH_SIZE,
             scan_mode: ScanMode::Batched,
-            pruning: PruningMode::default(),
+            pruning: true,
         }
     }
 }
@@ -81,8 +82,8 @@ impl ExecOptions {
         self
     }
 
-    /// Override the pruning mode (builder style).
-    pub fn with_pruning(mut self, pruning: PruningMode) -> ExecOptions {
+    /// Switch chunk pruning on or off (builder style).
+    pub fn with_pruning(mut self, pruning: bool) -> ExecOptions {
         self.pruning = pruning;
         self
     }
@@ -132,8 +133,6 @@ pub struct ExecStats {
     pub chunks_scanned: u64,
     /// Column-store chunks skipped by zone maps (min/max or live count).
     pub chunks_pruned_zonemap: u64,
-    /// Column-store chunks skipped by fingerprint filters.
-    pub chunks_pruned_filter: u64,
     /// Live rows in surviving compressed main-tier chunks deselected by
     /// predicate evaluation on the encoded columns (dictionary-code
     /// comparison, RLE run skipping) before any value was decoded.
@@ -170,7 +169,6 @@ impl ExecStats {
         self.output_rows += other.output_rows;
         self.chunks_scanned += other.chunks_scanned;
         self.chunks_pruned_zonemap += other.chunks_pruned_zonemap;
-        self.chunks_pruned_filter += other.chunks_pruned_filter;
         self.rows_pruned_encoded += other.rows_pruned_encoded;
         self.operator_nanos.extend_from_slice(&other.operator_nanos);
         // Freshness is a point-in-time observation, not additive work: keep
@@ -591,10 +589,10 @@ fn scan_table(
             // column stores can skip chunks before touching data.  Pruning
             // only ever removes chunks that cannot contain a matching row;
             // the full filter still runs on every surviving slot below.
-            let pruner = match filter {
-                Some(f) => ChunkPruner::from_filter(f, columns, opts.pruning),
-                None => ChunkPruner::unfiltered(opts.pruning),
-            };
+            let pruner = opts.pruning.then(|| match filter {
+                Some(f) => ChunkPruner::from_filter(f, columns),
+                None => ChunkPruner::unfiltered(),
+            });
             let outcome = source.scan_batches(
                 table,
                 columns,
@@ -647,7 +645,6 @@ fn scan_table(
             )?;
             stats.chunks_scanned += outcome.chunks_scanned;
             stats.chunks_pruned_zonemap += outcome.chunks_pruned_zonemap;
-            stats.chunks_pruned_filter += outcome.chunks_pruned_filter;
             stats.rows_pruned_encoded += outcome.rows_pruned_encoded;
             outcome.slots_examined
         }
@@ -1424,7 +1421,7 @@ mod tests {
             ExecOptions {
                 batch_size: 0,
                 scan_mode: ScanMode::Batched,
-                pruning: PruningMode::Both,
+                pruning: true,
             },
         )
         .unwrap();
@@ -1434,7 +1431,7 @@ mod tests {
     #[test]
     fn pruned_column_scan_matches_unpruned_and_skips_chunks() {
         use crate::source::ColumnSource;
-        use olxp_storage::{ColumnTable, PruningMode};
+        use olxp_storage::ColumnTable;
         let schema = Arc::new(
             TableSchema::new(
                 "ORDERS",
@@ -1463,12 +1460,8 @@ mod tests {
         let plan = QueryBuilder::scan_where("ORDERS", col(0).eq(lit(9))).build();
 
         let pruned = execute_with(&plan, &source, ExecOptions::batched(8)).unwrap();
-        let unpruned = execute_with(
-            &plan,
-            &source,
-            ExecOptions::batched(8).with_pruning(PruningMode::Off),
-        )
-        .unwrap();
+        let unpruned =
+            execute_with(&plan, &source, ExecOptions::batched(8).with_pruning(false)).unwrap();
         let baseline = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
         assert_eq!(pruned.rows, unpruned.rows, "pruning never changes results");
         assert_eq!(pruned.rows, baseline.rows);

@@ -11,34 +11,26 @@
 //! full filter to every row of a surviving chunk.
 
 use crate::expr::Expr;
-use olxp_storage::{ColumnPredicate, PredicateOp, PruningMode, ScanPredicate};
+use olxp_storage::{ColumnPredicate, PredicateOp, ScanPredicate};
 
 /// A pruning request carried from the executor to a [`DataSource`]
-/// (`crate::source::DataSource`): which chunks may be skipped and which
-/// pruning structures to consult.
+/// (`crate::source::DataSource`): which chunks may be skipped.  The executor
+/// builds one only while [`ExecOptions::pruning`](crate::ExecOptions) is on;
+/// without one, sources take the unpruned path.
 #[derive(Debug, Clone)]
 pub struct ChunkPruner {
     predicate: ScanPredicate,
-    mode: PruningMode,
 }
 
 impl ChunkPruner {
-    /// Pruner for a scan with a filter expression.  Returns `None` when
-    /// `mode` is [`PruningMode::Off`] (sources then take the unpruned path).
+    /// Pruner for a scan with a filter expression.
     ///
     /// The filter addresses the columns the scan emits; chunk summaries are
     /// kept per base-table column, so `columns` (the scan's column list,
     /// `None` = every column in schema order) translates each conjunct back.
     /// A conjunct on a position the scan does not emit is dropped — fewer
     /// conjuncts only prune less — and left to the filter itself to report.
-    pub fn from_filter(
-        filter: &Expr,
-        columns: Option<&[usize]>,
-        mode: PruningMode,
-    ) -> Option<ChunkPruner> {
-        if mode == PruningMode::Off {
-            return None;
-        }
+    pub fn from_filter(filter: &Expr, columns: Option<&[usize]>) -> ChunkPruner {
         let mut predicate = extract_sargable(filter);
         if let Some(columns) = columns {
             predicate
@@ -51,29 +43,20 @@ impl ChunkPruner {
                     None => false,
                 });
         }
-        Some(ChunkPruner { predicate, mode })
+        ChunkPruner { predicate }
     }
 
     /// Pruner for an unfiltered scan: no conjuncts, but fully deleted chunks
     /// can still be skipped.
-    pub fn unfiltered(mode: PruningMode) -> Option<ChunkPruner> {
-        if mode == PruningMode::Off {
-            return None;
-        }
-        Some(ChunkPruner {
+    pub fn unfiltered() -> ChunkPruner {
+        ChunkPruner {
             predicate: ScanPredicate::default(),
-            mode,
-        })
+        }
     }
 
     /// The extracted conjunction (a necessary condition on matching rows).
     pub fn predicate(&self) -> &ScanPredicate {
         &self.predicate
-    }
-
-    /// Which pruning structures to consult.
-    pub fn mode(&self) -> PruningMode {
-        self.mode
     }
 }
 
@@ -181,13 +164,9 @@ mod tests {
     #[test]
     fn pruner_construction_respects_mode() {
         let filter = col(0).eq(lit(Value::Int(1)));
-        assert!(ChunkPruner::from_filter(&filter, None, PruningMode::Off).is_none());
-        assert!(ChunkPruner::unfiltered(PruningMode::Off).is_none());
-        let pruner = ChunkPruner::from_filter(&filter, None, PruningMode::Both).unwrap();
-        assert_eq!(pruner.mode(), PruningMode::Both);
+        let pruner = ChunkPruner::from_filter(&filter, None);
         assert_eq!(pruner.predicate().predicates.len(), 1);
-        let pruner = ChunkPruner::unfiltered(PruningMode::ZoneMapOnly).unwrap();
-        assert!(pruner.predicate().is_empty());
+        assert!(ChunkPruner::unfiltered().predicate().is_empty());
     }
 
     #[test]
@@ -198,7 +177,7 @@ mod tests {
             .eq(lit(Value::Int(7)))
             .and(col(0).lt(lit(Value::Int(3))))
             .and(col(2).gt(lit(Value::Int(0))));
-        let pruner = ChunkPruner::from_filter(&filter, Some(&[4, 9]), PruningMode::Both).unwrap();
+        let pruner = ChunkPruner::from_filter(&filter, Some(&[4, 9]));
         let columns: Vec<usize> = pruner
             .predicate()
             .predicates

@@ -18,7 +18,7 @@
 use crate::error::{QueryError, QueryResult};
 use crate::prune::ChunkPruner;
 use olxp_storage::{
-    ColumnBatch, ColumnTable, Key, PruningMode, Row, RowTable, ScanOutcome, TableSchema, Timestamp,
+    ColumnBatch, ColumnTable, Key, Row, RowTable, ScanOutcome, TableSchema, Timestamp,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,8 +55,8 @@ pub trait DataSource {
     /// `projection` names the base-table columns each batch carries, in that
     /// order (`None` = every column in schema order); every position must be
     /// a column of the table.  `pruner` lets sources with chunk summaries
-    /// (the column store) skip chunks that provably or probably cannot
-    /// satisfy its predicate, and deselect rows on encoded data; sources
+    /// (the column store) skip chunks that provably cannot satisfy its
+    /// predicate, and deselect rows on encoded data; sources
     /// without them (the row stores) scan everything and report zeroed chunk
     /// counters.  Neither changes which rows are *examined* for a surviving
     /// chunk, only how many values are moved.  No per-row [`Row`] is
@@ -293,17 +293,14 @@ impl DataSource for ColumnSource<'_> {
         let t = self.table(table)?;
         // Without a pruner the scan still runs through the chunked path so
         // chunk counters stay populated, but nothing is skipped.  With one,
-        // the pruner's predicate both skips chunks (zone maps, fingerprint
-        // filters) and, inside surviving compressed main-tier chunks, runs
-        // directly on the encoded columns so non-matching rows never decode
-        // (reported as `rows_pruned_encoded`).  Both are sound because the
-        // predicate is a necessary condition and the executor re-applies its
-        // full residual filter to every row either way.
-        let (predicate, mode) = match pruner {
-            Some(p) => (Some(p.predicate()), p.mode()),
-            None => (None, PruningMode::Off),
-        };
-        Ok(t.scan_batches_pruned(projection, batch_size, predicate, mode, |batch| f(batch)))
+        // the pruner's predicate both skips chunks (zone maps) and, inside
+        // surviving compressed main-tier chunks, runs directly on the encoded
+        // columns so non-matching rows never decode (reported as
+        // `rows_pruned_encoded`).  Both are sound because the predicate is a
+        // necessary condition and the executor re-applies its full residual
+        // filter to every row either way.
+        let predicate = pruner.map(ChunkPruner::predicate);
+        Ok(t.scan_batches_pruned(projection, batch_size, predicate, |batch| f(batch)))
     }
 
     fn index_lookup(

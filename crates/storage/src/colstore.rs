@@ -18,30 +18,26 @@
 //! version and re-insert into delta, so main chunks never change after
 //! sealing.
 //!
-//! Two pruning structures are consulted before touching column data:
+//! One pruning structure is consulted before touching column data:
 //! per-column **zone maps** ([`ChunkZone`]: min/max + null and live counts;
 //! in delta, appends tighten, updates widen, deletes keep their
-//! contributions) and a per-chunk **fingerprint filter**
-//! ([`FingerprintFilter`]) over the live `(column, value)` pairs of sealed
-//! chunks, used for equality predicates (built lazily for sealed delta
-//! chunks, pinned at seal time for main chunks).  Both are conservative
-//! supersets of the chunk's contents, so pruning can skip non-matching chunks
-//! but never loses a matching row; compaction rebuilds both *tight* from the
-//! surviving data.  Inside surviving main chunks, sargable predicates
-//! additionally run on the encoded columns themselves, so only rows that can
-//! still match are ever decoded.
+//! contributions).  A zone is a conservative superset of the chunk's
+//! contents, so pruning can skip non-matching chunks but never loses a
+//! matching row; compaction rebuilds it *tight* from the surviving data.
+//! Inside surviving main chunks, sargable predicates additionally run on the
+//! encoded columns themselves, so only rows that can still match are ever
+//! decoded.
 
 use crate::batch::{ColumnBatch, DEFAULT_BATCH_SIZE};
 use crate::delta::{seal_chunk, MainChunk};
 use crate::encode::{plain_slice_bytes, Encoding};
 use crate::error::{StorageError, StorageResult};
-use crate::filter::{fingerprint_hash, FingerprintFilter};
 use crate::key::Key;
 use crate::row::Row;
 use crate::schema::TableSchema;
-use crate::zonemap::{ChunkZone, PruningMode, ScanOutcome, ScanPredicate, DEFAULT_CHUNK_SIZE};
+use crate::zonemap::{ChunkZone, ScanOutcome, ScanPredicate, DEFAULT_CHUNK_SIZE};
 use crate::Timestamp;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,8 +67,6 @@ pub struct ColumnTableStats {
     pub chunks_scanned: u64,
     /// Chunks skipped because a zone map (or empty live count) excluded them.
     pub chunks_pruned_zonemap: u64,
-    /// Chunks skipped because a fingerprint filter excluded an equality probe.
-    pub chunks_pruned_filter: u64,
     /// Delta chunks sealed into the compressed main tier.
     pub chunks_compacted: u64,
 }
@@ -85,7 +79,6 @@ struct Counters {
     mutations_applied: AtomicU64,
     chunks_scanned: AtomicU64,
     chunks_pruned_zonemap: AtomicU64,
-    chunks_pruned_filter: AtomicU64,
     chunks_compacted: AtomicU64,
 }
 
@@ -151,13 +144,6 @@ pub struct ColumnTable {
     schema: Arc<TableSchema>,
     chunk_size: usize,
     data: RwLock<ColumnData>,
-    /// Lazily built per-chunk fingerprint filters for sealed *delta* chunks
-    /// (main chunks carry their own, built at seal time).  Entries are
-    /// populated by scans (which hold the data read lock, so no writer can
-    /// race the build) and cleared by in-place mutations (which hold the data
-    /// write lock, so no stale filter can survive a mutation).  Deletes do
-    /// not clear: a filter over a superset of the live values stays correct.
-    filters: Mutex<Vec<Option<Arc<FingerprintFilter>>>>,
     counters: Counters,
 }
 
@@ -183,7 +169,6 @@ impl ColumnTable {
                 applied_ts: 0,
                 applied_lsn: 0,
             }),
-            filters: Mutex::new(Vec::new()),
             counters: Counters::default(),
         }
     }
@@ -238,7 +223,6 @@ impl ColumnTable {
             mutations_applied: self.counters.mutations_applied.load(Ordering::Relaxed),
             chunks_scanned: self.counters.chunks_scanned.load(Ordering::Relaxed),
             chunks_pruned_zonemap: self.counters.chunks_pruned_zonemap.load(Ordering::Relaxed),
-            chunks_pruned_filter: self.counters.chunks_pruned_filter.load(Ordering::Relaxed),
             chunks_compacted: self.counters.chunks_compacted.load(Ordering::Relaxed),
         }
     }
@@ -294,17 +278,6 @@ impl ColumnTable {
         &mut zones[chunk]
     }
 
-    /// Drop the cached fingerprint filter of `slot`'s chunk after an in-place
-    /// overwrite.  Callers hold the data write lock, so no concurrent scan
-    /// can re-cache a stale filter.
-    fn invalidate_filter(&self, slot: usize) {
-        let chunk = slot / self.chunk_size;
-        let mut cache = self.filters.lock();
-        if let Some(entry) = cache.get_mut(chunk) {
-            *entry = None;
-        }
-    }
-
     /// Append one row to the delta tail.  Caller updates `applied_ts` / LSN
     /// and the mutation counter.
     fn append_row(&self, data: &mut ColumnData, pk: &Key, row: &Row) {
@@ -325,7 +298,7 @@ impl ColumnTable {
     /// Retire the live version at `slot` (which lives in the immutable main
     /// tier) and append `row` as its replacement in delta.  Main chunks are
     /// never rewritten: their zone map keeps its (tight) bounds and only
-    /// loses live count, and their filter stays a valid superset.
+    /// loses live count.
     fn supersede_main_row(&self, data: &mut ColumnData, pk: &Key, row: &Row, slot: usize) {
         data.deleted[slot] = true;
         let chunk = slot / self.chunk_size;
@@ -364,7 +337,6 @@ impl ColumnTable {
                 if was_deleted {
                     zone.live_count += 1;
                 }
-                self.invalidate_filter(slot);
             }
         } else {
             self.append_row(&mut data, pk, row);
@@ -381,10 +353,9 @@ impl ColumnTable {
     ///
     /// For a row still in delta, the chunk's zone map *widens* to include the
     /// new values (the old values' contribution is never removed, keeping
-    /// the zone a conservative superset) and the chunk's fingerprint filter
-    /// is invalidated.  For a row in the immutable main tier, the update
-    /// becomes delete + re-insert into delta, leaving the sealed chunk — and
-    /// its tight pruning metadata — untouched.
+    /// the zone a conservative superset).  For a row in the immutable main
+    /// tier, the update becomes delete + re-insert into delta, leaving the
+    /// sealed chunk — and its tight zone map — untouched.
     pub fn apply_update(
         &self,
         pk: &Key,
@@ -414,7 +385,6 @@ impl ColumnTable {
             for (col_idx, value) in row.values().iter().enumerate() {
                 zone.zones[col_idx].include(value);
             }
-            self.invalidate_filter(slot);
         }
         data.applied_ts = data.applied_ts.max(commit_ts);
         data.applied_lsn = data.applied_lsn.max(lsn);
@@ -426,10 +396,10 @@ impl ColumnTable {
 
     /// Apply a delete arriving from the replication log.
     ///
-    /// Deletes only decrement the chunk's live count; the zone map and the
-    /// fingerprint filter keep the deleted values' contributions (a superset
-    /// stays a superset).  A chunk whose live count reaches zero is pruned
-    /// outright by the scan path.  Works identically for both tiers.
+    /// Deletes only decrement the chunk's live count; the zone map keeps the
+    /// deleted values' contributions (a superset stays a superset).  A chunk
+    /// whose live count reaches zero is pruned outright by the scan path.
+    /// Works identically for both tiers.
     pub fn apply_delete(&self, pk: &Key, commit_ts: Timestamp, lsn: u64) -> StorageResult<()> {
         let columns = self.schema.column_count();
         let mut data = self.data.write();
@@ -450,10 +420,10 @@ impl ColumnTable {
     ///
     /// Returns `false` when the delta tail holds less than one full chunk
     /// (partial tail chunks are never sealed — they are still growing).  The
-    /// rewrite re-encodes every column, rebuilds the chunk's zone map and
-    /// fingerprint filter tight from the surviving live rows, and drops
-    /// deleted payloads; global slot indices are unchanged, so readers see
-    /// the exact same rows before and after.
+    /// rewrite re-encodes every column, rebuilds the chunk's zone map tight
+    /// from the surviving live rows, and drops deleted payloads; global slot
+    /// indices are unchanged, so readers see the exact same rows before and
+    /// after.
     pub fn compact_chunk(&self) -> bool {
         let trace_start = if olxp_trace::enabled() {
             Some(olxp_trace::now_nanos())
@@ -478,12 +448,6 @@ impl ColumnTable {
         data.zones[chunk] = zone;
         for column in data.columns.iter_mut() {
             column.drain(..self.chunk_size);
-        }
-        // The sealed chunk carries its own filter now; drop any lazily built
-        // delta-era one so it cannot shadow the rebuilt (tighter) version.
-        let mut cache = self.filters.lock();
-        if let Some(entry) = cache.get_mut(chunk) {
-            *entry = None;
         }
         self.counters
             .chunks_compacted
@@ -511,83 +475,6 @@ impl ColumnTable {
         sealed
     }
 
-    /// The fingerprint filter for `chunk`: main chunks return the filter
-    /// pinned at seal time; sealed delta chunks build one lazily from their
-    /// live values.  Callers hold the data read lock, which keeps writers
-    /// (and therefore invalidation) out while a lazy filter is built and
-    /// cached.  Returns `None` when construction fails (the chunk simply
-    /// gets no filter pruning).
-    fn chunk_filter(&self, data: &ColumnData, chunk: usize) -> Option<Arc<FingerprintFilter>> {
-        if let Some(main) = data.main.get(chunk) {
-            return main.filter.clone();
-        }
-        let mut cache = self.filters.lock();
-        if cache.len() <= chunk {
-            cache.resize(chunk + 1, None);
-        }
-        if let Some(filter) = &cache[chunk] {
-            return Some(Arc::clone(filter));
-        }
-        let main_slots = data.main_slots(self.chunk_size);
-        let start = chunk * self.chunk_size;
-        let end = ((chunk + 1) * self.chunk_size).min(data.deleted.len());
-        let mut keys = Vec::with_capacity((end - start) * data.columns.len());
-        for slot in start..end {
-            if data.deleted[slot] {
-                continue;
-            }
-            for (col_idx, column) in data.columns.iter().enumerate() {
-                if let Some(key) = fingerprint_hash(col_idx, &column[slot - main_slots]) {
-                    keys.push(key);
-                }
-            }
-        }
-        let filter = FingerprintFilter::build(&keys).map(Arc::new)?;
-        cache[chunk] = Some(Arc::clone(&filter));
-        Some(filter)
-    }
-
-    /// Decide whether one chunk can be skipped, charging the outcome counters.
-    /// `probes` holds the fingerprint of every equality conjunct of
-    /// `predicate`, computed once per scan.
-    fn chunk_survives(
-        &self,
-        data: &ColumnData,
-        chunk: usize,
-        predicate: Option<&ScanPredicate>,
-        probes: &[u64],
-        mode: PruningMode,
-        outcome: &mut ScanOutcome,
-    ) -> bool {
-        if mode != PruningMode::Off {
-            let zone = &data.zones[chunk];
-            if mode.uses_zonemaps() {
-                let excluded = match predicate {
-                    Some(p) => !zone.may_match(p),
-                    None => zone.live_count == 0,
-                };
-                if excluded {
-                    outcome.chunks_pruned_zonemap += 1;
-                    return false;
-                }
-            }
-            // Filters only exist for sealed (fully populated) chunks: a
-            // growing tail chunk would invalidate on every append.  `probes`
-            // is empty unless the mode consults filters.
-            let sealed = (chunk + 1) * self.chunk_size <= data.deleted.len();
-            if sealed && !probes.is_empty() {
-                if let Some(filter) = self.chunk_filter(data, chunk) {
-                    if probes.iter().any(|&key| !filter.contains(key)) {
-                        outcome.chunks_pruned_filter += 1;
-                        return false;
-                    }
-                }
-            }
-        }
-        outcome.chunks_scanned += 1;
-        true
-    }
-
     /// Vectorized scan: hand out one [`ColumnBatch`] per chunk of up to
     /// `batch_size` row slots.
     ///
@@ -602,7 +489,7 @@ impl ColumnTable {
     where
         F: FnMut(&ColumnBatch<'_>),
     {
-        self.scan_batches_pruned(projection, batch_size, None, PruningMode::Off, f)
+        self.scan_batches_pruned(projection, batch_size, None, f)
             .slots_examined
     }
 
@@ -611,12 +498,11 @@ impl ColumnTable {
     /// Like [`ColumnTable::scan_batches`], but before touching column data
     /// each chunk is tested against `predicate` (an AND-conjunction of
     /// sargable predicates that is *necessary* for a row to match the query):
-    /// zone maps exclude chunks whose value ranges cannot satisfy a conjunct,
-    /// and fingerprint filters exclude sealed chunks that (probably) do not
-    /// contain an equality probe.  Slots inside pruned chunks are neither
-    /// examined nor scanned.  `mode` selects which structures are consulted;
-    /// [`PruningMode::Off`] (or `predicate = None` in zone-map modes, which
-    /// still skips fully deleted chunks) reproduces the unpruned scan.
+    /// zone maps exclude chunks whose value ranges cannot satisfy a conjunct
+    /// or that hold no live row (an empty conjunction still skips those).
+    /// Slots inside pruned chunks are neither examined nor scanned.
+    /// `predicate = None` is the unpruned scan: every chunk, no encoded
+    /// evaluation.
     ///
     /// Surviving *delta* chunks are handed out run-coalesced in `batch_size`
     /// windows of zero-copy borrowed slices, exactly as before compaction.
@@ -631,7 +517,6 @@ impl ColumnTable {
         projection: Option<&[usize]>,
         batch_size: usize,
         predicate: Option<&ScanPredicate>,
-        mode: PruningMode,
         mut f: F,
     ) -> ScanOutcome
     where
@@ -654,15 +539,17 @@ impl ColumnTable {
         };
 
         let num_chunks = slots.div_ceil(self.chunk_size);
-        let probes: Vec<u64> = match predicate {
-            Some(p) if mode.uses_filters() => p
-                .equality_predicates()
-                .filter_map(|eq| fingerprint_hash(eq.column, &eq.value))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let survivors: Vec<bool> = (0..num_chunks)
-            .map(|chunk| self.chunk_survives(&data, chunk, predicate, &probes, mode, &mut outcome))
+        let survivors: Vec<bool> = data.zones[..num_chunks]
+            .iter()
+            .map(|zone| {
+                let survives = predicate.map_or(true, |p| zone.may_match(p));
+                if survives {
+                    outcome.chunks_scanned += 1;
+                } else {
+                    outcome.chunks_pruned_zonemap += 1;
+                }
+                survives
+            })
             .collect();
 
         let mut live_rows = 0u64;
@@ -752,9 +639,6 @@ impl ColumnTable {
         self.counters
             .chunks_pruned_zonemap
             .fetch_add(outcome.chunks_pruned_zonemap, Ordering::Relaxed);
-        self.counters
-            .chunks_pruned_filter
-            .fetch_add(outcome.chunks_pruned_filter, Ordering::Relaxed);
         outcome
     }
 
@@ -827,14 +711,11 @@ mod tests {
 
     /// Matching row ids: the pruner only yields a *superset* of matching
     /// chunks, so the predicate is re-applied per row exactly like the query
-    /// executor's residual filter would.
-    fn collect_ids(
-        t: &ColumnTable,
-        predicate: Option<&ScanPredicate>,
-        mode: PruningMode,
-    ) -> Vec<i64> {
+    /// executor's residual filter would.  `pruning = false` scans with no
+    /// predicate at all — the reference every pruned scan must agree with.
+    fn collect_ids(t: &ColumnTable, predicate: Option<&ScanPredicate>, pruning: bool) -> Vec<i64> {
         let mut ids = Vec::new();
-        t.scan_batches_pruned(None, 3, predicate, mode, |batch| {
+        t.scan_batches_pruned(None, 3, predicate.filter(|_| pruning), |batch| {
             for row in batch.selected_rows() {
                 let keep = predicate.map_or(true, |p| {
                     p.predicates.iter().all(|cp| {
@@ -1035,7 +916,7 @@ mod tests {
         }
         let pred = eq(0, Value::Int(9));
         let mut rows = Vec::new();
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::Both, |batch| {
+        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |batch| {
             for row in batch.selected_rows() {
                 rows.push(batch.column(0)[row].clone());
             }
@@ -1055,8 +936,7 @@ mod tests {
             Value::Int(8),
         )
         .unwrap()]);
-        let outcome =
-            t.scan_batches_pruned(None, 64, Some(&range), PruningMode::ZoneMapOnly, |_| {});
+        let outcome = t.scan_batches_pruned(None, 64, Some(&range), |_| {});
         assert_eq!(outcome.chunks_pruned_zonemap, 2);
         assert_eq!(outcome.slots_examined, 4);
     }
@@ -1072,7 +952,7 @@ mod tests {
         t.apply_delete(&Key::int(5), 6, 20).unwrap();
         let pred = eq(0, Value::Int(6));
         let mut seen = 0usize;
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::Both, |batch| {
+        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |batch| {
             seen += batch.selected_count();
         });
         assert_eq!(outcome.slots_examined, 4, "pruned slots are not examined");
@@ -1083,7 +963,6 @@ mod tests {
         assert_eq!(s.rows_scanned, 3, "pruned slots are not scanned either");
         assert_eq!(s.chunks_scanned, 1);
         assert_eq!(s.chunks_pruned_zonemap, 2);
-        assert_eq!(s.chunks_pruned_filter, 0);
     }
 
     #[test]
@@ -1099,15 +978,14 @@ mod tests {
             .unwrap();
         // The widened zone must admit the new value...
         assert_eq!(
-            collect_ids(&t, Some(&eq(1, Value::Decimal(99_000))), PruningMode::Both),
+            collect_ids(&t, Some(&eq(1, Value::Decimal(99_000))), true),
             vec![1]
         );
         // ...and conservatively still admit the overwritten old value: the
         // chunk is scanned (zone kept the old contribution) but the full
         // filter downstream finds nothing.
         let pred = eq(1, Value::Decimal(100));
-        let outcome =
-            t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::ZoneMapOnly, |_| {});
+        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |_| {});
         assert_eq!(
             outcome.chunks_pruned_zonemap, 1,
             "second chunk still prunes"
@@ -1125,7 +1003,8 @@ mod tests {
         for i in 0..4i64 {
             t.apply_delete(&Key::int(i), 6, 10 + i as u64).unwrap();
         }
-        let outcome = t.scan_batches_pruned(None, 64, None, PruningMode::Both, |_| {});
+        let unfiltered = ScanPredicate::default();
+        let outcome = t.scan_batches_pruned(None, 64, Some(&unfiltered), |_| {});
         assert_eq!(outcome.chunks_pruned_zonemap, 1, "dead chunk skipped");
         assert_eq!(outcome.slots_examined, 4);
         // The unpruned scan still walks the dead slots.
@@ -1133,9 +1012,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_filter_prunes_sealed_chunks_zone_maps_cannot() {
+    fn scattered_equality_probe_scans_every_live_chunk() {
         // Amounts interleave across chunks so both chunks' zones span the
-        // whole range, but each value lives in exactly one chunk.
+        // whole range: min/max cannot exclude a value that lies inside the
+        // range, whether or not any row holds it.  This is the limit of zone
+        // maps, on the delta tier and on sealed main chunks alike.
         let t = small_chunk_table();
         let amounts = [10i64, 30, 50, 70, 20, 40, 60, 80];
         for (i, amount) in amounts.iter().enumerate() {
@@ -1147,40 +1028,18 @@ mod tests {
             )
             .unwrap();
         }
-        let pred = eq(1, Value::Decimal(40));
-        let outcome =
-            t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::ZoneMapOnly, |_| {});
-        assert_eq!(outcome.chunks_scanned, 2, "overlapping zones cannot prune");
-
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::Both, |_| {});
-        assert_eq!(outcome.chunks_pruned_filter, 1, "filter excludes chunk 0");
-        assert_eq!(outcome.chunks_scanned, 1);
-        assert_eq!(
-            collect_ids(&t, Some(&pred), PruningMode::Both),
-            collect_ids(&t, Some(&pred), PruningMode::Off),
-            "pruned and unpruned scans agree"
-        );
-    }
-
-    #[test]
-    fn unsealed_tail_chunk_gets_no_filter() {
-        let t = small_chunk_table();
-        for i in 0..6i64 {
-            t.apply_insert(
-                &Key::int(i),
-                &order(i, (i % 2) * 10, "new"),
-                5,
-                i as u64 + 1,
-            )
-            .unwrap();
+        for compacted in [false, true] {
+            for (amount, ids) in [(45, vec![]), (40, vec![5])] {
+                let pred = eq(1, Value::Decimal(amount));
+                let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |_| {});
+                assert_eq!(outcome.chunks_scanned, 2, "compacted: {compacted}");
+                assert_eq!(outcome.chunks_pruned_zonemap, 0);
+                assert_eq!(outcome.slots_examined, 8);
+                assert_eq!(collect_ids(&t, Some(&pred), true), ids);
+                assert_eq!(collect_ids(&t, Some(&pred), false), ids);
+            }
+            assert_eq!(t.compact(), if compacted { 0 } else { 2 });
         }
-        // Probe a value absent everywhere: chunk 0 is sealed (filter prunes),
-        // the 2-slot tail is not sealed, so it has no filter and scans.
-        let pred = eq(1, Value::Decimal(7));
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::FilterOnly, |_| {});
-        assert_eq!(outcome.chunks_pruned_filter, 1);
-        assert_eq!(outcome.chunks_scanned, 1);
-        assert_eq!(outcome.slots_examined, 2);
     }
 
     #[test]
@@ -1191,23 +1050,18 @@ mod tests {
                 .unwrap();
         }
         let probe = eq(1, Value::Decimal(555));
-        // First scan builds the filters; 555 is nowhere.
-        assert_eq!(
-            collect_ids(&t, Some(&probe), PruningMode::FilterOnly),
-            Vec::<i64>::new()
-        );
-        // Update writes 555 into a sealed chunk; the stale filter must go.
+        // 555 is outside both chunks' amount ranges: everything prunes.
+        let outcome = t.scan_batches_pruned(None, 64, Some(&probe), |_| {});
+        assert_eq!(outcome.chunks_pruned_zonemap, 2);
+        // Update writes 555 into a full chunk; its zone must widen.
         t.apply_update(&Key::int(2), &order(2, 555, "paid"), 6, 9)
             .unwrap();
-        assert_eq!(
-            collect_ids(&t, Some(&probe), PruningMode::FilterOnly),
-            vec![2]
-        );
+        assert_eq!(collect_ids(&t, Some(&probe), true), vec![2]);
         // Same for the idempotent-insert overwrite path.
         t.apply_insert(&Key::int(3), &order(3, 777, "new"), 7, 10)
             .unwrap();
         assert_eq!(
-            collect_ids(&t, Some(&eq(1, Value::Decimal(777))), PruningMode::Both),
+            collect_ids(&t, Some(&eq(1, Value::Decimal(777))), true),
             vec![3]
         );
     }
@@ -1235,18 +1089,10 @@ mod tests {
                 ColumnPredicate::new(0, PredicateOp::Lt, Value::Int(15)).unwrap(),
             ]),
         ] {
-            let baseline = collect_ids(&t, Some(&pred), PruningMode::Off);
-            for mode in [
-                PruningMode::ZoneMapOnly,
-                PruningMode::FilterOnly,
-                PruningMode::Both,
-            ] {
-                assert_eq!(
-                    collect_ids(&t, Some(&pred), mode),
-                    baseline,
-                    "mode {mode:?}"
-                );
-            }
+            assert_eq!(
+                collect_ids(&t, Some(&pred), true),
+                collect_ids(&t, Some(&pred), false)
+            );
         }
     }
 
@@ -1262,7 +1108,7 @@ mod tests {
         t.apply_delete(&Key::int(2), 6, 20).unwrap();
         t.apply_update(&Key::int(5), &order(5, 9_999, "paid"), 7, 21)
             .unwrap();
-        let before = collect_ids(&t, None, PruningMode::Off);
+        let before = collect_ids(&t, None, false);
 
         // 10 slots, chunk size 4: two full chunks seal, the 2-slot tail stays.
         assert_eq!(t.compact(), 2);
@@ -1272,7 +1118,7 @@ mod tests {
         assert_eq!(t.live_row_count(), 9);
         assert_eq!(t.stats().chunks_compacted, 2);
 
-        assert_eq!(collect_ids(&t, None, PruningMode::Off), before);
+        assert_eq!(collect_ids(&t, None, false), before);
         for pred in [
             eq(0, Value::Int(5)),
             eq(1, Value::Decimal(9_999)),
@@ -1283,13 +1129,10 @@ mod tests {
             )
             .unwrap()]),
         ] {
-            for mode in [PruningMode::Off, PruningMode::Both] {
-                assert_eq!(
-                    collect_ids(&t, Some(&pred), mode),
-                    collect_ids(&t, Some(&pred), PruningMode::Off),
-                    "mode {mode:?}"
-                );
-            }
+            assert_eq!(
+                collect_ids(&t, Some(&pred), true),
+                collect_ids(&t, Some(&pred), false)
+            );
         }
         // Re-compacting with only a partial tail is a no-op.
         assert_eq!(t.compact(), 0);
@@ -1308,31 +1151,26 @@ mod tests {
             t.apply_insert(&Key::int(i), &order(i, 10_000 + i, "new"), 5, i as u64 + 1)
                 .unwrap();
         }
-        // Warm the lazy filter cache while amount 300 is still live, then
-        // kill the chunk-0 maximum.  Deletes never invalidate (a superset
-        // stays correct), so both structures are now stale supersets.
+        // Kill the chunk-0 maximum.  Deletes keep their contributions (a
+        // superset stays correct), so the zone is now a stale superset.
         let pred = eq(1, Value::Decimal(300));
-        t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::Both, |_| {});
         t.apply_delete(&Key::int(3), 6, 20).unwrap();
 
-        // Before compaction the widened superset admits the dead value: the
-        // zone still covers 300 and the cached filter still hashes it.
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::Both, |_| {});
+        // Before compaction the stale superset admits the dead value: the
+        // zone still covers 300.
+        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |_| {});
         assert_eq!(outcome.chunks_scanned, 1, "stale metadata cannot prune");
 
         assert_eq!(t.compact(), 2);
 
-        // After the rewrite both structures are tight: zone max is 200, the
-        // filter no longer contains 300, so the probe prunes everything.
-        let outcome =
-            t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::ZoneMapOnly, |_| {});
+        // After the rewrite the zone is tight: its max is 200, so the probe
+        // prunes everything.
+        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |_| {});
         assert_eq!(outcome.chunks_pruned_zonemap, 2, "tight zones prune");
         assert_eq!(outcome.chunks_scanned, 0);
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::FilterOnly, |_| {});
-        assert_eq!(outcome.chunks_pruned_filter, 2, "rebuilt filters prune");
         // The surviving chunk-0 rows are still fully readable.
         assert_eq!(
-            collect_ids(&t, Some(&eq(1, Value::Decimal(200))), PruningMode::Both),
+            collect_ids(&t, Some(&eq(1, Value::Decimal(200))), true),
             vec![2]
         );
     }
@@ -1351,11 +1189,11 @@ mod tests {
         assert_eq!(t.slot_count(), 9, "the new version appends to delta");
         assert_eq!(t.main_chunk_count(), 2, "main chunks are never rewritten");
         assert_eq!(
-            collect_ids(&t, Some(&eq(1, Value::Decimal(7_777))), PruningMode::Both),
+            collect_ids(&t, Some(&eq(1, Value::Decimal(7_777))), true),
             vec![1]
         );
         assert_eq!(
-            collect_ids(&t, Some(&eq(1, Value::Decimal(100))), PruningMode::Both),
+            collect_ids(&t, Some(&eq(1, Value::Decimal(100))), true),
             Vec::<i64>::new(),
             "the superseded main version is invisible"
         );
@@ -1364,16 +1202,13 @@ mod tests {
             .unwrap();
         assert_eq!(t.live_row_count(), 8);
         assert_eq!(
-            collect_ids(&t, Some(&eq(1, Value::Decimal(8_888))), PruningMode::Both),
+            collect_ids(&t, Some(&eq(1, Value::Decimal(8_888))), true),
             vec![2]
         );
         // Deleting a main-resident row works unchanged.
         t.apply_delete(&Key::int(0), 8, 11).unwrap();
         assert_eq!(t.live_row_count(), 7);
-        assert_eq!(
-            collect_ids(&t, None, PruningMode::Off),
-            vec![1, 2, 3, 4, 5, 6, 7]
-        );
+        assert_eq!(collect_ids(&t, None, false), vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
@@ -1389,7 +1224,7 @@ mod tests {
         assert_eq!(t.compact(), 2);
         let pred = eq(2, Value::Str("paid".into()));
         let mut seen = 0usize;
-        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), PruningMode::Off, |batch| {
+        let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |batch| {
             seen += batch.selected_count();
         });
         assert_eq!(seen, 2, "only matching rows stay selected");
@@ -1397,7 +1232,7 @@ mod tests {
             outcome.rows_pruned_encoded, 6,
             "non-matching rows skipped decode"
         );
-        assert_eq!(collect_ids(&t, Some(&pred), PruningMode::Off), vec![0, 4]);
+        assert_eq!(collect_ids(&t, Some(&pred), true), vec![0, 4]);
     }
 
     #[test]
@@ -1445,13 +1280,13 @@ mod tests {
             .unwrap();
         }
         t.apply_delete(&Key::int(6), 6, 30).unwrap();
-        let baseline = collect_ids(&t, None, PruningMode::Off);
+        let baseline = collect_ids(&t, None, false);
         let pred = eq(1, Value::Decimal(300));
-        let pred_baseline = collect_ids(&t, Some(&pred), PruningMode::Off);
+        let pred_baseline = collect_ids(&t, Some(&pred), false);
         while t.compact_chunk() {
-            assert_eq!(collect_ids(&t, None, PruningMode::Off), baseline);
-            for mode in [PruningMode::Off, PruningMode::Both] {
-                assert_eq!(collect_ids(&t, Some(&pred), mode), pred_baseline);
+            assert_eq!(collect_ids(&t, None, false), baseline);
+            for pruning in [false, true] {
+                assert_eq!(collect_ids(&t, Some(&pred), pruning), pred_baseline);
             }
         }
         assert_eq!(t.main_chunk_count(), 4);

@@ -12,29 +12,20 @@
 //! Compaction ([`seal_chunk`]) migrates the oldest *full* delta chunk into
 //! main.  The rewrite is also when pruning metadata stops drifting: the
 //! chunk's zone map is rebuilt *tight* from the surviving live values
-//! (updates widened it, deletes left stale contributions) and the fingerprint
-//! filter is rebuilt from the live `(column, value)` pairs and pinned to the
-//! chunk — main chunks never mutate in place, so neither structure can go
-//! stale again.  Deleted slots are encoded as [`Value::Null`] placeholders:
-//! they stay physically present (global slot indices never change) but carry
-//! no payload.
+//! (updates widened it, deletes left stale contributions) — main chunks never
+//! mutate in place, so it cannot go stale again.  Deleted slots are encoded
+//! as [`Value::Null`] placeholders: they stay physically present (global slot
+//! indices never change) but carry no payload.
 
 use crate::encode::EncodedColumn;
-use crate::filter::{fingerprint_hash, FingerprintFilter};
 use crate::value::Value;
 use crate::zonemap::ChunkZone;
-use std::sync::Arc;
 
 /// One sealed, immutable chunk of the main tier.
 #[derive(Debug)]
 pub struct MainChunk {
     /// One encoded column per schema column, all covering `chunk_size` slots.
     pub columns: Vec<EncodedColumn>,
-    /// Fingerprint filter over the live `(column, value)` pairs at seal time,
-    /// or `None` when construction failed or the chunk was empty.  Built
-    /// eagerly: main chunks are immutable, so the filter never invalidates
-    /// (later deletes only shrink the live set, which keeps it a superset).
-    pub filter: Option<Arc<FingerprintFilter>>,
     /// Approximate resident bytes of the encoded columns.
     pub encoded_bytes: usize,
     /// Approximate resident bytes the same slots would occupy unencoded.
@@ -53,19 +44,18 @@ impl MainChunk {
     }
 }
 
-/// Seal one full delta chunk into a [`MainChunk`], rebuilding its pruning
-/// metadata from the actual surviving data.
+/// Seal one full delta chunk into a [`MainChunk`], rebuilding its zone map
+/// from the actual surviving data.
 ///
 /// `columns` are the chunk's slots of every schema column (all the same
 /// length) and `deleted` the matching deletion markers.  Deleted slots are
 /// masked to [`Value::Null`] before encoding — their payloads are dropped,
-/// their positions preserved — and contribute to neither the rebuilt zone map
-/// nor the rebuilt filter, which is what makes post-compaction bounds tight.
+/// their positions preserved — and do not contribute to the rebuilt zone map,
+/// which is what makes post-compaction bounds tight.
 pub fn seal_chunk(columns: &[&[Value]], deleted: &[bool]) -> (MainChunk, ChunkZone) {
     let mut zone = ChunkZone::new(columns.len());
     zone.live_count = deleted.iter().filter(|&&d| !d).count() as u64;
 
-    let mut filter_keys = Vec::new();
     let mut encoded = Vec::with_capacity(columns.len());
     let mut masked: Vec<Value> = Vec::with_capacity(deleted.len());
     let (mut encoded_bytes, mut plain_bytes) = (0usize, 0usize);
@@ -76,9 +66,6 @@ pub fn seal_chunk(columns: &[&[Value]], deleted: &[bool]) -> (MainChunk, ChunkZo
                 masked.push(Value::Null);
             } else {
                 zone.zones[col_idx].include(value);
-                if let Some(key) = fingerprint_hash(col_idx, value) {
-                    filter_keys.push(key);
-                }
                 masked.push(value.clone());
             }
         }
@@ -88,16 +75,8 @@ pub fn seal_chunk(columns: &[&[Value]], deleted: &[bool]) -> (MainChunk, ChunkZo
         encoded.push(col);
     }
 
-    // A fully dead chunk needs no filter: the zero live count already prunes
-    // it, and an empty filter would only answer spurious maybes.
-    let filter = if filter_keys.is_empty() {
-        None
-    } else {
-        FingerprintFilter::build(&filter_keys).map(Arc::new)
-    };
     let chunk = MainChunk {
         columns: encoded,
-        filter,
         encoded_bytes,
         plain_bytes,
     };
@@ -108,7 +87,6 @@ pub fn seal_chunk(columns: &[&[Value]], deleted: &[bool]) -> (MainChunk, ChunkZo
 mod tests {
     use super::*;
     use crate::encode::Encoding;
-    use crate::zonemap::{ColumnPredicate, PredicateOp, ScanPredicate};
 
     #[test]
     fn seal_rebuilds_tight_zones_and_live_counts() {
@@ -125,25 +103,6 @@ mod tests {
         assert_eq!(zone.zones[0].max, Some(Value::Int(6)));
         assert_eq!(zone.zones[1].max, Some(Value::Int(600)));
         assert_eq!(zone.zones[0].null_count, 0, "masked slots are not NULLs");
-    }
-
-    #[test]
-    fn sealed_filter_covers_live_values_only() {
-        let ids: Vec<Value> = (0..64).map(Value::Int).collect();
-        let mut deleted = vec![false; 64];
-        deleted[10] = true;
-        let (chunk, _) = seal_chunk(&[&ids], &deleted);
-        let filter = chunk.filter.expect("filter builds");
-        assert!(filter.contains(fingerprint_hash(0, &Value::Int(20)).unwrap()));
-        // No false negatives is the only guarantee, but a single dropped key
-        // on a 64-key build is overwhelmingly likely to probe negative.
-        let zone_probe = ScanPredicate::new(vec![ColumnPredicate::new(
-            0,
-            PredicateOp::Eq,
-            Value::Int(10),
-        )
-        .unwrap()]);
-        assert!(!zone_probe.is_empty());
     }
 
     #[test]
@@ -181,7 +140,6 @@ mod tests {
         let (chunk, zone) = seal_chunk(&[&ids], &[true; 4]);
         assert_eq!(zone.live_count, 0);
         assert_eq!(zone.zones[0].min, None);
-        assert!(chunk.filter.is_none(), "no live keys, no filter");
         // All-placeholder columns compress to a single NULL run.
         assert_eq!(chunk.columns[0].encoding(), Encoding::Rle);
     }

@@ -34,7 +34,6 @@ pub mod colstore;
 pub mod delta;
 pub mod encode;
 pub mod error;
-pub mod filter;
 pub mod key;
 pub mod replication;
 pub mod row;
@@ -54,7 +53,6 @@ pub use colstore::{ColumnTable, ColumnTableStats, MemoryFootprint};
 pub use delta::MainChunk;
 pub use encode::{EncodedColumn, Encoding};
 pub use error::{StorageError, StorageResult};
-pub use filter::{fingerprint_hash, FingerprintFilter};
 pub use key::Key;
 pub use replication::{LogRecord, MutationOp, ReplicationLog, Replicator};
 pub use row::Row;
@@ -63,7 +61,7 @@ pub use schema::{ColumnDef, DataType, IndexDef, TableSchema};
 pub use value::Value;
 pub use wal::{SyncPolicy, Wal, WalOp, WalRecord, WalReplay, WalStatsSnapshot};
 pub use zonemap::{
-    ChunkZone, ColumnPredicate, ColumnZone, PredicateOp, PruningMode, ScanOutcome, ScanPredicate,
+    ChunkZone, ColumnPredicate, ColumnZone, PredicateOp, ScanOutcome, ScanPredicate,
     DEFAULT_CHUNK_SIZE as DEFAULT_PRUNE_CHUNK_SIZE,
 };
 

@@ -14,64 +14,21 @@
 //!   zone stays a conservative superset of the chunk's history;
 //! - **delete keeps contributions** — deleting a row only decrements the
 //!   live count; the zone still covers the deleted values.  A chunk whose
-//!   live count reaches zero is pruned outright.
+//!   live count reaches zero is pruned outright;
+//! - **compaction rebuilds tight** — sealing a chunk into the main tier
+//!   recomputes its zone from the surviving live values only.
+//!
+//! Zone maps are the only per-chunk summary a scan consults: a value absent
+//! from a chunk but inside its min/max range does not prune it.
 //!
 //! The superset property is what makes pruning safe: a zone check may say
 //! "might match" for a chunk that no longer matches, but never "cannot
 //! match" for one that does.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Number of slots per pruning chunk in a [`ColumnTable`](crate::ColumnTable).
 pub const DEFAULT_CHUNK_SIZE: usize = 1024;
-
-/// Which pruning structures a scan consults before touching column data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PruningMode {
-    /// No pruning: every chunk is scanned (the pre-pruning behaviour).
-    Off,
-    /// Zone maps only (min/max + live counts).
-    ZoneMapOnly,
-    /// Fingerprint filters only (equality predicates on sealed chunks).
-    FilterOnly,
-    /// Zone maps first, then fingerprint filters.
-    #[default]
-    Both,
-}
-
-impl PruningMode {
-    /// Whether zone maps are consulted in this mode.
-    pub fn uses_zonemaps(self) -> bool {
-        matches!(self, PruningMode::ZoneMapOnly | PruningMode::Both)
-    }
-
-    /// Whether fingerprint filters are consulted in this mode.
-    pub fn uses_filters(self) -> bool {
-        matches!(self, PruningMode::FilterOnly | PruningMode::Both)
-    }
-
-    /// Parse an environment-variable / CLI spelling of the mode.
-    pub fn parse(value: &str) -> Option<PruningMode> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "0" | "false" => Some(PruningMode::Off),
-            "zonemap" | "zonemaps" | "zone" => Some(PruningMode::ZoneMapOnly),
-            "filter" | "filters" | "fingerprint" => Some(PruningMode::FilterOnly),
-            "both" | "on" | "1" | "true" => Some(PruningMode::Both),
-            _ => None,
-        }
-    }
-
-    /// Display label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PruningMode::Off => "off",
-            PruningMode::ZoneMapOnly => "zonemap",
-            PruningMode::FilterOnly => "filter",
-            PruningMode::Both => "both",
-        }
-    }
-}
 
 /// Comparison operator of a sargable predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,11 +88,6 @@ impl ScanPredicate {
     /// Whether the predicate constrains anything.
     pub fn is_empty(&self) -> bool {
         self.predicates.is_empty()
-    }
-
-    /// The equality conjuncts, the shape fingerprint filters can test.
-    pub fn equality_predicates(&self) -> impl Iterator<Item = &ColumnPredicate> {
-        self.predicates.iter().filter(|p| p.op == PredicateOp::Eq)
     }
 }
 
@@ -228,8 +180,6 @@ pub struct ScanOutcome {
     pub chunks_scanned: u64,
     /// Chunks skipped because a zone map (or empty live count) excluded them.
     pub chunks_pruned_zonemap: u64,
-    /// Chunks skipped because a fingerprint filter excluded an equality probe.
-    pub chunks_pruned_filter: u64,
     /// Live rows in surviving *main-tier* chunks that encoded-predicate
     /// evaluation (dictionary-code comparison, RLE run skipping) deselected
     /// before any value was decoded.
@@ -323,23 +273,5 @@ mod tests {
     #[test]
     fn null_literals_are_rejected() {
         assert!(ColumnPredicate::new(0, PredicateOp::Eq, Value::Null).is_none());
-    }
-
-    #[test]
-    fn pruning_mode_parse_and_flags() {
-        assert_eq!(PruningMode::parse("off"), Some(PruningMode::Off));
-        assert_eq!(
-            PruningMode::parse("ZoneMap"),
-            Some(PruningMode::ZoneMapOnly)
-        );
-        assert_eq!(PruningMode::parse("filter"), Some(PruningMode::FilterOnly));
-        assert_eq!(PruningMode::parse("both"), Some(PruningMode::Both));
-        assert_eq!(PruningMode::parse("bogus"), None);
-        assert!(PruningMode::Both.uses_zonemaps() && PruningMode::Both.uses_filters());
-        assert!(!PruningMode::Off.uses_zonemaps() && !PruningMode::Off.uses_filters());
-        assert!(
-            PruningMode::ZoneMapOnly.uses_zonemaps() && !PruningMode::ZoneMapOnly.uses_filters()
-        );
-        assert!(!PruningMode::FilterOnly.uses_zonemaps() && PruningMode::FilterOnly.uses_filters());
     }
 }

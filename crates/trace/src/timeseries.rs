@@ -48,8 +48,7 @@ pub struct TelemetryPoint {
     pub chunks_compacted: u64,
     /// Column-store chunks scanned during the interval.
     pub chunks_scanned: u64,
-    /// Column-store chunks skipped by zone maps or fingerprint filters
-    /// during the interval.
+    /// Column-store chunks skipped by zone maps during the interval.
     pub chunks_pruned: u64,
     /// Analytical freshness waits that timed out during the interval.
     pub freshness_timeouts: u64,

@@ -56,8 +56,8 @@ fn main() {
         result.commits, result.aborts, result.lock_overhead, result.replication_lag
     );
     println!(
-        "columnar chunks: scanned={} pruned-by-zonemap={} pruned-by-filter={}",
-        result.chunks_scanned, result.chunks_pruned_zonemap, result.chunks_pruned_filter
+        "columnar chunks: scanned={} pruned-by-zonemap={}",
+        result.chunks_scanned, result.chunks_pruned_zonemap
     );
     println!(
         "columnar storage: resident={} bytes compression-ratio={:.2}x \

@@ -307,9 +307,7 @@ fn latency_does_not_improve_with_cluster_size() {
 #[test]
 fn chunk_pruning_speeds_up_selective_scans() {
     use olxpbench::query::{col, execute_with, lit, ColumnSource, ExecOptions, QueryBuilder};
-    use olxpbench::storage::{
-        ColumnDef, ColumnTable, DataType, Key, PruningMode, Row, TableSchema,
-    };
+    use olxpbench::storage::{ColumnDef, ColumnTable, DataType, Key, Row, TableSchema};
     use std::collections::HashMap;
     use std::time::Instant;
 
@@ -341,8 +339,8 @@ fn chunk_pruning_speeds_up_selective_scans() {
         let plan =
             QueryBuilder::scan_where("PRUNE", col(1).eq(lit(Value::Int(GROUPS / 2)))).build();
 
-        let best_of = |mode: PruningMode| {
-            let opts = ExecOptions::batched(1024).with_pruning(mode);
+        let best_of = |pruning: bool| {
+            let opts = ExecOptions::batched(1024).with_pruning(pruning);
             let mut best = f64::INFINITY;
             let mut out = execute_with(&plan, &source, opts).unwrap();
             for _ in 0..3 {
@@ -352,8 +350,8 @@ fn chunk_pruning_speeds_up_selective_scans() {
             }
             (best, out)
         };
-        let (off_s, off_out) = best_of(PruningMode::Off);
-        let (on_s, on_out) = best_of(PruningMode::Both);
+        let (off_s, off_out) = best_of(false);
+        let (on_s, on_out) = best_of(true);
 
         assert_eq!(on_out.rows, off_out.rows, "pruning never changes results");
         assert!(
