@@ -11,10 +11,10 @@
 use crate::config::{AgentConfig, BenchConfig, LoopMode};
 use crate::error::{BenchError, BenchResult};
 use crate::generator::{OpenLoopSchedule, RequestSchedule, WeightedChoice};
-use crate::report::{FreshnessSummary, LatencySummary, ShardSummary, StageSummary, TimelinePoint};
+use crate::report::{FreshnessSummary, LatencySummary, ShardSummary, StageSummary};
 use crate::stats::LatencyRecorder;
 use crate::workload::{AnalyticalQuery, HybridTransaction, OnlineTransaction, Workload};
-use olxp_engine::{HybridDatabase, MetricsSnapshot, Session};
+use olxp_engine::{HybridDatabase, MetricsSnapshot, Session, TelemetryPoint};
 use olxp_txn::LockStatsSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,7 +105,7 @@ pub struct BenchmarkResult {
     /// The engine's sampled telemetry timeline over the run (warm-up
     /// included), rebased so `t_ms == 0` at the driver's start.  Empty when
     /// the telemetry sampler is disabled.
-    pub timeline: Vec<TimelinePoint>,
+    pub timeline: Vec<TelemetryPoint>,
 }
 
 impl BenchmarkResult {
@@ -343,11 +343,10 @@ impl BenchmarkDriver {
             freshness_timeouts: delta.freshness_timeouts,
             timeline: db
                 .telemetry_points_since(telemetry_t0)
-                .iter()
-                .map(|point| {
-                    let mut p = TimelinePoint::from(point);
-                    p.t_ms -= telemetry_t0;
-                    p
+                .into_iter()
+                .map(|mut point| {
+                    point.t_ms -= telemetry_t0;
+                    point
                 })
                 .collect(),
         })

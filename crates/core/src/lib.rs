@@ -53,7 +53,7 @@ pub use features::{BenchmarkComparison, WorkloadFeatures};
 pub use generator::{ClosedLoopSchedule, OpenLoopSchedule, RequestSchedule, WeightedChoice};
 pub use report::{
     shard_table, stage_table, timeline_table, ClassReport, FreshnessSummary, LatencySummary,
-    ShardSummary, StageSummary, TimelinePoint,
+    ShardSummary, StageSummary,
 };
 pub use schema_check::{check_semantic_consistency, SchemaConsistencyReport};
 pub use stats::LatencyRecorder;

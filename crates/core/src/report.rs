@@ -1,6 +1,6 @@
 //! Result summaries and report formatting.
 
-use olxp_engine::ShardBreakdown;
+use olxp_engine::{ShardBreakdown, TelemetryPoint};
 use olxp_trace::StageBreakdown;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -301,112 +301,9 @@ pub fn shard_table(shards: &[ShardSummary]) -> String {
     )
 }
 
-/// One sampling interval of the run's telemetry timeline, in serialisable
-/// form.  Mirrors [`olxp_trace::TelemetryPoint`] (which stays dependency-free
-/// and therefore cannot derive serde itself); `t_ms` is rebased so 0 is the
-/// moment the benchmark driver started observing the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct TimelinePoint {
-    /// Milliseconds since the driver's observation window opened, at the end
-    /// of the interval this point covers.
-    pub t_ms: u64,
-    /// Actual interval length in milliseconds.
-    pub interval_ms: u64,
-    /// Transactions committed during the interval.
-    pub commits: u64,
-    /// Transactions aborted during the interval.
-    pub aborts: u64,
-    /// Online-transaction statements issued during the interval.
-    pub oltp_statements: u64,
-    /// Analytical statements issued during the interval.
-    pub olap_statements: u64,
-    /// Hybrid-transaction statements issued during the interval.
-    pub hybrid_statements: u64,
-    /// Replication records applied to columnar replicas during the interval.
-    pub replication_applied: u64,
-    /// Replication apply failures during the interval.
-    pub replication_errors: u64,
-    /// Replication lag in records at the end of the interval (gauge).
-    pub replication_lag: u64,
-    /// WAL records appended during the interval.
-    pub wal_appends: u64,
-    /// WAL fsyncs issued during the interval.
-    pub wal_fsyncs: u64,
-    /// WAL bytes written during the interval.
-    pub wal_bytes: u64,
-    /// Delta chunks sealed into the compressed main tier during the interval.
-    pub chunks_compacted: u64,
-    /// Column-store chunks scanned during the interval.
-    pub chunks_scanned: u64,
-    /// Column-store chunks pruned during the interval.
-    pub chunks_pruned: u64,
-    /// Analytical freshness waits that timed out during the interval.
-    pub freshness_timeouts: u64,
-    /// Median commit latency over the interval (µs, 0 without tracing).
-    pub commit_p50_us: f64,
-    /// 95th-percentile commit latency over the interval (µs).
-    pub commit_p95_us: f64,
-    /// Median freshness-wait latency over the interval (µs).
-    pub freshness_p50_us: f64,
-    /// 95th-percentile freshness-wait latency over the interval (µs).
-    pub freshness_p95_us: f64,
-}
-
-impl TimelinePoint {
-    /// Events per second for a counter delta over this point's interval.
-    fn rate(&self, count: u64) -> f64 {
-        if self.interval_ms == 0 {
-            return 0.0;
-        }
-        count as f64 * 1_000.0 / self.interval_ms as f64
-    }
-
-    /// Commit throughput over the interval (commits/s).
-    pub fn commit_tps(&self) -> f64 {
-        self.rate(self.commits)
-    }
-
-    /// Aborts as a fraction of commit attempts over the interval.
-    pub fn abort_rate(&self) -> f64 {
-        let attempts = self.commits + self.aborts;
-        if attempts == 0 {
-            return 0.0;
-        }
-        self.aborts as f64 / attempts as f64
-    }
-}
-
-impl From<&olxp_trace::TelemetryPoint> for TimelinePoint {
-    fn from(p: &olxp_trace::TelemetryPoint) -> TimelinePoint {
-        TimelinePoint {
-            t_ms: p.t_ms,
-            interval_ms: p.interval_ms,
-            commits: p.commits,
-            aborts: p.aborts,
-            oltp_statements: p.oltp_statements,
-            olap_statements: p.olap_statements,
-            hybrid_statements: p.hybrid_statements,
-            replication_applied: p.replication_applied,
-            replication_errors: p.replication_errors,
-            replication_lag: p.replication_lag,
-            wal_appends: p.wal_appends,
-            wal_fsyncs: p.wal_fsyncs,
-            wal_bytes: p.wal_bytes,
-            chunks_compacted: p.chunks_compacted,
-            chunks_scanned: p.chunks_scanned,
-            chunks_pruned: p.chunks_pruned,
-            freshness_timeouts: p.freshness_timeouts,
-            commit_p50_us: p.commit_p50_us,
-            commit_p95_us: p.commit_p95_us,
-            freshness_p50_us: p.freshness_p50_us,
-            freshness_p95_us: p.freshness_p95_us,
-        }
-    }
-}
-
 /// Render a run's sampled timeline as the per-interval table the experiment
 /// harness prints (empty string when the sampler captured nothing).
-pub fn timeline_table(timeline: &[TimelinePoint]) -> String {
+pub fn timeline_table(timeline: &[TelemetryPoint]) -> String {
     if timeline.is_empty() {
         return String::new();
     }
@@ -588,8 +485,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_points_mirror_trace_points() {
-        let trace_point = olxp_trace::TelemetryPoint {
+    fn timeline_table_renders_interval_rates() {
+        let p = TelemetryPoint {
             t_ms: 750,
             interval_ms: 250,
             commits: 100,
@@ -598,22 +495,19 @@ mod tests {
             replication_lag: 7,
             wal_fsyncs: 10,
             commit_p95_us: 123.4,
-            ..olxp_trace::TelemetryPoint::default()
+            ..TelemetryPoint::default()
         };
-        let p = TimelinePoint::from(&trace_point);
-        assert_eq!(p.t_ms, 750);
-        assert!((p.commit_tps() - 400.0).abs() < 1e-9);
-        assert!((p.abort_rate() - 0.2).abs() < 1e-9);
         let table = timeline_table(&[p]);
         assert!(table.contains("commit/s"));
         assert!(table.contains("0.75"), "t_ms rendered in seconds: {table}");
-        assert!(table.contains("400"));
+        assert!(table.contains("400"), "100 commits in 250ms: {table}");
+        assert!(table.contains("1600"), "400 statements in 250ms: {table}");
+        assert!(
+            table.contains("20.00"),
+            "25 aborts in 125 attempts: {table}"
+        );
         assert!(table.contains("123.4"));
         assert!(timeline_table(&[]).is_empty());
-
-        let idle = TimelinePoint::default();
-        assert_eq!(idle.commit_tps(), 0.0);
-        assert_eq!(idle.abort_rate(), 0.0);
     }
 
     #[test]

@@ -305,12 +305,29 @@ fn default_shards() -> usize {
         .unwrap_or(1)
 }
 
-/// Default tracing switch: off unless `OLXP_TRACE` asks for tracing
-/// (`on`/`1`/`true`/`yes`).
+/// The boolean spellings every `OLXP_*` switch accepts, case-insensitively:
+/// `on`/`1`/`true`/`yes` and `off`/`0`/`false`/`none`.  Anything else is not
+/// a switch value and leaves the variable's default in force.
+fn parse_switch(value: &str) -> Option<bool> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "on" | "1" | "true" | "yes" => Some(true),
+        "off" | "0" | "false" | "none" => Some(false),
+        _ => None,
+    }
+}
+
+/// The switch the environment variable `name` is set to, `default` when it
+/// is unset or not a switch value.
+fn env_switch(name: &str, default: bool) -> bool {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| parse_switch(&v))
+        .unwrap_or(default)
+}
+
+/// Default tracing switch: off unless `OLXP_TRACE` switches it on.
 fn default_tracing() -> bool {
-    std::env::var(olxp_trace::ENV_TRACE)
-        .map(|v| matches!(v.trim(), "1" | "on" | "true" | "yes"))
-        .unwrap_or(false)
+    env_switch(olxp_trace::ENV_TRACE, false)
 }
 
 /// Default telemetry scrape address: `OLXP_TELEMETRY_ADDR` if set to a
@@ -322,17 +339,10 @@ fn default_telemetry_addr() -> Option<String> {
         .filter(|v| !v.is_empty())
 }
 
-/// Default compression switch: on unless `OLXP_TEST_COMPRESSION` is set to
-/// `off`, `0`, `false` or `none`.
+/// Default compression switch: on unless `OLXP_TEST_COMPRESSION` switches it
+/// off.
 fn default_compression() -> bool {
-    !std::env::var("OLXP_TEST_COMPRESSION")
-        .map(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "none"
-            )
-        })
-        .unwrap_or(false)
+    env_switch("OLXP_TEST_COMPRESSION", true)
 }
 
 impl EngineConfig {
@@ -712,6 +722,27 @@ mod tests {
         let disabled = EngineConfig::dual_engine()
             .with_durability(DurabilityConfig::disabled().with_segment_bytes(16));
         assert!(disabled.validate().is_ok());
+    }
+
+    #[test]
+    fn switch_spellings() {
+        for (spelling, expected) in [
+            ("on", Some(true)),
+            ("ON", Some(true)),
+            ("1", Some(true)),
+            ("True", Some(true)),
+            (" yes\n", Some(true)),
+            ("off", Some(false)),
+            ("OFF", Some(false)),
+            ("0", Some(false)),
+            ("false", Some(false)),
+            ("None", Some(false)),
+            ("", None),
+            ("2", None),
+            ("enabled", None),
+        ] {
+            assert_eq!(parse_switch(spelling), expected, "{spelling:?}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics};
 use crate::model::{Model, Placement};
 use crate::session::Session;
 use crate::slowlog::{SlowQueryLog, SlowTxnLog};
-use crate::telemetry::{self, HealthReport, TelemetrySampler, TelemetryState};
+use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetrySampler, TelemetryState};
 use olxp_storage::checkpoint::{load_latest_checkpoint, write_checkpoint};
 use olxp_storage::wal::{ReplayedRecord, WalReplay};
 use olxp_storage::{
@@ -24,7 +24,7 @@ use olxp_storage::{
     Replicator, Row, RowTable, StorageError, TableCheckpoint, TableSchema, Timestamp, Wal, WalOp,
     WalRecord,
 };
-use olxp_trace::{TelemetryPoint, TelemetryServer};
+use olxp_trace::TelemetryServer;
 use olxp_txn::TransactionManager;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use std::collections::{HashMap, HashSet};
@@ -47,6 +47,11 @@ pub enum AnalyticalRoute {
 struct BackgroundApplier {
     shutdown: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
+}
+
+/// True while a stored background thread has neither exited nor panicked.
+fn is_running(handle: Option<&std::thread::JoinHandle<()>>) -> bool {
+    handle.is_some_and(|handle| !handle.is_finished())
 }
 
 /// The dedicated delta-compactor thread and its shutdown plumbing.
@@ -838,9 +843,13 @@ impl HybridDatabase {
         Ok(total)
     }
 
-    /// True while any shard's dedicated background applier thread is running.
+    /// True while every shard's dedicated background applier thread is
+    /// running: a thread that exited or panicked on any shard reads false.
     pub fn has_background_applier(&self) -> bool {
-        self.shards.iter().any(|s| s.applier.lock().is_some())
+        self.shards.iter().all(|shard| {
+            let applier = shard.applier.lock();
+            is_running(applier.as_ref().and_then(|a| a.handle.as_ref()))
+        })
     }
 
     /// Stop every shard's background applier thread and wait for it to exit.
@@ -859,9 +868,11 @@ impl HybridDatabase {
         }
     }
 
-    /// True while the background delta-compactor thread is running.
+    /// True while the background delta-compactor thread is running (false
+    /// once it has exited or panicked).
     pub fn has_background_compactor(&self) -> bool {
-        self.compactor.lock().is_some()
+        let compactor = self.compactor.lock();
+        is_running(compactor.as_ref().and_then(|c| c.handle.as_ref()))
     }
 
     /// Stop the background delta-compactor thread and wait for it to exit.
@@ -1669,6 +1680,59 @@ mod tests {
 
         let off = HybridDatabase::new(EngineConfig::dual_engine().with_compression(false)).unwrap();
         assert!(!off.has_background_compactor());
+    }
+
+    /// The named `/healthz` check's verdict and the handler's `/healthz` status.
+    fn healthz(db: &Arc<HybridDatabase>, check: &str) -> (bool, u16) {
+        let report = db.health_report();
+        let verdict = report.checks.iter().find(|c| c.name == check).unwrap();
+        let handler = telemetry::handler_for(db);
+        (verdict.healthy, handler("/healthz").status)
+    }
+
+    fn wait_until_finished(handle: &std::thread::JoinHandle<()>) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "thread never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn healthz_fails_when_one_shards_applier_has_exited() {
+        let db = HybridDatabase::new(EngineConfig::dual_engine().with_shards(4)).unwrap();
+        assert_eq!(healthz(&db, "replication_applier"), (true, 200));
+        // Stop shard 2's applier behind the database's back: its handle stays
+        // stored, exactly as after a panic inside the thread.
+        {
+            let shard = &db.shards[2];
+            let applier = shard.applier.lock();
+            let applier = applier.as_ref().expect("applier spawned at open");
+            applier.shutdown.store(true, Ordering::Release);
+            shard.replication.notify_waiters();
+            wait_until_finished(applier.handle.as_ref().unwrap());
+        }
+        assert!(!db.has_background_applier());
+        assert_eq!(healthz(&db, "replication_applier"), (false, 503));
+        db.shutdown_applier(); // still joins every shard cleanly
+        drop(db);
+    }
+
+    #[test]
+    fn healthz_fails_when_the_compactor_has_exited() {
+        let db = HybridDatabase::new(EngineConfig::dual_engine().with_compression(true)).unwrap();
+        assert_eq!(healthz(&db, "delta_compactor"), (true, 200));
+        {
+            let compactor = db.compactor.lock();
+            let compactor = compactor.as_ref().expect("compactor spawned at open");
+            compactor.shutdown.store(true, Ordering::Release);
+            db.compaction.notify();
+            wait_until_finished(compactor.handle.as_ref().unwrap());
+        }
+        assert!(!db.has_background_compactor());
+        assert_eq!(healthz(&db, "delta_compactor"), (false, 503));
+        db.shutdown_compactor();
+        drop(db);
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {

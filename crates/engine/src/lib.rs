@@ -56,4 +56,4 @@ pub use model::{CostParams, Model, Placement, StorageMedium, Work};
 pub use olxp_storage::SyncPolicy;
 pub use session::{Session, TxnHandle};
 pub use slowlog::{SlowQueryLog, SlowQueryRecord, SlowTxnLog, SlowTxnRecord};
-pub use telemetry::{HealthCheck, HealthReport, TelemetryState};
+pub use telemetry::{HealthCheck, HealthReport, TelemetryPoint, TelemetryState};

@@ -22,41 +22,6 @@ pub struct FreshnessSample {
 /// unbounded runs cannot grow memory without limit.
 const FRESHNESS_SAMPLE_CAP: usize = 1 << 20;
 
-/// Durability counters of one engine, surfaced inside [`MetricsSnapshot`].
-///
-/// Populated by [`crate::HybridDatabase::metrics_snapshot`] from the live WAL
-/// when durability is enabled; all-zero for in-memory engines.  The counters
-/// accumulate over the engine's lifetime; the batch percentiles describe the
-/// full distribution of committers-per-fsync observed so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalMetrics {
-    /// WAL records appended.
-    pub appends: u64,
-    /// fsync calls issued by the WAL (commit syncs + segment rotations).
-    pub fsyncs: u64,
-    /// Bytes written to WAL segment files.
-    pub bytes_written: u64,
-    /// Commits acknowledged through a durability sync.
-    pub synced_commits: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Automatic checkpoints that failed (the WAL keeps the records, so a
-    /// failure costs disk space, not durability).
-    pub checkpoint_failures: u64,
-    /// Median group-commit batch size (committers per fsync).
-    pub group_batch_p50: u64,
-    /// 90th percentile group-commit batch size.
-    pub group_batch_p90: u64,
-    /// 99th percentile group-commit batch size.
-    pub group_batch_p99: u64,
-    /// Largest group-commit batch observed.
-    pub group_batch_max: u64,
-    /// Highest LSN assigned.
-    pub last_lsn: u64,
-    /// Highest LSN known durable.
-    pub durable_lsn: u64,
-}
-
 impl WalMetrics {
     /// Mean committers per fsync (0 when no fsync has happened).
     pub fn commits_per_fsync(&self) -> f64 {
@@ -132,112 +97,282 @@ impl WorkClass {
     }
 }
 
-/// Atomic counters maintained by the engine.
-#[derive(Debug, Default)]
-pub struct EngineMetrics {
-    busy_nanos: [AtomicU64; 4],
-    queue_wait_nanos: [AtomicU64; 4],
-    statements: [AtomicU64; 4],
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    row_rows_scanned: AtomicU64,
-    col_rows_scanned: AtomicU64,
-    chunks_scanned: AtomicU64,
-    chunks_pruned_zonemap: AtomicU64,
-    rows_pruned_encoded: AtomicU64,
-    chunks_compacted: AtomicU64,
-    query_batches: AtomicU64,
-    buffer_misses: AtomicU64,
-    replication_applied: AtomicU64,
-    replication_errors: AtomicU64,
-    distributed_commits: AtomicU64,
-    freshness_observations: AtomicU64,
-    freshness_timeouts: AtomicU64,
-    freshness_samples: Mutex<Vec<FreshnessSample>>,
-    lock_waits: AtomicU64,
-    lock_wait_nanos: AtomicU64,
-    /// Lifecycle-stage latency histograms, populated only while tracing is
-    /// enabled (one mutex hold per commit/operation, not per stage).
-    stage: Mutex<StageBreakdown>,
-    /// Per-shard counters, sized by [`EngineMetrics::with_shards`]; empty
-    /// vectors (the [`Default`]) disable the per-shard breakdown.
-    shard_commits: Vec<AtomicU64>,
-    shard_lock_waits: Vec<AtomicU64>,
-    shard_lock_wait_nanos: Vec<AtomicU64>,
+/// Whether a delta between two snapshots subtracts a metric or carries the
+/// newer value over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Accumulates over the engine's lifetime; exported with a `_total`
+    /// suffix and subtracted by [`MetricsSnapshot::delta_since`].
+    Counter,
+    /// Instantaneous value, lifetime percentile or watermark: a delta of two
+    /// is meaningless, so [`MetricsSnapshot::delta_since`] keeps the newer.
+    Gauge,
 }
 
-/// A point-in-time copy of [`EngineMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Simulated service nanoseconds, per work class `[oltp, olap, hybrid, load]`.
-    pub busy_nanos: [u64; 4],
-    /// Real nanoseconds spent queueing for node workers, per work class.
-    pub queue_wait_nanos: [u64; 4],
-    /// Statements executed, per work class.
-    pub statements: [u64; 4],
-    /// Transactions committed through the engine.
-    pub commits: u64,
-    /// Transactions aborted through the engine.
-    pub aborts: u64,
-    /// Physical rows scanned from row stores.
-    pub row_rows_scanned: u64,
-    /// Physical rows scanned from column stores.
-    pub col_rows_scanned: u64,
-    /// Column-store chunks whose rows were actually scanned.
-    pub chunks_scanned: u64,
-    /// Column-store chunks skipped because their zone maps (min/max + live
-    /// counts) proved no row could match the scan predicate.
-    pub chunks_pruned_zonemap: u64,
-    /// Always 0: kept only because `perf/src/layers.rs` still reads it.
-    pub chunks_pruned_filter: u64,
-    /// Live rows in surviving compressed main-tier chunks that predicate
-    /// evaluation on the encoded columns deselected before decoding.
-    pub rows_pruned_encoded: u64,
-    /// Delta chunks the background compactor sealed into the compressed main
-    /// tier.
-    pub chunks_compacted: u64,
-    /// Column batches streamed through the vectorized query executor.
-    pub query_batches: u64,
-    /// Buffer-pool page misses.
-    pub buffer_misses: u64,
-    /// Replication log records applied to columnar replicas.
-    pub replication_applied: u64,
-    /// Replication apply attempts that failed (the records are retained in
-    /// the log and retried; a non-zero value means the replica fell behind).
-    pub replication_errors: u64,
-    /// Commits that required two-phase commit across partitions.
-    pub distributed_commits: u64,
-    /// Freshness observations recorded by analytical reads.
-    pub freshness_observations: u64,
-    /// Freshness-bounded analytical reads that gave up waiting for the
-    /// replica and failed with a timeout — a key SLO health signal: any
-    /// growth means the replication pipeline cannot hold the configured
-    /// staleness bound.
-    pub freshness_timeouts: u64,
-    /// Durability counters (all-zero for in-memory engines; see
-    /// [`WalMetrics`]).  On a sharded engine these are aggregated across
-    /// every shard's WAL stream.
-    pub wal: WalMetrics,
-    /// Number of hash-partitioned storage shards the engine runs with
-    /// (filled in by [`crate::HybridDatabase::metrics_snapshot`]).
-    pub shards: u64,
-    /// Bytes currently resident across every columnar replica: encoded main
-    /// chunks plus the plain delta tails.  A gauge filled in by
-    /// [`crate::HybridDatabase::metrics_snapshot`], not a counter.
-    pub col_bytes_resident: u64,
-    /// Bytes the same columnar data would occupy with every tier unencoded
-    /// (gauge, filled like [`MetricsSnapshot::col_bytes_resident`]).
-    pub col_bytes_plain: u64,
-    /// Write-lock acquisitions across every shard's lock table.
-    pub lock_waits: u64,
-    /// Real nanoseconds those acquisitions took.
-    pub lock_wait_nanos: u64,
-    /// Per-lifecycle-stage latency histograms (empty unless the engine ran
-    /// with [`crate::EngineConfig::tracing`] enabled).
-    pub stages: StageBreakdown,
-    /// Per-shard write-path counters, in shard order.  Empty when the engine
-    /// metrics were not sized for a shard breakdown.
-    pub per_shard: Vec<ShardBreakdown>,
+/// One exported `u64` of [`MetricsSnapshot`], as declared in the table below.
+pub struct MetricDef {
+    /// `/snapshot` key.
+    pub key: &'static str,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    /// Prometheus family (counters are exported as `<family>_total`).
+    /// Entries of one family are adjacent in [`METRICS`] and differ in labels.
+    pub family: &'static str,
+    /// Prometheus labels of this sample.
+    pub labels: &'static [(&'static str, &'static str)],
+    /// `# HELP` text, also the rustdoc of the snapshot field.
+    pub help: &'static str,
+    read: fn(&MetricsSnapshot) -> u64,
+    slot: fn(&mut MetricsSnapshot) -> &mut u64,
+}
+
+impl MetricDef {
+    /// This metric's value in `snapshot`.
+    pub fn value(&self, snapshot: &MetricsSnapshot) -> u64 {
+        (self.read)(snapshot)
+    }
+}
+
+/// [`METRICS`] split into Prometheus families: each item is the adjacent
+/// entries sharing a family name, whose first member supplies kind and help.
+pub fn metric_families() -> impl Iterator<Item = &'static [MetricDef]> {
+    let mut rest = METRICS;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let len = rest.iter().take_while(|d| d.family == first.family).count();
+        let (family, tail) = rest.split_at(len);
+        rest = tail;
+        Some(family)
+    })
+}
+
+/// The one declaration of every engine metric.  Each line yields the atomic
+/// in [`EngineMetrics`] (sections `counters` and `per_class`), the public
+/// field of [`MetricsSnapshot`] or [`WalMetrics`], its load in
+/// [`EngineMetrics::snapshot`] and its [`METRICS`] entry, which
+/// [`MetricsSnapshot::delta_since`], `/metrics` and `/snapshot` iterate.  A
+/// `[inc name]` / `[add name]` after a counter also generates its recorder;
+/// counters without one are recorded by the hand-written methods below.
+macro_rules! engine_metrics {
+    (@labels { $($key:ident = $value:literal),* }) => {
+        &[$((stringify!($key), $value)),*]
+    };
+    (@def $key:expr, $kind:ident, $family:literal, $labels:tt, $help:literal, $($path:tt)+) => {
+        MetricDef {
+            key: $key,
+            kind: MetricKind::$kind,
+            family: $family,
+            labels: engine_metrics!(@labels $labels),
+            help: $help,
+            read: |s| s.$($path)+,
+            slot: |s| &mut s.$($path)+,
+        }
+    };
+    (@per_class $field:ident, $index:tt, $class:tt, $family:literal, $help:literal) => {
+        engine_metrics!(@def concat!($class, "_", stringify!($field)), Counter, $family,
+            { class = $class }, $help, $field[$index])
+    };
+    (@recorder inc $name:ident $field:ident) => {
+        #[doc = concat!("Count one towards `", stringify!($field), "`.")]
+        pub fn $name(&self) {
+            self.$field.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    (@recorder add $name:ident $field:ident) => {
+        #[doc = concat!("Add `n` to `", stringify!($field), "`.")]
+        pub fn $name(&self, n: u64) {
+            self.$field.fetch_add(n, Ordering::Relaxed);
+        }
+    };
+    (
+        counters { $(
+            $cfield:ident $([$form:ident $recorder:ident])? => $cfamily:literal $clabels:tt
+                $chelp:literal;
+        )* }
+        per_class { $( $pfield:ident => $pfamily:literal $phelp:literal; )* }
+        gauges { $( $gfield:ident => $gfamily:literal $glabels:tt $ghelp:literal; )* }
+        wal { $(
+            $wkind:ident $wfield:ident $wkey:literal => $wfamily:literal $wlabels:tt
+                $whelp:literal;
+        )* }
+    ) => {
+        /// Atomic counters maintained by the engine.
+        #[derive(Debug, Default)]
+        pub struct EngineMetrics {
+            $( $pfield: [AtomicU64; 4], )*
+            $( $cfield: AtomicU64, )*
+            freshness_samples: Mutex<Vec<FreshnessSample>>,
+            /// Lifecycle-stage latency histograms, populated only while
+            /// tracing is enabled (one mutex hold per commit/operation, not
+            /// per stage).
+            stage: Mutex<StageBreakdown>,
+            /// Per-shard counters, sized by [`EngineMetrics::with_shards`];
+            /// empty vectors (the [`Default`]) disable the per-shard breakdown.
+            shard_commits: Vec<AtomicU64>,
+            shard_lock_waits: Vec<AtomicU64>,
+            shard_lock_wait_nanos: Vec<AtomicU64>,
+        }
+
+        /// Durability counters of one engine, surfaced inside
+        /// [`MetricsSnapshot`].
+        ///
+        /// Populated by [`crate::HybridDatabase::metrics_snapshot`] from the
+        /// live WAL when durability is enabled (aggregated across every
+        /// shard's stream); all-zero for in-memory engines.  The counters
+        /// accumulate over the engine's lifetime; the batch percentiles
+        /// describe the full distribution of committers-per-fsync so far.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct WalMetrics {
+            $( #[doc = $whelp] pub $wfield: u64, )*
+        }
+
+        /// A point-in-time copy of [`EngineMetrics`], completed by
+        /// [`crate::HybridDatabase::metrics_snapshot`] with what lives on the
+        /// database: the gauges, [`WalMetrics`] and the per-shard WAL counts.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $(
+                #[doc = $phelp]
+                #[doc = "  Indexed `[oltp, olap, hybrid, load]`."]
+                pub $pfield: [u64; 4],
+            )*
+            $( #[doc = $chelp] pub $cfield: u64, )*
+            /// Always 0: kept only because `perf/src/layers.rs` still reads it.
+            pub chunks_pruned_filter: u64,
+            $( #[doc = $ghelp] pub $gfield: u64, )*
+            /// Durability counters.
+            pub wal: WalMetrics,
+            /// Per-lifecycle-stage latency histograms (empty unless the engine
+            /// ran with [`crate::EngineConfig::tracing`] enabled).
+            pub stages: StageBreakdown,
+            /// Per-shard write-path counters, in shard order.  Empty when the
+            /// engine metrics were not sized for a shard breakdown.
+            pub per_shard: Vec<ShardBreakdown>,
+        }
+
+        impl EngineMetrics {
+            $($( engine_metrics!(@recorder $form $recorder $cfield); )?)*
+
+            /// Take a snapshot of every counter.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $cfield: self.$cfield.load(Ordering::Relaxed), )*
+                    $( $pfield: std::array::from_fn(|class| {
+                        self.$pfield[class].load(Ordering::Relaxed)
+                    }), )*
+                    chunks_pruned_filter: 0,
+                    $( $gfield: 0, )*
+                    wal: WalMetrics::default(),
+                    stages: self.stage.lock().clone(),
+                    per_shard: self.shard_breakdowns(),
+                }
+            }
+
+            /// Bump the atomic behind `METRICS[i]` by `i + 1`, for every atomic
+            /// (they lead the list, in declaration order); returns how many.
+            #[cfg(test)]
+            fn bump_each(&self) -> usize {
+                let mut bumped = 0;
+                let mut bump = |counter: &AtomicU64| {
+                    bumped += 1;
+                    counter.fetch_add(bumped as u64, Ordering::Relaxed);
+                };
+                $( bump(&self.$cfield); )*
+                $( self.$pfield.iter().for_each(&mut bump); )*
+                bumped
+            }
+        }
+
+        /// Every exported metric, in `/metrics` and `/snapshot` order.
+        pub static METRICS: &[MetricDef] = &[
+            $( engine_metrics!(@def stringify!($cfield), Counter, $cfamily, $clabels, $chelp,
+                $cfield), )*
+            $(
+                engine_metrics!(@per_class $pfield, 0, "oltp", $pfamily, $phelp),
+                engine_metrics!(@per_class $pfield, 1, "olap", $pfamily, $phelp),
+                engine_metrics!(@per_class $pfield, 2, "hybrid", $pfamily, $phelp),
+                engine_metrics!(@per_class $pfield, 3, "load", $pfamily, $phelp),
+            )*
+            $( engine_metrics!(@def stringify!($gfield), Gauge, $gfamily, $glabels, $ghelp,
+                $gfield), )*
+            $( engine_metrics!(@def $wkey, $wkind, $wfamily, $wlabels, $whelp, wal.$wfield), )*
+        ];
+    };
+}
+
+engine_metrics! {
+    counters {
+        commits [inc add_commit] => "olxp_commits" {}
+            "Transactions committed through the engine.";
+        aborts [inc add_abort] => "olxp_aborts" {}
+            "Transactions aborted through the engine.";
+        row_rows_scanned [add add_row_rows_scanned] => "olxp_row_rows_scanned" {}
+            "Physical rows scanned from row stores.";
+        col_rows_scanned [add add_col_rows_scanned] => "olxp_col_rows_scanned" {}
+            "Physical rows scanned from column stores.";
+        chunks_scanned => "olxp_chunks_scanned" {}
+            "Column-store chunks whose rows were actually scanned.";
+        chunks_pruned_zonemap => "olxp_chunks_pruned" { reason = "zonemap" }
+            "Column-store chunks skipped because their zone maps proved no row could match the scan predicate.";
+        rows_pruned_encoded => "olxp_rows_pruned_encoded" {}
+            "Live rows of compressed main-tier chunks that predicates evaluated on the encoded columns deselected before decoding.";
+        chunks_compacted [add add_chunks_compacted] => "olxp_chunks_compacted" {}
+            "Delta chunks the background compactor sealed into the compressed main tier.";
+        query_batches [add add_query_batches] => "olxp_query_batches" {}
+            "Column batches streamed through the vectorized query executor.";
+        buffer_misses [add add_buffer_misses] => "olxp_buffer_misses" {}
+            "Buffer-pool page misses.";
+        replication_applied [add add_replication_applied] => "olxp_replication_applied_records" {}
+            "Replication log records applied to columnar replicas.";
+        replication_errors [inc add_replication_error] => "olxp_replication_errors" {}
+            "Failed replication apply attempts (the records stay in the log and are retried; non-zero means the replica fell behind).";
+        distributed_commits [inc add_distributed_commit] => "olxp_distributed_commits" {}
+            "Commits that required two-phase commit across partitions.";
+        freshness_observations => "olxp_freshness_observations" {}
+            "Freshness observations recorded by analytical reads.";
+        freshness_timeouts [inc add_freshness_timeout] => "olxp_freshness_timeouts" {}
+            "Freshness-bounded analytical reads that timed out waiting for the replica: any growth means replication cannot hold the staleness bound.";
+        lock_waits => "olxp_lock_waits" {}
+            "Write-lock acquisitions across every shard's lock table.";
+        lock_wait_nanos => "olxp_lock_wait_nanos" {}
+            "Real nanoseconds write-lock acquisitions took, queueing included.";
+    }
+    per_class {
+        busy_nanos => "olxp_busy_nanos" "Simulated service nanoseconds, by work class.";
+        queue_wait_nanos => "olxp_queue_wait_nanos"
+            "Real nanoseconds spent queueing for node workers, by work class.";
+        statements => "olxp_statements" "Statements executed, by work class.";
+    }
+    gauges {
+        shards => "olxp_shards" {} "Hash-partitioned storage shards the engine runs with.";
+        col_bytes_resident => "olxp_columnar_bytes" { tier = "resident" }
+            "Columnar replica bytes: resident (encoded main chunks plus plain delta tails) vs plain (every tier unencoded).";
+        col_bytes_plain => "olxp_columnar_bytes" { tier = "plain" }
+            "Bytes the same columnar data would occupy with every tier unencoded.";
+    }
+    wal {
+        Counter appends "wal_appends" => "olxp_wal_appends" {} "WAL records appended.";
+        Counter fsyncs "wal_fsyncs" => "olxp_wal_fsyncs" {}
+            "fsync calls issued by the WAL (commit syncs + segment rotations).";
+        Counter bytes_written "wal_bytes_written" => "olxp_wal_written_bytes" {}
+            "Bytes written to WAL segment files.";
+        Counter synced_commits "wal_synced_commits" => "olxp_wal_synced_commits" {}
+            "Commits acknowledged through a durability sync.";
+        Counter checkpoints "checkpoints" => "olxp_checkpoints" {} "Checkpoints taken.";
+        Counter checkpoint_failures "checkpoint_failures" => "olxp_checkpoint_failures" {}
+            "Automatic checkpoints that failed (the WAL keeps the records: costs disk space, not durability).";
+        Gauge group_batch_p50 "wal_group_batch_p50" => "olxp_wal_group_batch" { quantile = "0.5" }
+            "Lifetime group-commit batch size (committers per fsync): median, p90, p99 and largest.";
+        Gauge group_batch_p90 "wal_group_batch_p90" => "olxp_wal_group_batch" { quantile = "0.9" }
+            "90th percentile group-commit batch size.";
+        Gauge group_batch_p99 "wal_group_batch_p99" => "olxp_wal_group_batch" { quantile = "0.99" }
+            "99th percentile group-commit batch size.";
+        Gauge group_batch_max "wal_group_batch_max" => "olxp_wal_group_batch" { quantile = "1" }
+            "Largest group-commit batch observed.";
+        Gauge last_lsn "wal_last_lsn" => "olxp_wal_last_lsn" {} "Highest LSN assigned.";
+        Gauge durable_lsn "wal_durable_lsn" => "olxp_wal_durable_lsn" {}
+            "Highest LSN known durable.";
+    }
 }
 
 impl MetricsSnapshot {
@@ -260,90 +395,26 @@ impl MetricsSnapshot {
         self.col_bytes_plain as f64 / self.col_bytes_resident as f64
     }
 
-    /// Difference between two snapshots (`self - earlier`), element-wise.
+    /// Difference between two snapshots (`self - earlier`): counters, stage
+    /// histograms and per-shard counts subtract; gauges, lifetime percentiles
+    /// and LSN watermarks are the newer snapshot's.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for i in 0..4 {
-            out.busy_nanos[i] = self.busy_nanos[i].saturating_sub(earlier.busy_nanos[i]);
-            out.queue_wait_nanos[i] =
-                self.queue_wait_nanos[i].saturating_sub(earlier.queue_wait_nanos[i]);
-            out.statements[i] = self.statements[i].saturating_sub(earlier.statements[i]);
+        let mut out = MetricsSnapshot {
+            stages: self.stages.since(&earlier.stages),
+            per_shard: self.per_shard.clone(),
+            ..*self
+        };
+        for def in METRICS.iter().filter(|d| d.kind == MetricKind::Counter) {
+            let slot = (def.slot)(&mut out);
+            *slot = slot.saturating_sub(def.value(earlier));
         }
-        out.commits = self.commits.saturating_sub(earlier.commits);
-        out.aborts = self.aborts.saturating_sub(earlier.aborts);
-        out.row_rows_scanned = self
-            .row_rows_scanned
-            .saturating_sub(earlier.row_rows_scanned);
-        out.col_rows_scanned = self
-            .col_rows_scanned
-            .saturating_sub(earlier.col_rows_scanned);
-        out.chunks_scanned = self.chunks_scanned.saturating_sub(earlier.chunks_scanned);
-        out.chunks_pruned_zonemap = self
-            .chunks_pruned_zonemap
-            .saturating_sub(earlier.chunks_pruned_zonemap);
-        out.rows_pruned_encoded = self
-            .rows_pruned_encoded
-            .saturating_sub(earlier.rows_pruned_encoded);
-        out.chunks_compacted = self
-            .chunks_compacted
-            .saturating_sub(earlier.chunks_compacted);
-        out.query_batches = self.query_batches.saturating_sub(earlier.query_batches);
-        out.buffer_misses = self.buffer_misses.saturating_sub(earlier.buffer_misses);
-        out.replication_applied = self
-            .replication_applied
-            .saturating_sub(earlier.replication_applied);
-        out.replication_errors = self
-            .replication_errors
-            .saturating_sub(earlier.replication_errors);
-        out.freshness_observations = self
-            .freshness_observations
-            .saturating_sub(earlier.freshness_observations);
-        out.freshness_timeouts = self
-            .freshness_timeouts
-            .saturating_sub(earlier.freshness_timeouts);
-        out.distributed_commits = self
-            .distributed_commits
-            .saturating_sub(earlier.distributed_commits);
-        out.lock_waits = self.lock_waits.saturating_sub(earlier.lock_waits);
-        out.lock_wait_nanos = self.lock_wait_nanos.saturating_sub(earlier.lock_wait_nanos);
-        out.stages = self.stages.since(&earlier.stages);
-        out.per_shard = self
-            .per_shard
-            .iter()
-            .enumerate()
-            .map(|(i, now)| {
-                let then = earlier.per_shard.get(i).copied().unwrap_or_default();
-                ShardBreakdown {
-                    commits: now.commits.saturating_sub(then.commits),
-                    lock_waits: now.lock_waits.saturating_sub(then.lock_waits),
-                    lock_wait_nanos: now.lock_wait_nanos.saturating_sub(then.lock_wait_nanos),
-                    wal_appends: now.wal_appends.saturating_sub(then.wal_appends),
-                    wal_fsyncs: now.wal_fsyncs.saturating_sub(then.wal_fsyncs),
-                }
-            })
-            .collect();
-        // WAL counters subtract; the percentiles and LSN watermarks are
-        // lifetime values, so the newer snapshot's are carried over, as are
-        // the resident-bytes gauges (a delta of gauges is meaningless).
-        out.shards = self.shards;
-        out.col_bytes_resident = self.col_bytes_resident;
-        out.col_bytes_plain = self.col_bytes_plain;
-        out.wal = self.wal;
-        out.wal.appends = self.wal.appends.saturating_sub(earlier.wal.appends);
-        out.wal.fsyncs = self.wal.fsyncs.saturating_sub(earlier.wal.fsyncs);
-        out.wal.bytes_written = self
-            .wal
-            .bytes_written
-            .saturating_sub(earlier.wal.bytes_written);
-        out.wal.synced_commits = self
-            .wal
-            .synced_commits
-            .saturating_sub(earlier.wal.synced_commits);
-        out.wal.checkpoints = self.wal.checkpoints.saturating_sub(earlier.wal.checkpoints);
-        out.wal.checkpoint_failures = self
-            .wal
-            .checkpoint_failures
-            .saturating_sub(earlier.wal.checkpoint_failures);
+        for (now, then) in out.per_shard.iter_mut().zip(&earlier.per_shard) {
+            now.commits = now.commits.saturating_sub(then.commits);
+            now.lock_waits = now.lock_waits.saturating_sub(then.lock_waits);
+            now.lock_wait_nanos = now.lock_wait_nanos.saturating_sub(then.lock_wait_nanos);
+            now.wal_appends = now.wal_appends.saturating_sub(then.wal_appends);
+            now.wal_fsyncs = now.wal_fsyncs.saturating_sub(then.wal_fsyncs);
+        }
         out
     }
 }
@@ -380,31 +451,6 @@ impl EngineMetrics {
         self.statements[class.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a commit.
-    pub fn add_commit(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an abort.
-    pub fn add_abort(&self) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record rows scanned from a row store.
-    pub fn add_row_rows_scanned(&self, rows: u64) {
-        self.row_rows_scanned.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Record rows scanned from a column store.
-    pub fn add_col_rows_scanned(&self, rows: u64) {
-        self.col_rows_scanned.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Record batches streamed through the vectorized executor.
-    pub fn add_query_batches(&self, batches: u64) {
-        self.query_batches.fetch_add(batches, Ordering::Relaxed);
-    }
-
     /// Record one query's column-store chunk accounting: chunks whose rows
     /// were scanned, chunks skipped by zone maps, and rows deselected by
     /// predicate evaluation on encoded main-tier columns.
@@ -420,29 +466,6 @@ impl EngineMetrics {
             self.rows_pruned_encoded
                 .fetch_add(rows_pruned_encoded, Ordering::Relaxed);
         }
-    }
-
-    /// Record delta chunks sealed into the compressed main tier.
-    pub fn add_chunks_compacted(&self, chunks: u64) {
-        if chunks > 0 {
-            self.chunks_compacted.fetch_add(chunks, Ordering::Relaxed);
-        }
-    }
-
-    /// Record buffer-pool misses.
-    pub fn add_buffer_misses(&self, misses: u64) {
-        self.buffer_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Record applied replication records.
-    pub fn add_replication_applied(&self, records: u64) {
-        self.replication_applied
-            .fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// Record a failed replication apply attempt.
-    pub fn add_replication_error(&self) {
-        self.replication_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record the freshness one analytical read observed at its start.
@@ -467,17 +490,6 @@ impl EngineMetrics {
     /// which also keeps long-lived databases from ever pinning the sample cap.
     pub fn take_freshness_samples(&self) -> Vec<FreshnessSample> {
         std::mem::take(&mut *self.freshness_samples.lock())
-    }
-
-    /// Record a freshness-bounded analytical read that timed out waiting for
-    /// the replica to satisfy its staleness bound.
-    pub fn add_freshness_timeout(&self) {
-        self.freshness_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a two-phase (multi-partition) commit.
-    pub fn add_distributed_commit(&self) {
-        self.distributed_commits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one write-lock acquisition on `shard` that took `nanos`.
@@ -518,62 +530,22 @@ impl EngineMetrics {
         self.stage.lock().clone()
     }
 
-    /// Take a snapshot of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let read = |arr: &[AtomicU64; 4]| {
-            [
-                arr[0].load(Ordering::Relaxed),
-                arr[1].load(Ordering::Relaxed),
-                arr[2].load(Ordering::Relaxed),
-                arr[3].load(Ordering::Relaxed),
-            ]
-        };
-        MetricsSnapshot {
-            busy_nanos: read(&self.busy_nanos),
-            queue_wait_nanos: read(&self.queue_wait_nanos),
-            statements: read(&self.statements),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            row_rows_scanned: self.row_rows_scanned.load(Ordering::Relaxed),
-            col_rows_scanned: self.col_rows_scanned.load(Ordering::Relaxed),
-            chunks_scanned: self.chunks_scanned.load(Ordering::Relaxed),
-            chunks_pruned_zonemap: self.chunks_pruned_zonemap.load(Ordering::Relaxed),
-            chunks_pruned_filter: 0,
-            rows_pruned_encoded: self.rows_pruned_encoded.load(Ordering::Relaxed),
-            chunks_compacted: self.chunks_compacted.load(Ordering::Relaxed),
-            query_batches: self.query_batches.load(Ordering::Relaxed),
-            buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
-            replication_applied: self.replication_applied.load(Ordering::Relaxed),
-            replication_errors: self.replication_errors.load(Ordering::Relaxed),
-            distributed_commits: self.distributed_commits.load(Ordering::Relaxed),
-            freshness_observations: self.freshness_observations.load(Ordering::Relaxed),
-            freshness_timeouts: self.freshness_timeouts.load(Ordering::Relaxed),
-            lock_waits: self.lock_waits.load(Ordering::Relaxed),
-            lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
-            stages: self.stage.lock().clone(),
-            per_shard: self
-                .shard_commits
-                .iter()
-                .zip(&self.shard_lock_waits)
-                .zip(&self.shard_lock_wait_nanos)
-                .map(|((commits, waits), wait_nanos)| ShardBreakdown {
-                    commits: commits.load(Ordering::Relaxed),
-                    lock_waits: waits.load(Ordering::Relaxed),
-                    lock_wait_nanos: wait_nanos.load(Ordering::Relaxed),
-                    // Per-shard WAL counters live on the database's streams;
-                    // `HybridDatabase::metrics_snapshot` fills them in.
-                    wal_appends: 0,
-                    wal_fsyncs: 0,
-                })
-                .collect(),
-            // The WAL, shard layout and columnar footprint live on the
-            // database, not here; `HybridDatabase::metrics_snapshot` fills
-            // these in.
-            wal: WalMetrics::default(),
-            shards: 0,
-            col_bytes_resident: 0,
-            col_bytes_plain: 0,
-        }
+    /// The per-shard counters kept here; the per-shard WAL counts live on the
+    /// database's streams and are filled in by
+    /// [`crate::HybridDatabase::metrics_snapshot`].
+    fn shard_breakdowns(&self) -> Vec<ShardBreakdown> {
+        self.shard_commits
+            .iter()
+            .zip(&self.shard_lock_waits)
+            .zip(&self.shard_lock_wait_nanos)
+            .map(|((commits, waits), wait_nanos)| ShardBreakdown {
+                commits: commits.load(Ordering::Relaxed),
+                lock_waits: waits.load(Ordering::Relaxed),
+                lock_wait_nanos: wait_nanos.load(Ordering::Relaxed),
+                wal_appends: 0,
+                wal_fsyncs: 0,
+            })
+            .collect()
     }
 }
 
@@ -613,6 +585,133 @@ mod tests {
         assert_eq!(d.busy_nanos[0], 40);
         assert_eq!(d.commits, 1);
         assert_eq!(d.buffer_misses, 7);
+    }
+
+    /// `/metrics` series name and rendered label set of a declared metric.
+    fn series(def: &MetricDef) -> (String, String) {
+        let name = match def.kind {
+            MetricKind::Counter => format!("{}_total", def.family),
+            MetricKind::Gauge => def.family.to_string(),
+        };
+        let labels: Vec<String> = def
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{v}\""))
+            .collect();
+        (name, labels.join(","))
+    }
+
+    #[test]
+    fn every_declared_metric_is_recorded_diffed_and_exported() {
+        // Recorded: bumping each atomic shows up in snapshot().
+        let metrics = EngineMetrics::new();
+        let atomics = metrics.bump_each();
+        assert_eq!(atomics, 17 + 3 * 4, "every atomic is declared");
+        let snapshot = metrics.snapshot();
+        for (i, def) in METRICS[..atomics].iter().enumerate() {
+            assert_eq!(
+                def.value(&snapshot),
+                i as u64 + 1,
+                "{} after bumping",
+                def.key
+            );
+        }
+
+        // Diffed: counters subtract, gauges carry the newer value.
+        let mut early = MetricsSnapshot::default();
+        let mut late = MetricsSnapshot::default();
+        for (i, def) in METRICS.iter().enumerate() {
+            *(def.slot)(&mut early) = 10;
+            *(def.slot)(&mut late) = 100 + i as u64;
+        }
+        let delta = late.delta_since(&early);
+        for (i, def) in METRICS.iter().enumerate() {
+            let expected = match def.kind {
+                MetricKind::Counter => 90 + i as u64,
+                MetricKind::Gauge => 100 + i as u64,
+            };
+            assert_eq!(def.value(&delta), expected, "{} in a delta", def.key);
+        }
+
+        // Exported: one valid, unique series in /metrics (HELP before TYPE,
+        // one TYPE per family) and one unique key in /snapshot.
+        let db = crate::HybridDatabase::new(crate::EngineConfig::dual_engine()).unwrap();
+        let exposition = crate::telemetry::render_prometheus(&db);
+        let snapshot_json = crate::telemetry::render_snapshot_json(&db);
+        assert!(
+            !exposition.contains("olxp_stage_nanos"),
+            "stages that recorded nothing are not exported"
+        );
+        let valid = |name: &str| {
+            !name.is_empty() && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_')
+        };
+        for def in METRICS {
+            let (name, labels) = series(def);
+            assert!(valid(def.family), "family {}", def.family);
+            assert!(def.labels.iter().all(|(k, _)| valid(k)), "labels of {name}");
+            assert!(!def.help.is_empty(), "{name} has help text");
+            let sample = if labels.is_empty() {
+                format!("{name} ")
+            } else {
+                format!("{name}{{{labels}}} ")
+            };
+            let count = |prefix: &str| exposition.lines().filter(|l| l.starts_with(prefix)).count();
+            assert_eq!(count(&sample), 1, "one `{sample}` sample in:\n{exposition}");
+            assert_eq!(
+                count(&format!("# TYPE {name} ")),
+                1,
+                "one TYPE line for {name}"
+            );
+            let help = exposition
+                .find(&format!("# HELP {name} "))
+                .expect("HELP line");
+            let kind = exposition
+                .find(&format!("# TYPE {name} "))
+                .expect("TYPE line");
+            assert!(help < kind, "HELP precedes TYPE for {name}");
+            let key = format!("\"{}\":", def.key);
+            assert_eq!(
+                snapshot_json.matches(&key).count(),
+                1,
+                "one {key} in {snapshot_json}"
+            );
+        }
+    }
+
+    /// The README's metric reference is this table, one row per family.
+    #[test]
+    fn readme_metric_reference_matches_the_declarations() {
+        let readme = include_str!("../../../README.md");
+        let mut expected = String::new();
+        for family in metric_families() {
+            let first = &family[0];
+            let values: Vec<&str> = family
+                .iter()
+                .flat_map(|d| d.labels)
+                .map(|(_, v)| *v)
+                .collect();
+            let labels = match first.labels.first() {
+                Some((key, _)) => format!("`{key}`: {}", values.join(", ")),
+                None => "—".to_string(),
+            };
+            let kind = format!("{:?}", first.kind).to_lowercase();
+            let (name, _) = series(first);
+            expected.push_str(&format!(
+                "| `{name}` | {kind} | {labels} | {} |\n",
+                first.help
+            ));
+        }
+        assert!(
+            readme.contains(&expected),
+            "README.md \"Metric reference\" is out of date; the declared rows are:\n{expected}"
+        );
+        for family in [
+            "olxp_up",
+            "olxp_replication_lag_records",
+            "olxp_stage_nanos",
+        ] {
+            assert!(readme.contains(&format!("| `{family}` |")), "{family} row");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   non-zero (the default is 250 ms), a dedicated thread snapshots the
 //!   engine metrics every interval, diffs against the previous snapshot and
 //!   appends one [`TelemetryPoint`] per interval to a fixed-capacity
-//!   [`TimeSeriesRing`].  The ring feeds the per-interval timeline table in
-//!   benchmark reports and the `/timeseries` endpoint.
+//!   [`TimeSeriesRing`].  The ring feeds the `/timeseries` endpoint and,
+//!   as `BenchmarkResult::timeline`, the per-interval table in reports.
 //! * **HTTP listener** — when [`crate::EngineConfig::telemetry_addr`] (or
 //!   `OLXP_TELEMETRY_ADDR`) is set, a dependency-free HTTP/1.1 listener
 //!   serves `GET /metrics` (Prometheus text exposition), `/healthz` (SLO
@@ -21,16 +21,168 @@
 //! [`HybridDatabase`]'s drop shuts them down explicitly first.
 
 use crate::database::HybridDatabase;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{metric_families, MetricKind, MetricsSnapshot, METRICS};
 use olxp_storage::SyncPolicy;
 use olxp_trace::{
     prometheus_counter, prometheus_gauge, prometheus_histogram, Handler, HttpResponse,
-    LogHistogram, SpanCategory, TelemetryPoint, TelemetryServer, TimeSeriesRing,
+    LogHistogram, SeriesPoint, SpanCategory, TelemetryServer, TimeSeriesRing,
 };
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
+
+/// Declares [`TelemetryPoint`]: each `field(source);` line is one per-interval
+/// counter — the public field, its value `delta.source` in
+/// [`TelemetryPoint::from_delta`] and its key in the `/timeseries` JSON.
+macro_rules! telemetry_point {
+    ( $( $(#[$doc:meta])* $field:ident($($source:tt)+); )* ) => {
+        /// One sampling interval of engine activity: counter deltas over the
+        /// interval plus a few end-of-interval gauges.  Rates are derived,
+        /// not stored, so a point stays mergeable with its neighbours by
+        /// summation.  Serialised as is into `BenchmarkResult::timeline`.
+        #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+        pub struct TelemetryPoint {
+            /// Milliseconds on the time axis (since the database opened; the
+            /// benchmark driver rebases to its own start) at the end of the
+            /// interval this point covers.
+            pub t_ms: u64,
+            /// Actual length of the interval in milliseconds (the sampler
+            /// aims for the configured cadence but records what elapsed).
+            pub interval_ms: u64,
+            $( $(#[$doc])* pub $field: u64, )*
+            /// Replication lag in records at the end of the interval (gauge).
+            pub replication_lag: u64,
+            /// Median end-to-end commit latency over the interval in
+            /// microseconds (0 when tracing is off — the commit-stage
+            /// histogram is the source).
+            pub commit_p50_us: f64,
+            /// 95th-percentile commit latency over the interval (µs).
+            pub commit_p95_us: f64,
+            /// Median freshness-wait latency over the interval (µs).
+            pub freshness_p50_us: f64,
+            /// 95th-percentile freshness-wait latency over the interval (µs).
+            pub freshness_p95_us: f64,
+        }
+
+        impl TelemetryPoint {
+            /// Build one timeline point from an interval's metrics delta.
+            fn from_delta(
+                t_ms: u64,
+                interval_ms: u64,
+                delta: &MetricsSnapshot,
+                replication_lag: u64,
+            ) -> TelemetryPoint {
+                let p_us = |hist: &LogHistogram, q: f64| -> f64 {
+                    if hist.is_empty() {
+                        0.0
+                    } else {
+                        hist.value_at_quantile(q) as f64 / 1_000.0
+                    }
+                };
+                let commit = delta.stages.get(SpanCategory::Commit);
+                let freshness = delta.stages.get(SpanCategory::FreshnessWait);
+                TelemetryPoint {
+                    t_ms,
+                    interval_ms,
+                    $( $field: delta.$($source)+, )*
+                    replication_lag,
+                    commit_p50_us: p_us(commit, 0.50),
+                    commit_p95_us: p_us(commit, 0.95),
+                    freshness_p50_us: p_us(freshness, 0.50),
+                    freshness_p95_us: p_us(freshness, 0.95),
+                }
+            }
+        }
+
+        impl SeriesPoint for TelemetryPoint {
+            fn t_ms(&self) -> u64 {
+                self.t_ms
+            }
+
+            /// The `/timeseries` rendering: every field plus the two derived
+            /// rates dashboards plot directly.
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(
+                    out,
+                    "{{\"t_ms\":{},\"interval_ms\":{},",
+                    self.t_ms, self.interval_ms
+                );
+                $( let _ = write!(out, "\"{}\":{},", stringify!($field), self.$field); )*
+                let _ = write!(
+                    out,
+                    "\"replication_lag\":{},\"commit_tps\":{:.1},\"abort_rate\":{:.4},\
+                     \"commit_p50_us\":{:.1},\"commit_p95_us\":{:.1},\
+                     \"freshness_p50_us\":{:.1},\"freshness_p95_us\":{:.1}}}",
+                    self.replication_lag,
+                    self.commit_tps(),
+                    self.abort_rate(),
+                    self.commit_p50_us,
+                    self.commit_p95_us,
+                    self.freshness_p50_us,
+                    self.freshness_p95_us,
+                );
+            }
+        }
+    };
+}
+
+telemetry_point! {
+    /// Transactions committed during the interval.
+    commits(commits);
+    /// Transactions aborted during the interval.
+    aborts(aborts);
+    /// Online-transaction statements issued during the interval.
+    oltp_statements(statements[0]);
+    /// Analytical statements issued during the interval.
+    olap_statements(statements[1]);
+    /// Hybrid-transaction statements issued during the interval.
+    hybrid_statements(statements[2]);
+    /// Replication records applied to columnar replicas during the interval.
+    replication_applied(replication_applied);
+    /// Replication apply failures during the interval.
+    replication_errors(replication_errors);
+    /// WAL records appended during the interval.
+    wal_appends(wal.appends);
+    /// WAL fsyncs issued during the interval.
+    wal_fsyncs(wal.fsyncs);
+    /// WAL bytes written during the interval.
+    wal_bytes(wal.bytes_written);
+    /// Delta chunks sealed into the compressed main tier during the interval.
+    chunks_compacted(chunks_compacted);
+    /// Column-store chunks scanned during the interval.
+    chunks_scanned(chunks_scanned);
+    /// Column-store chunks skipped by zone maps during the interval.
+    chunks_pruned(chunks_pruned_zonemap);
+    /// Analytical freshness waits that timed out during the interval.
+    freshness_timeouts(freshness_timeouts);
+}
+
+impl TelemetryPoint {
+    /// Events per second for a counter delta over this point's interval.
+    pub fn rate(&self, count: u64) -> f64 {
+        if self.interval_ms == 0 {
+            return 0.0;
+        }
+        count as f64 * 1_000.0 / self.interval_ms as f64
+    }
+
+    /// Commit throughput over the interval (commits/s).
+    pub fn commit_tps(&self) -> f64 {
+        self.rate(self.commits)
+    }
+
+    /// Aborts as a fraction of commit attempts over the interval.
+    pub fn abort_rate(&self) -> f64 {
+        let attempts = self.commits + self.aborts;
+        if attempts == 0 {
+            return 0.0;
+        }
+        self.aborts as f64 / attempts as f64
+    }
+}
 
 /// Per-interval points retained by the sampler ring: at the default 250 ms
 /// interval this is ~17 minutes of history, bounded at ~700 KiB.
@@ -45,7 +197,7 @@ const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 /// the background threads through it (they hold the database weakly).
 pub struct TelemetryState {
     started: Instant,
-    ring: Mutex<TimeSeriesRing>,
+    ring: Mutex<TimeSeriesRing<TelemetryPoint>>,
     /// Set while the newest WAL LSN is ahead of the durable LSN and the
     /// durable LSN did not advance across a whole sampling interval — the
     /// signature of a wedged fsync path, surfaced by `/healthz`.
@@ -68,12 +220,12 @@ impl TelemetryState {
 
     /// Copy of every retained timeline point, oldest first.
     pub fn timeline(&self) -> Vec<TelemetryPoint> {
-        self.ring.lock().points().to_vec()
+        self.ring.lock().points()
     }
 
     /// Copy of the retained points sampled at or after `t_ms`.
     pub fn timeline_since(&self, t_ms: u64) -> Vec<TelemetryPoint> {
-        self.ring.lock().points_since(t_ms).to_vec()
+        self.ring.lock().points_since(t_ms)
     }
 
     /// The ring rendered as a JSON document (the `/timeseries` body).
@@ -145,7 +297,7 @@ pub(crate) fn spawn_sampler(db: &Arc<HybridDatabase>) -> TelemetrySampler {
                 && now.wal.last_lsn > now.wal.durable_lsn
                 && now.wal.durable_lsn == prev.wal.durable_lsn;
             state.wal_stalled.store(stalled, Ordering::Relaxed);
-            state.push(sample_point(
+            state.push(TelemetryPoint::from_delta(
                 t_ms,
                 t_ms.saturating_sub(prev_t).max(1),
                 &delta,
@@ -162,47 +314,6 @@ pub(crate) fn spawn_sampler(db: &Arc<HybridDatabase>) -> TelemetrySampler {
     TelemetrySampler {
         shutdown,
         handle: Some(handle),
-    }
-}
-
-/// Build one timeline point from an interval's metrics delta.
-fn sample_point(
-    t_ms: u64,
-    interval_ms: u64,
-    delta: &MetricsSnapshot,
-    replication_lag: u64,
-) -> TelemetryPoint {
-    let p_us = |hist: &LogHistogram, q: f64| -> f64 {
-        if hist.is_empty() {
-            0.0
-        } else {
-            hist.value_at_quantile(q) as f64 / 1_000.0
-        }
-    };
-    let commit = delta.stages.get(SpanCategory::Commit);
-    let freshness = delta.stages.get(SpanCategory::FreshnessWait);
-    TelemetryPoint {
-        t_ms,
-        interval_ms,
-        commits: delta.commits,
-        aborts: delta.aborts,
-        oltp_statements: delta.statements[0],
-        olap_statements: delta.statements[1],
-        hybrid_statements: delta.statements[2],
-        replication_applied: delta.replication_applied,
-        replication_errors: delta.replication_errors,
-        replication_lag,
-        wal_appends: delta.wal.appends,
-        wal_fsyncs: delta.wal.fsyncs,
-        wal_bytes: delta.wal.bytes_written,
-        chunks_compacted: delta.chunks_compacted,
-        chunks_scanned: delta.chunks_scanned,
-        chunks_pruned: delta.chunks_pruned_zonemap,
-        freshness_timeouts: delta.freshness_timeouts,
-        commit_p50_us: p_us(commit, 0.50),
-        commit_p95_us: p_us(commit, 0.95),
-        freshness_p50_us: p_us(freshness, 0.50),
-        freshness_p95_us: p_us(freshness, 0.95),
     }
 }
 
@@ -355,115 +466,30 @@ pub fn health_report(db: &HybridDatabase) -> HealthReport {
     HealthReport { checks }
 }
 
-/// Render the full Prometheus text exposition for `/metrics`.
+/// Render the full Prometheus text exposition for `/metrics`: liveness, the
+/// replication-lag gauge, every declared metric ([`METRICS`], one `# HELP` /
+/// `# TYPE` per family) and, with tracing, the stage histograms.
 pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
     let s = db.metrics_snapshot();
-    let mut out = String::with_capacity(4096);
+    let mut out = String::with_capacity(8192);
     prometheus_gauge(&mut out, "olxp_up", "Engine liveness.", &[(&[], 1.0)]);
-    prometheus_counter(
-        &mut out,
-        "olxp_commits",
-        "Transactions committed through the engine.",
-        &[(&[], s.commits as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_aborts",
-        "Transactions aborted through the engine.",
-        &[(&[], s.aborts as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_statements",
-        "Statements executed, by work class.",
-        &[
-            (&[("class", "oltp")], s.statements[0] as f64),
-            (&[("class", "olap")], s.statements[1] as f64),
-            (&[("class", "hybrid")], s.statements[2] as f64),
-            (&[("class", "load")], s.statements[3] as f64),
-        ],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_replication_applied_records",
-        "Replication log records applied to columnar replicas.",
-        &[(&[], s.replication_applied as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_replication_errors",
-        "Failed replication apply attempts.",
-        &[(&[], s.replication_errors as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_freshness_timeouts",
-        "Freshness-bounded analytical reads that timed out.",
-        &[(&[], s.freshness_timeouts as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_wal_appends",
-        "WAL records appended across every shard stream.",
-        &[(&[], s.wal.appends as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_wal_fsyncs",
-        "fsync calls issued by the WAL streams.",
-        &[(&[], s.wal.fsyncs as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_wal_written_bytes",
-        "Bytes written to WAL segment files.",
-        &[(&[], s.wal.bytes_written as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_checkpoints",
-        "Checkpoints taken.",
-        &[(&[], s.wal.checkpoints as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_chunks_scanned",
-        "Column-store chunks whose rows were scanned.",
-        &[(&[], s.chunks_scanned as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_chunks_pruned",
-        "Column-store chunks skipped before row access, by pruning mechanism.",
-        &[(&[("reason", "zonemap")], s.chunks_pruned_zonemap as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_chunks_compacted",
-        "Delta chunks sealed into the compressed main tier.",
-        &[(&[], s.chunks_compacted as f64)],
-    );
-    prometheus_gauge(
-        &mut out,
-        "olxp_shards",
-        "Hash-partitioned storage shards.",
-        &[(&[], s.shards as f64)],
-    );
     prometheus_gauge(
         &mut out,
         "olxp_replication_lag_records",
         "Appended-but-unapplied replication records, summed across shards.",
         &[(&[], db.replication_lag() as f64)],
     );
-    prometheus_gauge(
-        &mut out,
-        "olxp_columnar_bytes",
-        "Columnar replica footprint, resident (encoded) vs plain (unencoded).",
-        &[
-            (&[("tier", "resident")], s.col_bytes_resident as f64),
-            (&[("tier", "plain")], s.col_bytes_plain as f64),
-        ],
-    );
+    for family in metric_families() {
+        let first = &family[0];
+        let samples: Vec<(&[(&str, &str)], f64)> = family
+            .iter()
+            .map(|def| (def.labels, def.value(&s) as f64))
+            .collect();
+        match first.kind {
+            MetricKind::Counter => prometheus_counter(&mut out, first.family, first.help, &samples),
+            MetricKind::Gauge => prometheus_gauge(&mut out, first.family, first.help, &samples),
+        }
+    }
     let stage_series: Vec<(&str, &LogHistogram)> = s
         .stages
         .iter_nonempty()
@@ -479,38 +505,19 @@ pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
     out
 }
 
-/// Render the `/snapshot` JSON body: the full counter snapshot plus the
-/// retained slow-transaction and slow-query records (copied, not drained —
-/// scraping must never steal the benchmark report's data).
+/// Render the `/snapshot` JSON body: uptime, replication lag, every declared
+/// metric ([`METRICS`]) plus the retained slow-transaction and slow-query
+/// records (copied, not drained — scraping must never steal the benchmark
+/// report's data).
 pub(crate) fn render_snapshot_json(db: &HybridDatabase) -> String {
     let s = db.metrics_snapshot();
     let mut out = String::with_capacity(2048);
     out.push('{');
     push_field(&mut out, "uptime_ms", db.telemetry_state().elapsed_ms());
-    push_field(&mut out, "commits", s.commits);
-    push_field(&mut out, "aborts", s.aborts);
-    push_field(&mut out, "oltp_statements", s.statements[0]);
-    push_field(&mut out, "olap_statements", s.statements[1]);
-    push_field(&mut out, "hybrid_statements", s.statements[2]);
-    push_field(&mut out, "load_statements", s.statements[3]);
-    push_field(&mut out, "replication_applied", s.replication_applied);
-    push_field(&mut out, "replication_errors", s.replication_errors);
     push_field(&mut out, "replication_lag_records", db.replication_lag());
-    push_field(&mut out, "freshness_observations", s.freshness_observations);
-    push_field(&mut out, "freshness_timeouts", s.freshness_timeouts);
-    push_field(&mut out, "distributed_commits", s.distributed_commits);
-    push_field(&mut out, "wal_appends", s.wal.appends);
-    push_field(&mut out, "wal_fsyncs", s.wal.fsyncs);
-    push_field(&mut out, "wal_bytes_written", s.wal.bytes_written);
-    push_field(&mut out, "wal_last_lsn", s.wal.last_lsn);
-    push_field(&mut out, "wal_durable_lsn", s.wal.durable_lsn);
-    push_field(&mut out, "checkpoints", s.wal.checkpoints);
-    push_field(&mut out, "chunks_scanned", s.chunks_scanned);
-    push_field(&mut out, "chunks_pruned_zonemap", s.chunks_pruned_zonemap);
-    push_field(&mut out, "chunks_compacted", s.chunks_compacted);
-    push_field(&mut out, "shards", s.shards);
-    push_field(&mut out, "col_bytes_resident", s.col_bytes_resident);
-    push_field(&mut out, "col_bytes_plain", s.col_bytes_plain);
+    for def in METRICS {
+        push_field(&mut out, def.key, def.value(&s));
+    }
     out.push_str("\"slow_txns\":[");
     for (i, record) in db.slow_txn_log().records().iter().enumerate() {
         if i > 0 {
@@ -575,7 +582,7 @@ mod tests {
         let mut stages = StageBreakdown::new();
         stages.record(SpanCategory::Commit, 2_000_000);
         delta.stages = stages;
-        let point = sample_point(1_250, 250, &delta, 9);
+        let point = TelemetryPoint::from_delta(1_250, 250, &delta, 9);
         assert_eq!(point.commits, 50);
         assert_eq!(point.oltp_statements, 100);
         assert_eq!(point.chunks_pruned, 3);
@@ -584,6 +591,20 @@ mod tests {
         assert!((point.commit_tps() - 200.0).abs() < 1e-9);
         assert!(point.commit_p50_us >= 1_900.0, "p50 ≈ 2ms in µs");
         assert_eq!(point.freshness_p50_us, 0.0, "empty histogram reads zero");
+        assert!((point.abort_rate() - 2.0 / 52.0).abs() < 1e-9);
+        let idle = TelemetryPoint::default();
+        assert_eq!(idle.commit_tps(), 0.0, "a zero-length interval has no rate");
+        assert_eq!(idle.abort_rate(), 0.0);
+
+        let mut json = String::new();
+        point.write_json(&mut json);
+        assert!(json.starts_with("{\"t_ms\":1250,\"interval_ms\":250,\"commits\":50,"));
+        assert!(json.contains("\"chunks_pruned\":3,"), "{json}");
+        assert!(
+            json.contains("\"commit_tps\":200.0,\"abort_rate\":0.0385,"),
+            "{json}"
+        );
+        assert!(json.ends_with("\"freshness_p95_us\":0.0}"), "{json}");
     }
 
     #[test]

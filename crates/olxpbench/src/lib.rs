@@ -53,21 +53,20 @@ pub mod prelude {
         CostParams, DurabilityConfig, EngineArchitecture, EngineConfig, EngineError, EngineResult,
         FreshnessPolicy, FreshnessSample, HealthCheck, HealthReport, HybridDatabase,
         RecoveryReport, Session, ShardBreakdown, SlowQueryLog, SlowQueryRecord, SlowTxnLog,
-        SlowTxnRecord, StorageMedium, SyncPolicy, TxnHandle, WalMetrics, WorkClass,
+        SlowTxnRecord, StorageMedium, SyncPolicy, TelemetryPoint, TxnHandle, WalMetrics, WorkClass,
     };
     pub use olxp_query::{col, lit, AggFunc, AggSpec, JoinKind, Plan, QueryBuilder, SortKey};
     pub use olxp_storage::{ColumnDef, DataType, Key, Row, TableSchema, Value};
     pub use olxp_trace::{
-        chrome_trace_json, prometheus_text, LogHistogram, SpanCategory, SpanEvent, StageBreakdown,
-        TaggedSpan, TelemetryPoint, TelemetryServer, TimeSeriesRing,
+        chrome_trace_json, LogHistogram, SpanCategory, SpanEvent, StageBreakdown, TaggedSpan,
+        TelemetryServer, TimeSeriesRing,
     };
     pub use olxp_txn::IsolationLevel;
     pub use olxpbench_core::{
         check_semantic_consistency, shard_table, stage_table, timeline_table, AgentConfig,
         AnalyticalQuery, BenchConfig, BenchmarkComparison, BenchmarkDriver, BenchmarkResult,
         FreshnessSummary, HybridTransaction, LatencySummary, LoopMode, OnlineTransaction,
-        ShardSummary, StageSummary, TimelinePoint, TransactionMix, Workload, WorkloadFeatures,
-        WorkloadKind,
+        ShardSummary, StageSummary, TransactionMix, Workload, WorkloadFeatures, WorkloadKind,
     };
     pub use olxpbench_workloads::{
         olxp_suites, workload_by_name, ChBenchmark, Fibenchmark, Subenchmark, Tabenchmark,

@@ -76,14 +76,6 @@ impl StageBreakdown {
     pub fn iter_nonempty(&self) -> impl Iterator<Item = (SpanCategory, &LogHistogram)> {
         self.iter().filter(|(_, h)| !h.is_empty())
     }
-
-    /// Render the non-empty stages as Prometheus text exposition under the
-    /// given metric family name.
-    pub fn to_prometheus(&self, metric: &str) -> String {
-        let series: Vec<(&str, &LogHistogram)> =
-            self.iter_nonempty().map(|(c, h)| (c.as_str(), h)).collect();
-        crate::export::prometheus_text(metric, &series)
-    }
 }
 
 #[cfg(test)]
@@ -109,15 +101,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(SpanCategory::Fsync).count(), 3);
         assert_eq!(a.iter_nonempty().count(), 2);
-    }
-
-    #[test]
-    fn prometheus_rendering_lists_nonempty_stages() {
-        let mut b = StageBreakdown::new();
-        b.record(SpanCategory::WalAppend, 500);
-        let text = b.to_prometheus("olxp_stage_nanos");
-        assert!(text.contains("stage=\"wal_append\""));
-        assert!(!text.contains("stage=\"lock\""));
-        assert!(text.contains("olxp_stage_nanos_count{stage=\"wal_append\"} 1"));
     }
 }

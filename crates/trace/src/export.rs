@@ -44,33 +44,6 @@ pub fn chrome_trace_json(spans: &[TaggedSpan]) -> String {
     out
 }
 
-/// Render labelled histograms as Prometheus text exposition.
-///
-/// `metric` is the family name (e.g. `olxp_stage_duration_nanos`); each
-/// `(label, histogram)` pair becomes one `{stage="label"}` series with
-/// cumulative `_bucket` samples (only non-empty buckets plus `+Inf`), `_sum`,
-/// and `_count`.
-pub fn prometheus_text(metric: &str, series: &[(&str, &LogHistogram)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# TYPE {metric} histogram");
-    for (label, hist) in series {
-        hist.for_each_bucket(|upper, cumulative| {
-            let _ = writeln!(
-                out,
-                "{metric}_bucket{{stage=\"{label}\",le=\"{upper}\"}} {cumulative}"
-            );
-        });
-        let _ = writeln!(
-            out,
-            "{metric}_bucket{{stage=\"{label}\",le=\"+Inf\"}} {}",
-            hist.count()
-        );
-        let _ = writeln!(out, "{metric}_sum{{stage=\"{label}\"}} {}", hist.sum());
-        let _ = writeln!(out, "{metric}_count{{stage=\"{label}\"}} {}", hist.count());
-    }
-    out
-}
-
 /// Escape a label value per the Prometheus exposition format: backslash,
 /// double quote and newline must be backslash-escaped inside `label="..."`.
 pub fn prometheus_escape_label(value: &str) -> String {
@@ -140,9 +113,12 @@ pub fn prometheus_gauge(
     prometheus_samples(out, name, samples);
 }
 
-/// Render labelled histograms like [`prometheus_text`], but with a `# HELP`
-/// line and label-value escaping — the variant the live `/metrics` endpoint
-/// serves.
+/// Render labelled histograms as one Prometheus histogram family.
+///
+/// `metric` is the family name (e.g. `olxp_stage_nanos`); each
+/// `(label, histogram)` pair becomes one `{stage="label"}` series with
+/// cumulative `_bucket` samples (only non-empty buckets plus `+Inf`), `_sum`,
+/// and `_count`.
 pub fn prometheus_histogram(metric: &str, help: &str, series: &[(&str, &LogHistogram)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# HELP {metric} {help}");
@@ -334,12 +310,11 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(10);
         h.record(20);
-        let text = prometheus_text("olxp_stage_duration_nanos", &[("fsync", &h)]);
-        assert!(text.starts_with("# TYPE olxp_stage_duration_nanos histogram\n"));
+        let text = prometheus_histogram("olxp_stage_duration_nanos", "Help.", &[("fsync", &h)]);
         assert!(text.contains("olxp_stage_duration_nanos_bucket{stage=\"fsync\",le=\"10\"} 1"));
         assert!(text.contains("olxp_stage_duration_nanos_bucket{stage=\"fsync\",le=\"20\"} 2"));
         assert!(text.contains("olxp_stage_duration_nanos_bucket{stage=\"fsync\",le=\"+Inf\"} 2"));
-        assert!(text.contains("olxp_stage_duration_nanos_sum{stage=\"fsync\"} 30"));
-        assert!(text.contains("olxp_stage_duration_nanos_count{stage=\"fsync\"} 2"));
+        let escaped = prometheus_histogram("m", "Help.", &[("a\"b", &h)]);
+        assert!(escaped.contains("m_count{stage=\"a\\\"b\"} 2"), "{escaped}");
     }
 }

@@ -10,15 +10,14 @@
 //!   buffers of completed span events (category + shard + txn id + begin/end
 //!   timestamps).  When tracing is disabled the recording path is a single
 //!   relaxed atomic load and a branch.
-//! * Exporters ([`chrome_trace_json`], [`prometheus_text`],
-//!   [`prometheus_counter`] / [`prometheus_gauge`] / [`prometheus_histogram`])
-//!   — Chrome trace-event JSON that loads in Perfetto / `chrome://tracing`,
-//!   and Prometheus text-exposition encoders for counters, gauges and
-//!   histogram series.
+//! * Exporters ([`chrome_trace_json`], [`prometheus_counter`] /
+//!   [`prometheus_gauge`] / [`prometheus_histogram`]) — Chrome trace-event
+//!   JSON that loads in Perfetto / `chrome://tracing`, and Prometheus
+//!   text-exposition encoders for counters, gauges and histogram series.
 //!
-//! On top of the spine sit the live-telemetry primitives: fixed-capacity
-//! time-series rings of per-interval sampling points ([`TimeSeriesRing`],
-//! [`TelemetryPoint`]) and a dependency-free embedded HTTP/1.1 listener
+//! On top of the spine sit the live-telemetry primitives: a fixed-capacity
+//! time-series ring generic over the caller's per-interval sampling point
+//! ([`TimeSeriesRing`], [`SeriesPoint`]) and a dependency-free embedded HTTP/1.1 listener
 //! ([`TelemetryServer`]) that serves whatever a caller-supplied handler
 //! routes — the engine mounts `/metrics`, `/healthz`, `/snapshot` and
 //! `/timeseries` on it.
@@ -33,12 +32,12 @@ mod timeseries;
 pub use breakdown::StageBreakdown;
 pub use export::{
     chrome_trace_json, prometheus_counter, prometheus_escape_label, prometheus_gauge,
-    prometheus_histogram, prometheus_text,
+    prometheus_histogram,
 };
 pub use hist::{LogHistogram, HIST_MAX_RELATIVE_ERROR};
 pub use http::{Handler, HttpResponse, TelemetryServer};
 pub use span::{
-    enabled, init_from_env, now_nanos, record_span, set_enabled, span, take_events, SpanCategory,
-    SpanEvent, SpanGuard, TaggedSpan, ALL_CATEGORIES, ENV_TRACE,
+    enabled, now_nanos, record_span, set_enabled, span, take_events, SpanCategory, SpanEvent,
+    SpanGuard, TaggedSpan, ALL_CATEGORIES, ENV_TRACE,
 };
-pub use timeseries::{TelemetryPoint, TimeSeriesRing};
+pub use timeseries::{SeriesPoint, TimeSeriesRing};

@@ -34,16 +34,6 @@ pub fn set_enabled(on: bool) {
     TRACE_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Parse [`ENV_TRACE`] and return whether it asks for tracing; also applies
-/// it to the global gate.
-pub fn init_from_env() -> bool {
-    let on = std::env::var(ENV_TRACE)
-        .map(|v| matches!(v.trim(), "1" | "on" | "true" | "yes"))
-        .unwrap_or(false);
-    set_enabled(on);
-    on
-}
-
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
