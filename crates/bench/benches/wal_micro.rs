@@ -33,7 +33,8 @@ fn op(id: i64) -> WalOp {
 
 /// Log one single-mutation transaction and wait for its durability.
 fn commit_one(wal: &Wal, id: i64) {
-    let txn = wal.allocate_txn_id();
+    static NEXT_TXN: AtomicU64 = AtomicU64::new(1);
+    let txn = NEXT_TXN.fetch_add(1, Ordering::Relaxed);
     wal.log_mutations(txn, &[op(id)], id as u64 + 1)
         .expect("append succeeds");
     let lsn = wal.log_commit(txn, id as u64 + 1).expect("append succeeds");

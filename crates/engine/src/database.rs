@@ -1,7 +1,7 @@
 //! The HTAP database facade.
 //!
 //! Since the sharding refactor the write path is hash-partitioned into N
-//! engine [`Shard`]s.  Each shard owns its own `RowTable` partition of every
+//! engine shards.  Each shard owns its own `RowTable` partition of every
 //! table, its own lock table (held by the transaction manager), its own
 //! replication log + applier feeding the shared columnar replicas, its own
 //! segmented WAL stream (`wal-shard<K>-<seq>.seg`) and its own commit gate.
@@ -14,7 +14,7 @@ use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics};
 use crate::model::{Model, Placement};
-use crate::session::Session;
+use crate::session::{CommitCtx, Session};
 use crate::slowlog::{SlowQueryLog, SlowTxnLog};
 use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetrySampler, TelemetryState};
 use olxp_storage::checkpoint::{load_latest_checkpoint, write_checkpoint};
@@ -25,7 +25,7 @@ use olxp_storage::{
     WalRecord,
 };
 use olxp_trace::TelemetryServer;
-use olxp_txn::TransactionManager;
+use olxp_txn::{TransactionManager, WriteOp};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -201,11 +201,6 @@ pub struct HybridDatabase {
     metrics: Arc<EngineMetrics>,
     olap_route_counter: AtomicU64,
     commit_counter: AtomicU64,
-    /// Global WAL transaction-id allocator.  Ids must be unique across every
-    /// shard's WAL stream: recovery keys its committed-transaction map by
-    /// them, and a cross-shard transaction logs the same id on every shard it
-    /// touches.  Seeded past the newest replayed id on open.
-    txn_ids: AtomicU64,
     /// What recovery rebuilt when this database was opened (durable engines).
     recovery: Mutex<Option<RecoveryReport>>,
     /// WAL records logged since the last checkpoint (drives auto-checkpoints).
@@ -310,7 +305,10 @@ impl HybridDatabase {
             Duration::from_millis(config.lock_wait_timeout_ms),
             shard_count,
         );
-        let max_replayed_id = replays.iter().map(|r| r.max_txn_id).max().unwrap_or(0);
+        // Transaction ids name WAL records on every shard stream: recovery
+        // keys its committed-transaction map by them, so new ones start past
+        // every id already logged.
+        txn_mgr.resume_txn_ids_after(replays.iter().map(|r| r.max_txn_id).max().unwrap_or(0));
         let slow_log = SlowTxnLog::new(config.slow_txn_threshold_ms);
         let slow_query_log = SlowQueryLog::new(config.slow_query_threshold_ms);
         let db = Arc::new(HybridDatabase {
@@ -323,7 +321,6 @@ impl HybridDatabase {
             metrics,
             olap_route_counter: AtomicU64::new(0),
             commit_counter: AtomicU64::new(0),
-            txn_ids: AtomicU64::new(max_replayed_id + 1),
             recovery: Mutex::new(None),
             wal_records_since_ckpt: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
@@ -441,9 +438,11 @@ impl HybridDatabase {
         self.telemetry_http.lock().as_ref().map(|s| s.local_addr())
     }
 
-    /// True while the background metrics sampler is running.
+    /// True while the background metrics sampler is running (false once it
+    /// has exited or panicked).
     pub fn has_telemetry_sampler(&self) -> bool {
-        self.telemetry.lock().is_some()
+        let sampler = self.telemetry.lock();
+        is_running(sampler.as_ref().and_then(|s| s.handle.as_ref()))
     }
 
     /// Copy of every retained per-interval timeline point, oldest first.
@@ -609,11 +608,6 @@ impl HybridDatabase {
             .collect()
     }
 
-    /// Allocate a WAL transaction id (unique across all shard streams).
-    pub(crate) fn allocate_txn_id(&self) -> u64 {
-        self.txn_ids.fetch_add(1, Ordering::SeqCst)
-    }
-
     /// One shard's write-ahead log.  Only for durable engines: either every
     /// shard has one or none does.
     pub(crate) fn wal_for_shard(&self, shard: usize) -> &Arc<Wal> {
@@ -747,46 +741,25 @@ impl HybridDatabase {
     /// Load a row outside of any transaction (benchmark data population).
     ///
     /// Loading bypasses the cost model and the cluster so that experiment
-    /// setup time does not pollute measurements; the rows are still shipped
-    /// through the owning shard's replication log so the columnar replicas
-    /// converge.  On a durable engine each load is logged as a one-mutation
-    /// transaction on the owning shard's WAL, but the fsync is deferred to
-    /// [`Self::finish_load`] so bulk loading is not throttled to one fsync
-    /// per row.
+    /// setup time does not pollute measurements, but writes through the
+    /// commit stages on the owning shard — open (gate, then a load
+    /// timestamp), log, install (row store and replication feed), markers —
+    /// as a one-mutation transaction under an id from the transaction
+    /// manager.  The sync is deferred to [`Self::finish_load`] so bulk loading
+    /// is not throttled to one fsync per row.
     pub fn load_row(&self, table: &str, row: Row) -> EngineResult<()> {
-        let schema = self.catalog.table(table)?;
-        let key = schema.primary_key_of(&row);
-        let shard_idx = self.shard_for(table, &key);
-        let row_table = self.row_partition(shard_idx, table)?;
-        let shard = &self.shards[shard_idx];
-        let ts = if let Some(wal) = &shard.wal {
-            // The gate is taken before the timestamp is allocated, so a
-            // checkpoint's `(commit_ts, LSN)` cut can never land between
-            // this load's timestamp and its WAL records (same invariant as
-            // `Session::commit`).
-            let _gate = shard.commit_gate.read();
-            let ts = self.txn_mgr.oracle().load_ts();
-            let txn_id = self.allocate_txn_id();
-            let op = WalOp {
-                table: table.to_string(),
-                op: MutationOp::Insert,
-                key: key.clone(),
-                row: Some(row.clone()),
-            };
-            wal.log_mutations(txn_id, std::slice::from_ref(&op), ts)?;
-            row_table.insert(row.clone(), ts)?;
-            wal.log_commit(txn_id, ts)?;
-            self.note_wal_records(3);
-            ts
-        } else {
-            let ts = self.txn_mgr.oracle().load_ts();
-            row_table.insert(row.clone(), ts)?;
-            ts
-        };
-        shard
-            .replication
-            .append(table, MutationOp::Insert, key, Some(row), ts);
-        Ok(())
+        let key = self.catalog.table(table)?.primary_key_of(&row);
+        let at = [self.model.place(table, &key)];
+        let op = [WriteOp::Insert {
+            table: table.to_string(),
+            key,
+            row,
+        }];
+        let mut ctx = CommitCtx::new(self, &at, self.txn_mgr.load_txn_id(), false);
+        ctx.open(|| Ok(self.txn_mgr.oracle().load_ts()))?;
+        ctx.log(&op, &at)?;
+        ctx.install(op, &at)?;
+        ctx.markers()
     }
 
     /// Finish bulk loading: apply all pending replication on every shard so
@@ -1733,6 +1706,30 @@ mod tests {
         assert_eq!(healthz(&db, "delta_compactor"), (false, 503));
         db.shutdown_compactor();
         drop(db);
+    }
+
+    #[test]
+    fn healthz_fails_when_the_telemetry_sampler_has_exited() {
+        let config = EngineConfig::dual_engine().with_telemetry_interval_ms(5);
+        let db = HybridDatabase::new(config).unwrap();
+        assert_eq!(healthz(&db, "telemetry_sampler"), (true, 200));
+        {
+            let sampler = db.telemetry.lock();
+            let sampler = sampler.as_ref().expect("sampler spawned at open");
+            sampler.shutdown.store(true, Ordering::Release);
+            wait_until_finished(sampler.handle.as_ref().unwrap());
+        }
+        assert!(!db.has_telemetry_sampler());
+        assert_eq!(healthz(&db, "telemetry_sampler"), (false, 503));
+        db.shutdown_telemetry(); // still joins the exited thread cleanly
+        drop(db);
+
+        let off =
+            HybridDatabase::new(EngineConfig::dual_engine().with_telemetry_interval_ms(0)).unwrap();
+        let report = off.health_report();
+        let check = report.checks.iter().find(|c| c.name == "telemetry_sampler");
+        assert_eq!(check.unwrap().detail, "not configured");
+        assert_eq!(healthz(&off, "telemetry_sampler"), (true, 200));
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {

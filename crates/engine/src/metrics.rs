@@ -470,7 +470,7 @@ impl EngineMetrics {
 
     /// Record the freshness one analytical read observed at its start.
     ///
-    /// Samples beyond [`FRESHNESS_SAMPLE_CAP`] advance the observation
+    /// Samples beyond the retention cap (2^20) advance the observation
     /// counter but are not retained until a consumer drains the store with
     /// [`EngineMetrics::take_freshness_samples`].
     pub fn record_freshness(&self, sample: FreshnessSample) {

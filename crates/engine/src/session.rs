@@ -26,8 +26,10 @@ use crate::model::{Placement, Work};
 use olxp_query::{
     execute_with, ColumnSource, ExecOptions, ExecStats, Plan, QueryOutput, ShardedRowSource,
 };
-use olxp_storage::{Key, MutationOp, Row, StorageError, Value, WalOp};
+use olxp_storage::{Key, MutationOp, Row, StorageError, Timestamp, Value, WalOp};
+use olxp_trace::SpanCategory;
 use olxp_txn::{IsolationLevel, Transaction, TxnError, WriteOp};
+use parking_lot::RwLockReadGuard;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,359 +104,83 @@ impl Session {
         }
     }
 
-    /// Commit a transaction: validate (under snapshot isolation), install the
-    /// write set into the owning shards' row-table partitions, ship it to the
-    /// per-shard replication logs and report the committed write set to the
-    /// model.
+    /// Commit a transaction.
+    ///
+    /// The commit runs as named stages over one `CommitCtx`, in this order:
+    /// validate (snapshot isolation's first committer wins) → open (each
+    /// touched shard's commit gate, then the commit timestamp) → log (per
+    /// shard, Begin + Mutations, plus Prepare when cross-shard) →
+    /// prepare-force (two-phase commit only) → install (row store and
+    /// replication feed) → markers → release the gates → sync.
     ///
     /// A transaction whose write set touches a single shard commits entirely
     /// within that shard: its gate, its WAL stream, its fsync queue — no
     /// global coordination.  A cross-shard transaction runs two-phase commit:
-    /// mutations and a Prepare record are logged on every touched shard and
-    /// forced durable *before* the single commit timestamp is considered
-    /// decided, then a Commit marker keyed by the global transaction id is
-    /// logged on every shard.  Recovery replays a prepared transaction iff
-    /// any shard's stream holds its Commit marker, so a crash between one
-    /// shard's marker and another's can never half-commit.
+    /// every touched shard's mutations and Prepare record are forced durable
+    /// before any shard logs its Commit marker, all under the transaction's
+    /// one id.  Recovery replays a prepared transaction iff any shard's
+    /// stream holds its Commit marker, so a crash between one shard's marker
+    /// and another's can never half-commit.
     ///
-    /// On a durable engine the commit blocks until its commit markers are
-    /// durable per the configured [`olxp_storage::SyncPolicy`].  A WAL I/O
-    /// failure *after* the write set has been installed finishes the commit
-    /// in memory (the installed and replicated effects cannot be undone) and
-    /// returns the storage error: such an error means the commit's durability
-    /// is unknown and the engine's disk should be treated as failed — it is
-    /// not retryable.
+    /// Every failure before the write set is installed takes one exit: the
+    /// gates are released and the transaction aborts.  On a durable engine
+    /// the commit blocks until its markers are durable per the configured
+    /// [`olxp_storage::SyncPolicy`].  A WAL I/O failure *after* the install
+    /// finishes the commit in memory (the installed and replicated effects
+    /// cannot be undone) and returns the storage error: such an error means
+    /// the commit's durability is unknown and the engine's disk should be
+    /// treated as failed — it is not retryable.
     pub fn commit(&self, mut handle: TxnHandle) -> EngineResult<()> {
-        let mgr = self.db.txn_manager();
-        // The whole commit-path instrumentation hangs off this one relaxed
-        // load; with tracing off every per-stage timestamp below is skipped.
-        let tracing = olxp_trace::enabled();
-        let commit_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-        let trace_txn = handle.txn.id();
-        let mut stage_nanos = [0u64; olxp_trace::SpanCategory::COUNT];
-        // Closes a stage opened at `start`: its span, and its share of the
-        // breakdown.
-        let mut close_stage = |category: olxp_trace::SpanCategory, shard: usize, start: u64| {
-            if tracing {
-                olxp_trace::record_span(category, shard as u32, trace_txn, start);
-                stage_nanos[category.index()] += olxp_trace::now_nanos().saturating_sub(start);
-            }
-        };
-
+        let db = &*self.db;
+        let mgr = db.txn_manager();
         if handle.txn.write_set().is_empty() {
             mgr.finish_commit(&mut handle.txn)?;
-            self.db.note_commit();
+            db.note_commit();
             return Ok(());
         }
-
-        let ops: Vec<WriteOp> = handle.txn.write_set().ops().to_vec();
+        let ops = std::mem::take(handle.txn.write_set_mut()).into_ops();
         let placements = std::mem::take(&mut handle.placements);
-        debug_assert_eq!(
-            ops.len(),
-            placements.len(),
-            "one placement per buffered write"
-        );
+        debug_assert_eq!(ops.len(), placements.len(), "one placement per write");
 
-        // Snapshot isolation: first committer wins.  Each key is validated
-        // against the shard partition that owns it.
-        if handle.txn.isolation().validates_write_conflicts() {
-            for (op, at) in ops.iter().zip(&placements) {
-                let row_table = self.db.row_partition(at.shard, op.table())?;
-                if let Some(latest) = row_table.latest_commit_ts(op.key()) {
-                    if latest > handle.txn.begin_read_ts() {
-                        mgr.abort(&mut handle.txn);
-                        self.db.note_abort();
-                        return Err(TxnError::WriteConflict {
-                            table: op.table().to_string(),
-                            key: op.key().to_string(),
-                        }
-                        .into());
-                    }
-                }
-            }
+        let mut ctx = CommitCtx::new(db, &placements, handle.txn.id(), olxp_trace::enabled());
+        let installed = ctx
+            .validate(&handle.txn, &ops, &placements)
+            .and_then(|()| ctx.open(|| Ok(mgr.prepare_commit(&handle.txn)?)))
+            .and_then(|()| ctx.log(&ops, &placements))
+            .and_then(|()| ctx.prepare_force())
+            .and_then(|()| ctx.install(ops, &placements));
+        if let Err(e) = installed {
+            // Nothing is acknowledged: records already logged have no Commit
+            // marker on any shard, so recovery presumes them aborted.
+            drop(ctx);
+            mgr.abort(&mut handle.txn);
+            db.note_abort();
+            return Err(e);
         }
-
-        // Shards this write set touches, ascending — the global acquisition
-        // order for commit gates (the checkpointer uses the same order, so
-        // gate acquisition cannot deadlock).
-        let mut touched_shards: Vec<usize> = placements.iter().map(|at| at.shard).collect();
-        touched_shards.sort_unstable();
-        touched_shards.dedup();
-        let durable = self.db.is_durable();
-
-        // Durable engines write ahead: each shard's slice of the write set
-        // (begin + mutations) is logged on that shard's stream before any
-        // in-memory install, the commit markers after the install succeeds,
-        // and the commit is acknowledged only once every marker's LSN is
-        // durable per the sync policy.  A crash before any marker leaves
-        // unmarked (or prepared-but-undecided) records that recovery
-        // presumes aborted.  Each touched shard's commit gate is held for
-        // read from *before* the commit-timestamp allocation through that
-        // shard's commit-marker append, so a checkpoint's exclusive
-        // `(commit_ts, LSN)` cut can never land between a transaction's
-        // timestamp and its WAL window on any shard — the invariant
-        // recovery's replay filter depends on.
-        let mut gates = Vec::new();
-        if durable {
-            for &shard in &touched_shards {
-                gates.push(self.db.commit_gate_read_for(shard));
-            }
-        }
-        let commit_ts = match mgr.prepare_commit(&handle.txn) {
-            Ok(ts) => ts,
-            Err(e) => {
-                drop(gates);
-                return Err(e.into());
-            }
-        };
-
-        let mut wal_txn = None;
-        let mut wal_records: u64 = 0;
-        if durable {
-            let txn_id = self.db.allocate_txn_id();
-            let cross_shard = touched_shards.len() > 1;
-            let mut prepare_lsns: Vec<(usize, u64)> = Vec::new();
-            let mut failed = None;
-            for shard in &touched_shards {
-                // This shard's slice of the write set, in statement order.
-                let ops_for_shard: Vec<WalOp> = ops
-                    .iter()
-                    .zip(&placements)
-                    .filter(|(_, at)| at.shard == *shard)
-                    .map(|(op, _)| WalOp {
-                        table: op.table().to_string(),
-                        op: mutation_op(op),
-                        key: op.key().clone(),
-                        row: op.row().cloned(),
-                    })
-                    .collect();
-                let append_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                let wal = self.db.wal_for_shard(*shard);
-                if let Err(e) = wal.log_mutations(txn_id, &ops_for_shard, commit_ts) {
-                    failed = Some(e);
-                    break;
-                }
-                wal_records += ops_for_shard.len() as u64 + 1;
-                if cross_shard {
-                    // Single-shard commits skip the Prepare record and its
-                    // forced sync entirely — their flow is identical to the
-                    // unsharded engine's.
-                    match wal.log_prepare(txn_id) {
-                        Ok(lsn) => {
-                            prepare_lsns.push((*shard, lsn));
-                            wal_records += 1;
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                close_stage(olxp_trace::SpanCategory::WalAppend, *shard, append_start);
-            }
-            if failed.is_none() {
-                // The 2PC log force: every shard's Prepare (and mutations)
-                // must be durable before *any* shard logs a Commit marker.
-                // Otherwise a crash could expose a marker on one shard while
-                // a sibling never persisted the transaction at all, and the
-                // in-doubt rule would have nothing to replay there.
-                for (shard, lsn) in &prepare_lsns {
-                    let prepare_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                    let wal = self.db.wal_for_shard(*shard);
-                    if let Err(e) = wal.sync_to(*lsn) {
-                        failed = Some(e);
-                        break;
-                    }
-                    close_stage(
-                        olxp_trace::SpanCategory::TwoPcPrepare,
-                        *shard,
-                        prepare_start,
-                    );
-                }
-            }
-            if let Some(e) = failed {
-                // Nothing was installed: unmarked records — and prepares
-                // whose transaction has no Commit marker anywhere — are
-                // presumed aborted on recovery.
-                drop(gates);
-                mgr.abort(&mut handle.txn);
-                self.db.note_abort();
-                return Err(EngineError::Storage(e));
-            }
-            wal_txn = Some(txn_id);
-        }
-
-        let install_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-        for (op, at) in ops.iter().zip(&placements) {
-            let row_table = self.db.row_partition(at.shard, op.table())?;
-            let result = match op {
-                WriteOp::Insert { row, .. } => row_table.insert(row.clone(), commit_ts).map(|_| ()),
-                WriteOp::Update { key, row, .. } => row_table.update(key, row.clone(), commit_ts),
-                WriteOp::Delete { key, .. } => row_table.delete(key, commit_ts),
-            };
-            if let Err(e) = result {
-                // Locks prevent concurrent writers to the same keys, so a
-                // failure here means the workload violated its own invariants
-                // (e.g. double insert); surface it after aborting.  On a
-                // durable engine the logged records stay without a Commit
-                // marker on any shard, so recovery never replays this
-                // transaction.
-                drop(gates);
-                mgr.abort(&mut handle.txn);
-                self.db.note_abort();
-                return Err(EngineError::Storage(e));
-            }
-            self.db.replication_for(at.shard).append(
-                op.table(),
-                mutation_op(op),
-                op.key().clone(),
-                op.row().cloned(),
-                commit_ts,
-            );
-        }
-
-        // One install span per commit (spanning every touched shard's
-        // row-store writes), tagged with the first touched shard.
-        close_stage(
-            olxp_trace::SpanCategory::Install,
-            touched_shards[0],
-            install_start,
-        );
-
-        // Past this point the write set is installed in the row store and
-        // queued for replication; those effects cannot be undone.  If a WAL
-        // then refuses a commit marker or an fsync, the transaction is
-        // finished *in memory* (so the engine's state stays consistent with
-        // what readers and replicas already see) and the durability fault is
-        // surfaced as an error: the caller must treat the engine's disk as
-        // failed, not retry the transaction.
-        let wal_error = if let Some(txn_id) = wal_txn {
-            let cross_shard = touched_shards.len() > 1;
-            let mut commit_lsns: Vec<(usize, u64)> = Vec::new();
-            let mut err = None;
-            for &shard in &touched_shards {
-                let marker_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                let wal = self.db.wal_for_shard(shard);
-                match wal.log_commit(txn_id, commit_ts) {
-                    Ok(lsn) => {
-                        commit_lsns.push((shard, lsn));
-                        wal_records += 1;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-                // A cross-shard commit's marker append is its 2PC decision
-                // phase; a single-shard marker is just another WAL append.
-                let category = if cross_shard {
-                    olxp_trace::SpanCategory::TwoPcCommit
-                } else {
-                    olxp_trace::SpanCategory::WalAppend
-                };
-                close_stage(category, shard, marker_start);
-            }
-            drop(gates);
-            if err.is_none() {
-                // Block until every marker is durable (each shard's
-                // group-commit coordinator batches concurrent committers
-                // into shared fsyncs).  The row locks are still held, so
-                // per-key WAL order matches commit-timestamp order.
-                for (shard, lsn) in &commit_lsns {
-                    let fsync_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                    let wal = self.db.wal_for_shard(*shard);
-                    if let Err(e) = wal.sync_to(*lsn) {
-                        err = Some(e);
-                        break;
-                    }
-                    close_stage(olxp_trace::SpanCategory::Fsync, *shard, fsync_start);
-                }
-            }
-            if err.is_none() {
-                self.db.note_wal_records(wal_records);
-            }
-            err
-        } else {
-            drop(gates);
-            None
-        };
-        if let Some(e) = wal_error {
-            mgr.finish_commit(&mut handle.txn)?;
-            self.db.note_commit();
-            return Err(EngineError::Storage(e));
-        }
+        let marked = ctx.markers();
+        ctx.release();
+        let durable = marked.and_then(|()| ctx.sync());
         mgr.finish_commit(&mut handle.txn)?;
-
-        self.db.model().charge(
+        if let Err(e) = durable {
+            // Finished in memory, consistent with what readers and replicas
+            // already see; the durability fault goes to the caller.
+            db.note_commit();
+            return Err(e);
+        }
+        db.model().charge(
             handle.class,
             Work::Commit {
                 writes: &placements,
-                shards: &touched_shards,
-                wal_forced: wal_txn.is_some(),
+                shards: &ctx.shards,
+                wal_forced: ctx.durable,
             },
         );
-        self.db.metrics().add_shard_commits(&touched_shards);
-        self.db.note_commit();
-        if tracing {
-            // Lock waits happened during the statements, not inside this
-            // call, so they join the breakdown here rather than the span.
-            stage_nanos[olxp_trace::SpanCategory::Lock.index()] = handle.lock_wait_nanos;
-            self.finish_commit_trace(
-                trace_txn,
-                wal_txn,
-                commit_start,
-                stage_nanos,
-                &touched_shards,
-            );
-        }
+        db.metrics().add_shard_commits(&ctx.shards);
+        db.note_commit();
+        ctx.finish_trace(handle.lock_wait_nanos);
         // Runs outside the commit gate: the checkpoint takes it exclusively.
-        self.db.maybe_checkpoint();
+        db.maybe_checkpoint();
         Ok(())
-    }
-
-    /// Tracing epilogue of a successful commit: the whole-commit span, one
-    /// stage-histogram update under a single lock hold, and — when the commit
-    /// crossed the configured threshold — a slow-transaction record carrying
-    /// the full breakdown.
-    fn finish_commit_trace(
-        &self,
-        trace_txn: u64,
-        wal_txn: Option<u64>,
-        commit_start: u64,
-        mut stage_nanos: [u64; olxp_trace::SpanCategory::COUNT],
-        touched_shards: &[usize],
-    ) {
-        use olxp_trace::SpanCategory;
-        let total = olxp_trace::now_nanos().saturating_sub(commit_start);
-        stage_nanos[SpanCategory::Commit.index()] = total;
-        olxp_trace::record_span(
-            SpanCategory::Commit,
-            touched_shards.first().map_or(0, |&s| s as u32),
-            trace_txn,
-            commit_start,
-        );
-        let stages: Vec<(SpanCategory, u64)> = olxp_trace::ALL_CATEGORIES
-            .iter()
-            .map(|&c| (c, stage_nanos[c.index()]))
-            .filter(|&(c, nanos)| nanos > 0 || c == SpanCategory::Commit)
-            .collect();
-        // Lock waits were already recorded per acquisition in `lock()`; they
-        // appear in `stages` only so the slow-transaction record is complete.
-        let hist_stages: Vec<(SpanCategory, u64)> = stages
-            .iter()
-            .copied()
-            .filter(|&(c, _)| c != SpanCategory::Lock)
-            .collect();
-        self.db.metrics().record_stages(&hist_stages);
-        let slow_log = self.db.slow_txn_log();
-        if slow_log.is_enabled() && total >= slow_log.threshold_nanos() {
-            slow_log.observe(crate::slowlog::SlowTxnRecord {
-                txn_id: wal_txn.unwrap_or(trace_txn),
-                total_nanos: total,
-                shards: touched_shards.iter().map(|&s| s as u32).collect(),
-                stages,
-            });
-        }
     }
 
     /// Roll back a transaction.
@@ -759,9 +485,9 @@ impl Session {
                 };
                 let freshness = self.ensure_freshness()?;
                 if let Some(start) = fresh_start {
-                    olxp_trace::record_span(olxp_trace::SpanCategory::FreshnessWait, 0, 0, start);
+                    olxp_trace::record_span(SpanCategory::FreshnessWait, 0, 0, start);
                     self.db.metrics().record_stage(
-                        olxp_trace::SpanCategory::FreshnessWait,
+                        SpanCategory::FreshnessWait,
                         olxp_trace::now_nanos().saturating_sub(start),
                     );
                 }
@@ -993,10 +719,10 @@ impl Session {
         // Operator timings only exist while tracing is enabled; one stage
         // histogram entry per operator node the plan executed.
         if !stats.operator_nanos.is_empty() {
-            let durations: Vec<(olxp_trace::SpanCategory, u64)> = stats
+            let durations: Vec<(SpanCategory, u64)> = stats
                 .operator_nanos
                 .iter()
-                .map(|&nanos| (olxp_trace::SpanCategory::QueryOperator, nanos))
+                .map(|&nanos| (SpanCategory::QueryOperator, nanos))
                 .collect();
             self.db.metrics().record_stages(&durations);
         }
@@ -1088,16 +814,305 @@ impl Session {
         handle.lock_wait_nanos += waited;
         if olxp_trace::enabled() {
             olxp_trace::record_span(
-                olxp_trace::SpanCategory::Lock,
+                SpanCategory::Lock,
                 shard as u32,
                 handle.txn.id(),
                 olxp_trace::now_nanos().saturating_sub(waited),
             );
-            self.db
-                .metrics()
-                .record_stage(olxp_trace::SpanCategory::Lock, waited);
+            self.db.metrics().record_stage(SpanCategory::Lock, waited);
         }
         Ok(())
+    }
+}
+
+/// Per-stage timing of one traced commit.
+struct StageClock {
+    /// When the commit started.
+    started: u64,
+    /// When the stage being timed started.
+    stage_start: u64,
+    /// Nanoseconds accumulated per span category.
+    stage_nanos: [u64; SpanCategory::COUNT],
+}
+
+/// One commit in flight: the state its stages share.  [`Session::commit`]
+/// runs every stage; [`HybridDatabase::load_row`] runs open → log → install →
+/// markers on its one shard and leaves the sync to `finish_load`.
+pub(crate) struct CommitCtx<'db> {
+    db: &'db HybridDatabase,
+    /// Shards the write set touches, ascending: the global gate order (the
+    /// checkpointer uses it too, so gate acquisition cannot deadlock).
+    shards: Vec<usize>,
+    /// Read holds on the touched shards' commit gates (durable engines),
+    /// from before the timestamp through the last commit marker.
+    gates: Vec<RwLockReadGuard<'db, ()>>,
+    durable: bool,
+    /// The transaction's one id: WAL records, spans and the slow log.
+    txn_id: u64,
+    commit_ts: Timestamp,
+    /// The LSN the next force waits for, per touched shard: Prepare records
+    /// after the log stage, Commit markers after the markers stage.
+    lsns: Vec<u64>,
+    /// WAL records logged (feeds the checkpoint trigger).
+    wal_records: u64,
+    /// `None` while tracing is off: then no stage reads the clock.
+    clock: Option<StageClock>,
+}
+
+impl<'db> CommitCtx<'db> {
+    /// A commit of writes placed at `placements`, under `txn_id`.
+    pub(crate) fn new(
+        db: &'db HybridDatabase,
+        placements: &[Placement],
+        txn_id: u64,
+        traced: bool,
+    ) -> CommitCtx<'db> {
+        let mut shards: Vec<usize> = placements.iter().map(|at| at.shard).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        CommitCtx {
+            db,
+            shards,
+            gates: Vec::new(),
+            durable: db.is_durable(),
+            txn_id,
+            commit_ts: 0,
+            lsns: Vec::new(),
+            wal_records: 0,
+            clock: traced.then(|| {
+                let now = olxp_trace::now_nanos();
+                StageClock {
+                    started: now,
+                    stage_start: now,
+                    stage_nanos: [0; SpanCategory::COUNT],
+                }
+            }),
+        }
+    }
+
+    fn stage_start(&mut self) {
+        if let Some(clock) = &mut self.clock {
+            clock.stage_start = olxp_trace::now_nanos();
+        }
+    }
+
+    /// Close the stage timed since [`Self::stage_start`]: its span on
+    /// `shard`, and its share of the breakdown.
+    fn stage_end(&mut self, category: SpanCategory, shard: usize) {
+        if let Some(clock) = &mut self.clock {
+            olxp_trace::record_span(category, shard as u32, self.txn_id, clock.stage_start);
+            let nanos = olxp_trace::now_nanos().saturating_sub(clock.stage_start);
+            clock.stage_nanos[category.index()] += nanos;
+        }
+    }
+
+    /// Snapshot isolation's first committer wins: each written key is checked
+    /// against the shard partition that owns it.
+    fn validate(
+        &self,
+        txn: &Transaction,
+        ops: &[WriteOp],
+        placements: &[Placement],
+    ) -> EngineResult<()> {
+        if !txn.isolation().validates_write_conflicts() {
+            return Ok(());
+        }
+        for (op, at) in ops.iter().zip(placements) {
+            let latest = self
+                .db
+                .row_partition(at.shard, op.table())?
+                .latest_commit_ts(op.key());
+            if latest.is_some_and(|ts| ts > txn.begin_read_ts()) {
+                let (table, key) = (op.table().to_string(), op.key().to_string());
+                return Err(TxnError::WriteConflict { table, key }.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Take every touched shard's commit gate (durable engines), then the
+    /// commit timestamp: a checkpoint's exclusive `(commit_ts, LSN)` cut can
+    /// then never land between this timestamp and its WAL records on any
+    /// shard — the invariant recovery's replay filter depends on.
+    pub(crate) fn open(
+        &mut self,
+        timestamp: impl FnOnce() -> EngineResult<Timestamp>,
+    ) -> EngineResult<()> {
+        if self.durable {
+            let db = self.db;
+            self.gates = self
+                .shards
+                .iter()
+                .map(|&s| db.commit_gate_read_for(s))
+                .collect();
+        }
+        self.commit_ts = timestamp()?;
+        Ok(())
+    }
+
+    /// Write ahead, before any install: on each touched shard, Begin and that
+    /// shard's Mutations in statement order, then a Prepare when the commit
+    /// crosses shards.  Single-shard commits skip the Prepare and its forced
+    /// sync, so their flow is the unsharded engine's.
+    pub(crate) fn log(&mut self, ops: &[WriteOp], placements: &[Placement]) -> EngineResult<()> {
+        if !self.durable {
+            return Ok(());
+        }
+        let cross_shard = self.shards.len() > 1;
+        for i in 0..self.shards.len() {
+            let shard = self.shards[i];
+            self.stage_start();
+            let slice: Vec<WalOp> = ops
+                .iter()
+                .zip(placements)
+                .filter(|(_, at)| at.shard == shard)
+                .map(|(op, _)| WalOp {
+                    table: op.table().to_string(),
+                    op: mutation_op(op),
+                    key: op.key().clone(),
+                    row: op.row().cloned(),
+                })
+                .collect();
+            let wal = self.db.wal_for_shard(shard);
+            wal.log_mutations(self.txn_id, &slice, self.commit_ts)?;
+            self.wal_records += slice.len() as u64 + 1;
+            if cross_shard {
+                self.lsns.push(wal.log_prepare(self.txn_id)?);
+                self.wal_records += 1;
+            }
+            self.stage_end(SpanCategory::WalAppend, shard);
+        }
+        Ok(())
+    }
+
+    /// The 2PC log force: every shard's Prepare (and the mutations before it)
+    /// durable before *any* shard logs a Commit marker.  Otherwise a crash
+    /// could expose a marker on one shard while a sibling never persisted the
+    /// transaction, and the in-doubt rule would have nothing to replay there.
+    fn prepare_force(&mut self) -> EngineResult<()> {
+        self.force(SpanCategory::TwoPcPrepare)
+    }
+
+    /// Install each write into its shard's row-table partition at the commit
+    /// timestamp and queue it on that shard's replication log: one row image
+    /// copy, for the row store; the replication record takes the original.
+    pub(crate) fn install(
+        &mut self,
+        ops: impl IntoIterator<Item = WriteOp>,
+        placements: &[Placement],
+    ) -> EngineResult<()> {
+        self.stage_start();
+        let ts = self.commit_ts;
+        for (op, at) in ops.into_iter().zip(placements) {
+            let row_table = self.db.row_partition(at.shard, op.table())?;
+            let (kind, table, key, row) = match op {
+                WriteOp::Insert { table, key, row } => {
+                    row_table.insert(row.clone(), ts)?;
+                    (MutationOp::Insert, table, key, Some(row))
+                }
+                WriteOp::Update { table, key, row } => {
+                    row_table.update(&key, row.clone(), ts)?;
+                    (MutationOp::Update, table, key, Some(row))
+                }
+                WriteOp::Delete { table, key } => {
+                    row_table.delete(&key, ts)?;
+                    (MutationOp::Delete, table, key, None)
+                }
+            };
+            self.db
+                .replication_for(at.shard)
+                .append(&table, kind, key, row, ts);
+        }
+        // One install span per commit, tagged with the first touched shard.
+        self.stage_end(SpanCategory::Install, self.shards[0]);
+        Ok(())
+    }
+
+    /// Each touched shard's Commit marker — a cross-shard commit's 2PC
+    /// decision — whose LSNs the sync stage waits on.
+    pub(crate) fn markers(&mut self) -> EngineResult<()> {
+        if !self.durable {
+            return Ok(());
+        }
+        let category = if self.shards.len() > 1 {
+            SpanCategory::TwoPcCommit
+        } else {
+            SpanCategory::WalAppend
+        };
+        self.lsns.clear();
+        for i in 0..self.shards.len() {
+            let shard = self.shards[i];
+            self.stage_start();
+            let wal = self.db.wal_for_shard(shard);
+            self.lsns.push(wal.log_commit(self.txn_id, self.commit_ts)?);
+            self.wal_records += 1;
+            self.stage_end(category, shard);
+        }
+        self.db.note_wal_records(self.wal_records);
+        Ok(())
+    }
+
+    /// Drop the commit gates once the last marker is logged: the sync wait
+    /// must not hold up a checkpoint.
+    fn release(&mut self) {
+        self.gates.clear();
+    }
+
+    /// Block until every marker is durable per the sync policy (each shard's
+    /// group-commit coordinator batches concurrent committers into shared
+    /// fsyncs).  The row locks are still held, so per-key WAL order matches
+    /// commit-timestamp order.
+    fn sync(&mut self) -> EngineResult<()> {
+        self.force(SpanCategory::Fsync)
+    }
+
+    /// Wait until each touched shard's stream is durable through its entry
+    /// in `lsns` (none is there before the markers of a single-shard commit).
+    fn force(&mut self, category: SpanCategory) -> EngineResult<()> {
+        for i in 0..self.lsns.len() {
+            let shard = self.shards[i];
+            self.stage_start();
+            self.db.wal_for_shard(shard).sync_to(self.lsns[i])?;
+            self.stage_end(category, shard);
+        }
+        Ok(())
+    }
+
+    /// Tracing epilogue of a successful commit: the whole-commit span, one
+    /// stage-histogram update under a single lock hold, and — when the commit
+    /// crossed the configured threshold — a slow-transaction record carrying
+    /// the full breakdown.  Lock waits happened during the statements, not
+    /// inside the commit, so they join the breakdown here rather than a span.
+    fn finish_trace(self, lock_wait_nanos: u64) {
+        let Some(clock) = self.clock else { return };
+        let total = olxp_trace::now_nanos().saturating_sub(clock.started);
+        let mut stage_nanos = clock.stage_nanos;
+        stage_nanos[SpanCategory::Lock.index()] = lock_wait_nanos;
+        stage_nanos[SpanCategory::Commit.index()] = total;
+        let shard = self.shards[0] as u32;
+        olxp_trace::record_span(SpanCategory::Commit, shard, self.txn_id, clock.started);
+        let stages: Vec<(SpanCategory, u64)> = olxp_trace::ALL_CATEGORIES
+            .iter()
+            .map(|&c| (c, stage_nanos[c.index()]))
+            .filter(|&(c, nanos)| nanos > 0 || c == SpanCategory::Commit)
+            .collect();
+        // Lock waits were already recorded per acquisition in `lock()`; they
+        // appear in `stages` only so the slow-transaction record is complete.
+        let hist_stages: Vec<(SpanCategory, u64)> = stages
+            .iter()
+            .copied()
+            .filter(|&(c, _)| c != SpanCategory::Lock)
+            .collect();
+        self.db.metrics().record_stages(&hist_stages);
+        let slow_log = self.db.slow_txn_log();
+        if slow_log.is_enabled() && total >= slow_log.threshold_nanos() {
+            slow_log.observe(crate::slowlog::SlowTxnRecord {
+                txn_id: self.txn_id,
+                total_nanos: total,
+                shards: self.shards.iter().map(|&s| s as u32).collect(),
+                stages,
+            });
+        }
     }
 }
 
@@ -1355,6 +1370,50 @@ mod tests {
             "first-committer-wins must reject the stale writer"
         );
         assert!(commit_result.unwrap_err().is_retryable());
+    }
+
+    #[test]
+    fn write_conflict_aborts_once_and_frees_the_key() {
+        let db = test_db(EngineConfig::dual_engine());
+        let session = db.session();
+        let item = |price: i64| {
+            Row::new(vec![
+                Value::Int(9),
+                Value::Str("item-9".into()),
+                Value::Decimal(price),
+            ])
+        };
+        let mut stale = session.begin(WorkClass::Oltp);
+        let mut winner = session.begin(WorkClass::Oltp);
+        session
+            .update(&mut winner, "ITEM", &Key::int(9), item(1))
+            .unwrap();
+        session.commit(winner).unwrap();
+        session
+            .update(&mut stale, "ITEM", &Key::int(9), item(2))
+            .unwrap();
+
+        let before = db.metrics_snapshot();
+        let locks_before = db.txn_manager().stats().locks;
+        let err = session.commit(stale).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::Txn(TxnError::WriteConflict { .. })
+        ));
+        let after = db.metrics_snapshot();
+        assert_eq!(after.aborts - before.aborts, 1, "one abort per rejection");
+        assert_eq!(after.commits, before.commits);
+
+        // The rejected commit released the key's write lock: a younger
+        // transaction takes it at once, without waiting or dying.
+        let mut next = session.begin(WorkClass::Oltp);
+        session
+            .update(&mut next, "ITEM", &Key::int(9), item(3))
+            .unwrap();
+        let locks = db.txn_manager().stats().locks;
+        assert_eq!(locks.contended, locks_before.contended);
+        assert_eq!(locks.wait_die_aborts, locks_before.wait_die_aborts);
+        session.commit(next).unwrap();
     }
 
     #[test]
@@ -1693,6 +1752,55 @@ mod tests {
 
         olxp_trace::set_enabled(false);
         drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_transaction_has_one_id_in_spans_and_the_wal() {
+        let _serial = trace_gate_lock();
+        let dir = trace_temp_dir("one-id");
+        let durability = crate::config::DurabilityConfig::at(&dir);
+        let segment_bytes = durability.segment_bytes;
+        let config = EngineConfig::dual_engine()
+            .with_shards(1)
+            .with_durability(durability)
+            .with_tracing(true);
+        // The load gives every row an id of its own before the commit below.
+        let db = test_db(config);
+        let session = db.session();
+        let _ = olxp_trace::take_events();
+
+        let mut txn = session.begin(WorkClass::Oltp);
+        let id = txn.txn().id();
+        let row = Row::new(vec![
+            Value::Int(3),
+            Value::Str("one-id".into()),
+            Value::Decimal(3),
+        ]);
+        session.update(&mut txn, "ITEM", &Key::int(3), row).unwrap();
+        session.commit(txn).unwrap();
+        let commit_spans: Vec<u64> = olxp_trace::take_events()
+            .iter()
+            .filter(|tagged| tagged.event.category == SpanCategory::Commit)
+            .map(|tagged| tagged.event.txn_id)
+            .collect();
+        assert!(commit_spans.contains(&id), "Commit span under {id}");
+        olxp_trace::set_enabled(false);
+        db.simulate_crash();
+        drop(db);
+
+        let (_, replay) = olxp_storage::Wal::open_named(
+            &dir,
+            "wal",
+            olxp_storage::SyncPolicy::Never,
+            segment_bytes,
+        )
+        .unwrap();
+        let last_commit = replay.records.iter().rev().find_map(|r| match r.record {
+            olxp_storage::WalRecord::Commit { txn_id, .. } => Some(txn_id),
+            _ => None,
+        });
+        assert_eq!(last_commit, Some(id), "the WAL logs the span's id");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -400,35 +400,24 @@ const MAX_REPLICATION_ERROR_RATE: f64 = 0.01;
 /// progress.
 pub fn health_report(db: &HybridDatabase) -> HealthReport {
     let snapshot = db.metrics_snapshot();
-    let mut checks = Vec::new();
-
-    let applier_expected = db.config().background_applier;
-    let applier_ok = !applier_expected || db.has_background_applier();
-    checks.push(HealthCheck {
-        name: "replication_applier",
-        healthy: applier_ok,
-        detail: if !applier_expected {
-            "not configured".to_string()
-        } else if applier_ok {
-            "running".to_string()
-        } else {
-            "configured but not running".to_string()
-        },
-    });
-
-    let compactor_expected = db.config().compression;
-    let compactor_ok = !compactor_expected || db.has_background_compactor();
-    checks.push(HealthCheck {
-        name: "delta_compactor",
-        healthy: compactor_ok,
-        detail: if !compactor_expected {
-            "not configured".to_string()
-        } else if compactor_ok {
-            "running".to_string()
-        } else {
-            "configured but not running".to_string()
-        },
-    });
+    let config = db.config();
+    let mut checks = vec![
+        thread_check(
+            "replication_applier",
+            config.background_applier,
+            db.has_background_applier(),
+        ),
+        thread_check(
+            "delta_compactor",
+            config.compression,
+            db.has_background_compactor(),
+        ),
+        thread_check(
+            "telemetry_sampler",
+            config.telemetry_interval_ms > 0,
+            db.has_telemetry_sampler(),
+        ),
+    ];
 
     let error_rate =
         snapshot.replication_errors as f64 / (snapshot.replication_applied.max(1)) as f64;
@@ -464,6 +453,21 @@ pub fn health_report(db: &HybridDatabase) -> HealthReport {
     });
 
     HealthReport { checks }
+}
+
+/// The liveness check of an optional background thread: healthy when it is
+/// not configured, or configured and still running.
+fn thread_check(name: &'static str, configured: bool, running: bool) -> HealthCheck {
+    let detail = match (configured, running) {
+        (false, _) => "not configured",
+        (true, true) => "running",
+        (true, false) => "configured but not running",
+    };
+    HealthCheck {
+        name,
+        healthy: !configured || running,
+        detail: detail.to_string(),
+    }
 }
 
 /// Render the full Prometheus text exposition for `/metrics`: liveness, the

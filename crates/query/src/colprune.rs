@@ -1,6 +1,6 @@
 //! Column pruning: narrow every table scan to the columns the plan reads.
 //!
-//! [`prune_columns`] walks a plan top-down carrying the set of output
+//! `prune_columns` walks a plan top-down carrying the set of output
 //! positions the operators above a node read, and derives per operator what
 //! it needs of its input:
 //!

@@ -13,8 +13,8 @@
 use crate::expr::Expr;
 use olxp_storage::{ColumnPredicate, PredicateOp, ScanPredicate};
 
-/// A pruning request carried from the executor to a [`DataSource`]
-/// (`crate::source::DataSource`): which chunks may be skipped.  The executor
+/// A pruning request carried from the executor to a
+/// [`DataSource`](crate::DataSource): which chunks may be skipped.  The executor
 /// builds one only while [`ExecOptions::pruning`](crate::ExecOptions) is on;
 /// without one, sources take the unpruned path.
 #[derive(Debug, Clone)]

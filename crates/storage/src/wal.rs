@@ -134,12 +134,12 @@ pub enum WalRecord {
     },
     /// A transaction started writing its commit group.
     Begin {
-        /// WAL-scoped transaction group id.
+        /// The writing transaction's engine-wide id.
         txn_id: u64,
     },
     /// One mutation of a transaction's write set.
     Mutation {
-        /// WAL-scoped transaction group id.
+        /// The writing transaction's engine-wide id.
         txn_id: u64,
         /// The mutation.
         op: WalOp,
@@ -150,7 +150,7 @@ pub enum WalRecord {
     /// mutations only when its commit marker is present: a crash between the
     /// mutations and the marker means the commit was never acknowledged.
     Commit {
-        /// WAL-scoped transaction group id.
+        /// The writing transaction's engine-wide id.
         txn_id: u64,
         /// Commit timestamp of the transaction.
         commit_ts: Timestamp,
@@ -161,7 +161,7 @@ pub enum WalRecord {
     /// transaction as *in doubt*: it commits iff **any** shard's log holds the
     /// transaction's `Commit` marker, and is presumed aborted otherwise.
     Prepare {
-        /// Global (engine-scoped) transaction id shared by every shard.
+        /// The writing transaction's engine-wide id.
         txn_id: u64,
     },
 }
@@ -184,7 +184,7 @@ pub struct WalReplay {
     pub truncated_bytes: u64,
     /// Total log bytes scanned.
     pub scanned_bytes: u64,
-    /// Highest transaction group id seen (new ids are allocated above it).
+    /// Highest transaction id seen (the engine resumes its ids above it).
     pub max_txn_id: u64,
 }
 
@@ -283,7 +283,6 @@ pub struct Wal {
     inner: Mutex<WalInner>,
     sync: Mutex<SyncState>,
     sync_cv: Condvar,
-    next_txn_id: AtomicU64,
     stats: WalCounters,
 }
 
@@ -381,7 +380,6 @@ impl Wal {
                 ..SyncState::default()
             }),
             sync_cv: Condvar::new(),
-            next_txn_id: AtomicU64::new(replay.max_txn_id + 1),
             stats: WalCounters::default(),
         };
         Ok((wal, replay))
@@ -400,13 +398,6 @@ impl Wal {
     /// Highest LSN known durable.
     pub fn durable_lsn(&self) -> u64 {
         self.sync.lock().durable_lsn
-    }
-
-    /// Allocate a WAL-scoped transaction group id.  Ids are unique across the
-    /// whole life of the log (they restart above the replayed maximum), so
-    /// recovery can never confuse the mutations of two different runs.
-    pub fn allocate_txn_id(&self) -> u64 {
-        self.next_txn_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Append a `CreateTable` record, returning its LSN.
@@ -1315,7 +1306,10 @@ mod tests {
     }
 
     fn log_one_txn(wal: &Wal, id: i64, commit_ts: Timestamp) -> u64 {
-        let txn = wal.allocate_txn_id();
+        // The engine draws ids from its transaction manager; here a local
+        // counter keeps every test transaction's id unique.
+        static NEXT_TXN: AtomicU64 = AtomicU64::new(1);
+        let txn = NEXT_TXN.fetch_add(1, Ordering::Relaxed);
         wal.log_mutations(txn, &[op(id)], commit_ts).unwrap();
         let lsn = wal.log_commit(txn, commit_ts).unwrap();
         wal.sync_to(lsn).unwrap();
@@ -1573,7 +1567,7 @@ mod tests {
         let dir = temp_dir("prepare");
         {
             let (wal, _) = Wal::open(&dir, SyncPolicy::Always, 1 << 20).unwrap();
-            let txn = wal.allocate_txn_id();
+            let txn = 1;
             wal.log_mutations(txn, &[op(1)], 9).unwrap();
             let lsn = wal.log_prepare(txn).unwrap();
             wal.sync_to(lsn).unwrap();
@@ -1599,7 +1593,7 @@ mod tests {
     fn durable_lsn_tracks_fsyncs_not_appends() {
         let dir = temp_dir("durable");
         let (wal, _) = Wal::open(&dir, SyncPolicy::Never, 1 << 20).unwrap();
-        let txn = wal.allocate_txn_id();
+        let txn = 1;
         wal.log_mutations(txn, &[op(1)], 1).unwrap();
         let lsn = wal.log_commit(txn, 1).unwrap();
         assert_eq!(wal.last_lsn(), lsn);

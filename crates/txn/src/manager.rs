@@ -5,6 +5,7 @@ use crate::isolation::IsolationLevel;
 use crate::locks::{LockManager, LockStatsSnapshot};
 use crate::oracle::TimestampOracle;
 use crate::transaction::{Transaction, TxnState};
+use crate::TxnId;
 use olxp_storage::{Key, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,6 +95,21 @@ impl TransactionManager {
         Transaction::new(id, isolation, self.oracle.read_ts())
     }
 
+    /// A fresh id from the sequence [`Self::begin`] draws from, without
+    /// beginning (or counting) a transaction: bulk loading logs each row
+    /// under one, so every id names one unit of work in spans, WAL and logs.
+    pub fn load_txn_id(&self) -> TxnId {
+        self.next_txn_id.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Fast-forward the id sequence past `id`, so no later transaction reuses
+    /// an id already in the WAL.  Recovery calls it with the largest id it
+    /// replayed; never moves backwards.
+    pub fn resume_txn_ids_after(&self, id: TxnId) {
+        self.next_txn_id
+            .fetch_max(id.saturating_add(1), Ordering::SeqCst);
+    }
+
     /// The snapshot a statement of `txn` should read from.
     ///
     /// Repeatable read pins the begin snapshot; read committed refreshes the
@@ -107,15 +123,15 @@ impl TransactionManager {
     }
 
     /// Acquire the exclusive row lock `(table, key)` for `txn` in the first
-    /// shard's lock table, charging any wait time to the transaction.
+    /// shard's lock table.
     pub fn lock_for_write(&self, txn: &mut Transaction, table: &str, key: &Key) -> TxnResult<()> {
         self.lock_for_write_on(0, txn, table, key)
     }
 
     /// Acquire the exclusive row lock `(table, key)` for `txn` in the lock
-    /// table of storage shard `shard`, charging any wait time to the
-    /// transaction.  The caller is responsible for routing: the same
-    /// `(table, key)` must always be locked on the same shard.
+    /// table of storage shard `shard`.  The caller is responsible for
+    /// routing: the same `(table, key)` must always be locked on the same
+    /// shard.
     pub fn lock_for_write_on(
         &self,
         shard: usize,
@@ -129,8 +145,7 @@ impl TransactionManager {
                 state: txn.state_name(),
             });
         }
-        let waited = self.locks[shard].lock_exclusive(txn.id(), table, key)?;
-        txn.add_lock_wait(waited);
+        self.locks[shard].lock_exclusive(txn.id(), table, key)?;
         Ok(())
     }
 
@@ -153,29 +168,12 @@ impl TransactionManager {
         total
     }
 
-    /// Commit `txn`: allocate the commit timestamp, mark the handle committed
-    /// and release its locks.  The *caller* (the engine) is responsible for
-    /// applying the write set to storage using the returned timestamp and for
-    /// performing snapshot-isolation write-conflict validation beforehand.
-    pub fn commit(&self, txn: &mut Transaction) -> TxnResult<Timestamp> {
-        if !txn.is_active() {
-            return Err(TxnError::InvalidState {
-                operation: "commit",
-                state: txn.state_name(),
-            });
-        }
-        let commit_ts = self.oracle.commit_ts();
-        txn.mark_committed();
-        self.release_everywhere(txn.id());
-        self.committed.fetch_add(1, Ordering::Relaxed);
-        Ok(commit_ts)
-    }
-
     /// Allocate a commit timestamp for `txn` *without* finishing it.
     ///
-    /// The engine uses this to install the write set into storage stamped with
-    /// the commit timestamp while still holding the transaction's locks, and
-    /// then calls [`Self::finish_commit`].  Splitting the two steps closes the
+    /// The engine validates snapshot-isolation write conflicts beforehand,
+    /// uses this to install the write set into storage stamped with the
+    /// commit timestamp while still holding the transaction's locks, and then
+    /// calls [`Self::finish_commit`].  Splitting the two steps closes the
     /// window in which another snapshot could observe the commit timestamp but
     /// not yet the installed versions.
     pub fn prepare_commit(&self, txn: &Transaction) -> TxnResult<Timestamp> {
@@ -235,6 +233,13 @@ impl Default for TransactionManager {
 mod tests {
     use super::*;
 
+    /// The engine's two-step commit with nothing installed in between.
+    fn commit(mgr: &TransactionManager, txn: &mut Transaction) -> TxnResult<Timestamp> {
+        let ts = mgr.prepare_commit(txn)?;
+        mgr.finish_commit(txn)?;
+        Ok(ts)
+    }
+
     #[test]
     fn begin_assigns_increasing_ids_and_snapshots() {
         let mgr = TransactionManager::new();
@@ -242,6 +247,17 @@ mod tests {
         let b = mgr.begin(IsolationLevel::RepeatableRead);
         assert!(b.id() > a.id());
         assert!(b.begin_read_ts() >= a.begin_read_ts());
+    }
+
+    #[test]
+    fn load_ids_share_the_begin_sequence_and_resume_past_recovery() {
+        let mgr = TransactionManager::new();
+        let loaded = mgr.load_txn_id();
+        assert!(mgr.begin(IsolationLevel::RepeatableRead).id() > loaded);
+        assert_eq!(mgr.stats().begun, 1, "a load id begins no transaction");
+        mgr.resume_txn_ids_after(100);
+        mgr.resume_txn_ids_after(5); // never rewinds
+        assert_eq!(mgr.load_txn_id(), 101);
     }
 
     #[test]
@@ -253,7 +269,7 @@ mod tests {
         let before_rc = mgr.statement_read_ts(&rc);
         // Another transaction commits, advancing the clock.
         let mut other = mgr.begin(IsolationLevel::RepeatableRead);
-        mgr.commit(&mut other).unwrap();
+        commit(&mgr, &mut other).unwrap();
         assert_eq!(mgr.statement_read_ts(&rr), before_rr);
         assert!(mgr.statement_read_ts(&rc) > before_rc);
     }
@@ -264,7 +280,7 @@ mod tests {
         let mut txn = mgr.begin(IsolationLevel::RepeatableRead);
         mgr.lock_for_write(&mut txn, "ITEM", &Key::int(1)).unwrap();
         assert_eq!(mgr.locks().held_by(txn.id()), 1);
-        let ts = mgr.commit(&mut txn).unwrap();
+        let ts = commit(&mgr, &mut txn).unwrap();
         assert!(ts > 0);
         assert_eq!(mgr.locks().held_by(txn.id()), 0);
         assert_eq!(mgr.stats().committed, 1);
@@ -274,9 +290,9 @@ mod tests {
     fn double_commit_is_rejected() {
         let mgr = TransactionManager::new();
         let mut txn = mgr.begin(IsolationLevel::ReadCommitted);
-        mgr.commit(&mut txn).unwrap();
+        commit(&mgr, &mut txn).unwrap();
         assert!(matches!(
-            mgr.commit(&mut txn),
+            commit(&mgr, &mut txn),
             Err(TxnError::InvalidState { .. })
         ));
     }
@@ -345,6 +361,6 @@ mod tests {
         let err = mgr.lock_for_write(&mut young, "ITEM", &Key::int(7));
         assert!(matches!(err, Err(TxnError::Aborted { .. })));
         mgr.abort(&mut young);
-        mgr.commit(&mut old).unwrap();
+        commit(&mgr, &mut old).unwrap();
     }
 }

@@ -101,6 +101,11 @@ impl WriteSet {
         &self.ops
     }
 
+    /// The operations in execution order, by value (a commit installs them).
+    pub fn into_ops(self) -> Vec<WriteOp> {
+        self.ops
+    }
+
     /// Number of buffered operations.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -131,7 +136,7 @@ impl WriteSet {
 /// A transaction handle.
 ///
 /// The handle is a passive record: it owns the snapshot timestamp, the write
-/// set and bookkeeping counters; the engine session drives reads, writes and
+/// set and the lifecycle state; the engine session drives reads, writes and
 /// commit against it.
 #[derive(Debug)]
 pub struct Transaction {
@@ -140,7 +145,6 @@ pub struct Transaction {
     begin_read_ts: Timestamp,
     state: TxnState,
     write_set: WriteSet,
-    lock_wait_nanos: u64,
 }
 
 impl Transaction {
@@ -152,7 +156,6 @@ impl Transaction {
             begin_read_ts,
             state: TxnState::Active,
             write_set: WriteSet::new(),
-            lock_wait_nanos: 0,
         }
     }
 
@@ -189,16 +192,6 @@ impl Transaction {
     /// Mutable access to the buffered writes (engine only).
     pub fn write_set_mut(&mut self) -> &mut WriteSet {
         &mut self.write_set
-    }
-
-    /// Record lock wait time charged to this transaction.
-    pub fn add_lock_wait(&mut self, nanos: u64) {
-        self.lock_wait_nanos += nanos;
-    }
-
-    /// Total lock wait time charged so far.
-    pub fn lock_wait_nanos(&self) -> u64 {
-        self.lock_wait_nanos
     }
 
     /// Mark committed (manager only).
@@ -282,8 +275,6 @@ mod tests {
         let mut txn = Transaction::new(3, IsolationLevel::RepeatableRead, 42);
         assert!(txn.is_active());
         assert_eq!(txn.begin_read_ts(), 42);
-        txn.add_lock_wait(1_000);
-        assert_eq!(txn.lock_wait_nanos(), 1_000);
         txn.mark_committed();
         assert_eq!(txn.state(), TxnState::Committed);
         assert!(!txn.is_active());
