@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use olxpbench::prelude::*;
 use olxpbench::query::{
-    execute, execute_with, expr::like_match, ColumnSource, ExecOptions, RowSource,
+    execute, execute_with, expr::like_match, ColumnSource, ExecOptions, ShardedRowSource,
 };
 use olxpbench::storage::{ColumnTable, RowTable};
 use std::collections::HashMap;
@@ -85,7 +85,7 @@ fn bench_plans(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(800));
     group.sample_size(15);
     let tables = orders_fixture(10_000);
-    let source = RowSource::new(&tables, 10);
+    let source = ShardedRowSource::new(vec![Arc::new(tables)], 10);
 
     let filter_plan =
         QueryBuilder::scan_where("ORDERS", col(2).gt(lit(Value::Decimal(900)))).build();

@@ -74,7 +74,6 @@ fn overhead_run(traced: bool, opts: &ExpOptions) -> OverheadRun {
             ..BenchConfig::default()
         },
     );
-    db.shutdown_applier();
     OverheadRun {
         throughput: result.oltp_throughput(),
         mean_ms: result.oltp_mean_ms(),
@@ -232,7 +231,6 @@ fn telemetry_run(live: bool, opts: &ExpOptions) -> OverheadRun {
             ..BenchConfig::default()
         },
     );
-    db.shutdown_applier();
     OverheadRun {
         throughput: result.oltp_throughput(),
         mean_ms: result.oltp_mean_ms(),

@@ -2,7 +2,7 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::model::{CostParams, StorageMedium};
-use olxp_storage::{SyncPolicy, DEFAULT_BATCH_SIZE};
+use olxp_storage::SyncPolicy;
 use olxp_txn::IsolationLevel;
 use serde::{Deserialize, Serialize};
 
@@ -204,31 +204,16 @@ pub struct EngineConfig {
     /// nanoseconds.  `1.0` runs the model in real time; smaller values speed
     /// experiments up uniformly without changing any ratio.
     pub time_scale: f64,
-    /// Maximum replication records applied per opportunistic catch-up step.
-    pub replication_batch: usize,
     /// Fraction (0–100) of standalone analytical queries the dual engine's
     /// optimizer routes to the row store instead of the columnar replica
     /// ("the scan tables operations can occur in the row store of TiKV or the
     /// column store of TiFlash", §V-B1).
     pub analytical_rowstore_percent: u64,
-    /// Lock wait timeout in milliseconds.
-    pub lock_wait_timeout_ms: u64,
-    /// Row slots per column batch flowing through the vectorized query
-    /// executor (must be >= 1).  Larger batches amortize per-batch overhead;
-    /// smaller ones bound operator working sets.
-    pub batch_size: usize,
     /// Run a dedicated background applier thread that continuously drains the
     /// replication log into the columnar replicas.  When disabled, replication
     /// is applied opportunistically by sessions (the seed behaviour), and
     /// freshness-bounded reads catch the replica up synchronously.
     pub background_applier: bool,
-    /// How long the background applier parks (microseconds) when the
-    /// replication queue is empty before re-checking for shutdown.  Appends
-    /// and shutdown wake it immediately; this only bounds the worst-case
-    /// shutdown latency when a shutdown notification races the park, so it
-    /// can be generous — a short value just makes an idle applier churn the
-    /// scheduler.
-    pub applier_idle_wait_us: u64,
     /// Freshness bound enforced on column-store analytical reads.
     pub freshness: FreshnessPolicy,
     /// Upper bound (milliseconds) a freshness-bounded read waits for the
@@ -256,11 +241,6 @@ pub struct EngineConfig {
     /// variable (`off`/`0`/`false`/`none` disables) so the whole test suite
     /// can be re-run without compression without code changes.
     pub compression: bool,
-    /// How long the background compactor parks (microseconds) between sweeps
-    /// when no table has a full delta chunk to seal.  Replication appliers
-    /// nudge it after applying mutations; this bounds staleness when writes
-    /// arrive while it is parked and the worst-case shutdown latency.
-    pub compactor_idle_wait_us: u64,
     /// Record lifecycle spans (lock, WAL append, fsync, install, 2PC,
     /// replication apply, compaction, query operators) and per-stage latency
     /// histograms.  When disabled, every instrumentation site reduces to a
@@ -355,18 +335,13 @@ impl EngineConfig {
             buffer_pool_pages: 512,
             cost: CostParams::default(),
             time_scale: 1.0,
-            replication_batch: 512,
             analytical_rowstore_percent: 100,
-            lock_wait_timeout_ms: 500,
-            batch_size: DEFAULT_BATCH_SIZE,
             background_applier: true,
-            applier_idle_wait_us: 10_000,
             freshness: FreshnessPolicy::Eventual,
             freshness_timeout_ms: 2_000,
             durability: DurabilityConfig::disabled(),
             shards: default_shards(),
             compression: default_compression(),
-            compactor_idle_wait_us: 10_000,
             tracing: default_tracing(),
             slow_txn_threshold_ms: 0,
             slow_query_threshold_ms: 0,
@@ -379,28 +354,8 @@ impl EngineConfig {
     pub fn dual_engine() -> EngineConfig {
         EngineConfig {
             architecture: EngineArchitecture::DualEngine,
-            nodes: 4,
-            workers_per_node: 6,
-            buffer_pool_pages: 512,
-            cost: CostParams::default(),
-            time_scale: 1.0,
-            replication_batch: 512,
             analytical_rowstore_percent: 40,
-            lock_wait_timeout_ms: 500,
-            batch_size: DEFAULT_BATCH_SIZE,
-            background_applier: true,
-            applier_idle_wait_us: 10_000,
-            freshness: FreshnessPolicy::Eventual,
-            freshness_timeout_ms: 2_000,
-            durability: DurabilityConfig::disabled(),
-            shards: default_shards(),
-            compression: default_compression(),
-            compactor_idle_wait_us: 10_000,
-            tracing: default_tracing(),
-            slow_txn_threshold_ms: 0,
-            slow_query_threshold_ms: 0,
-            telemetry_addr: default_telemetry_addr(),
-            telemetry_interval_ms: 250,
+            ..EngineConfig::single_engine()
         }
     }
 
@@ -434,12 +389,6 @@ impl EngineConfig {
     /// Override the cost model (builder style).
     pub fn with_cost(mut self, cost: CostParams) -> EngineConfig {
         self.cost = cost;
-        self
-    }
-
-    /// Override the executor batch size (builder style).
-    pub fn with_batch_size(mut self, batch_size: usize) -> EngineConfig {
-        self.batch_size = batch_size;
         self
     }
 
@@ -559,25 +508,9 @@ impl EngineConfig {
                 "analytical_rowstore_percent must be in 0..=100".into(),
             ));
         }
-        if self.replication_batch == 0 {
-            return Err(EngineError::Config("replication_batch must be >= 1".into()));
-        }
-        if self.batch_size == 0 {
-            return Err(EngineError::Config("batch_size must be >= 1".into()));
-        }
-        if self.applier_idle_wait_us == 0 {
-            return Err(EngineError::Config(
-                "applier_idle_wait_us must be >= 1".into(),
-            ));
-        }
         if self.freshness.is_bounded() && self.freshness_timeout_ms == 0 {
             return Err(EngineError::Config(
                 "freshness_timeout_ms must be >= 1 under a bounded freshness policy".into(),
-            ));
-        }
-        if self.compactor_idle_wait_us == 0 {
-            return Err(EngineError::Config(
-                "compactor_idle_wait_us must be >= 1".into(),
             ));
         }
         if self.shards == 0 {
@@ -646,13 +579,6 @@ mod tests {
         let mut cfg = EngineConfig::dual_engine();
         cfg.analytical_rowstore_percent = 200;
         assert!(cfg.validate().is_err());
-        let mut cfg = EngineConfig::dual_engine();
-        cfg.replication_batch = 0;
-        assert!(cfg.validate().is_err());
-        assert!(EngineConfig::dual_engine()
-            .with_batch_size(0)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -666,9 +592,6 @@ mod tests {
         let bad = EngineConfig::dual_engine()
             .with_freshness(FreshnessPolicy::Strict)
             .with_freshness_timeout_ms(0);
-        assert!(bad.validate().is_err());
-        let mut bad = EngineConfig::dual_engine();
-        bad.applier_idle_wait_us = 0;
         assert!(bad.validate().is_err());
         // An unbounded policy tolerates a zero timeout (it never waits).
         let eventual = EngineConfig::dual_engine().with_freshness_timeout_ms(0);
@@ -755,9 +678,6 @@ mod tests {
         let off = EngineConfig::dual_engine().with_compression(false);
         assert!(!off.compression);
         assert!(off.validate().is_ok());
-        let mut bad = EngineConfig::dual_engine();
-        bad.compactor_idle_wait_us = 0;
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -784,13 +704,5 @@ mod tests {
 
         let blank = EngineConfig::dual_engine().with_telemetry_addr("  ");
         assert!(blank.validate().is_err());
-    }
-
-    #[test]
-    fn batch_size_defaults_and_overrides() {
-        assert_eq!(EngineConfig::dual_engine().batch_size, DEFAULT_BATCH_SIZE);
-        let cfg = EngineConfig::single_engine().with_batch_size(64);
-        assert_eq!(cfg.batch_size, 64);
-        assert!(cfg.validate().is_ok());
     }
 }

@@ -1,38 +1,45 @@
 //! The HTAP database facade.
 //!
-//! Since the sharding refactor the write path is hash-partitioned into N
-//! engine shards.  Each shard owns its own `RowTable` partition of every
-//! table, its own lock table (held by the transaction manager), its own
-//! replication log + applier feeding the shared columnar replicas, its own
-//! segmented WAL stream (`wal-shard<K>-<seq>.seg`) and its own commit gate.
-//! The timestamp oracle stays global: it is the single commit-timestamp
-//! authority, so snapshots remain consistent across shards.  `shards = 1`
-//! is behaviorally identical to the unsharded engine (including WAL file
-//! names), which keeps the seed configuration and all existing tests valid.
+//! The write path is hash-partitioned into N engine shards (see
+//! `shard.rs`): each owns its own `RowTable` partition of every table, its
+//! own lock table (held by the transaction manager), its own replication log
+//! and applier feeding the shared columnar replicas, its own segmented WAL
+//! stream (`wal-shard<K>-<seq>.seg`) and its own commit gate.  The timestamp
+//! oracle stays global: it is the single commit-timestamp authority, so
+//! snapshots remain consistent across shards.  `shards = 1` is behaviorally
+//! identical to the unsharded engine (including WAL file names).
+//!
+//! Checkpoints and crash recovery live in `recovery.rs`, and the applier,
+//! compactor and sampler threads share one lifecycle in `background.rs`.
 
+use crate::background::{self, Worker, REPLICATION_BATCH};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics};
-use crate::model::{Model, Placement};
+use crate::model::Model;
 use crate::session::{CommitCtx, Session};
+use crate::shard::Shard;
 use crate::slowlog::{SlowQueryLog, SlowTxnLog};
-use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetrySampler, TelemetryState};
-use olxp_storage::checkpoint::{load_latest_checkpoint, write_checkpoint};
-use olxp_storage::wal::{ReplayedRecord, WalReplay};
+use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetryState};
+use olxp_storage::checkpoint::load_latest_checkpoint;
 use olxp_storage::{
-    Catalog, CheckpointData, ColumnTable, Key, MemoryFootprint, MutationOp, ReplicationLog,
-    Replicator, Row, RowTable, StorageError, TableCheckpoint, TableSchema, Timestamp, Wal, WalOp,
-    WalRecord,
+    Catalog, ColumnTable, MemoryFootprint, Row, RowTable, StorageError, TableSchema,
 };
 use olxp_trace::TelemetryServer;
 use olxp_txn::{TransactionManager, WriteOp};
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
-use std::collections::{HashMap, HashSet};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+pub use crate::recovery::RecoveryReport;
+pub use crate::shard::shard_of;
+
+/// How long a transaction waits for a row lock before giving up.
+const LOCK_WAIT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Which physical store a standalone analytical query is routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,131 +50,9 @@ pub enum AnalyticalRoute {
     ColumnStore,
 }
 
-/// The dedicated replication applier thread and its shutdown plumbing.
-struct BackgroundApplier {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// True while a stored background thread has neither exited nor panicked.
-fn is_running(handle: Option<&std::thread::JoinHandle<()>>) -> bool {
-    handle.is_some_and(|handle| !handle.is_finished())
-}
-
-/// The dedicated delta-compactor thread and its shutdown plumbing.
-struct BackgroundCompactor {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Wake-up signal between the writers that grow delta tails (the replication
-/// appliers and opportunistic catch-up) and the background compactor.
-///
-/// A plain `Mutex<bool>` + condvar rather than a queue: the compactor sweeps
-/// every table anyway, so all a notification needs to convey is "something
-/// was applied since your last sweep".  The flag absorbs notifications that
-/// arrive while the compactor is mid-sweep, so work is never missed, and the
-/// timed wait bounds staleness if a notification is ever lost.
-struct CompactionSignal {
-    pending: Mutex<bool>,
-    condvar: Condvar,
-}
-
-impl CompactionSignal {
-    fn new() -> CompactionSignal {
-        CompactionSignal {
-            pending: Mutex::new(false),
-            condvar: Condvar::new(),
-        }
-    }
-
-    /// Record that delta tails may have grown and wake the compactor.
-    fn notify(&self) {
-        *self.pending.lock() = true;
-        self.condvar.notify_one();
-    }
-
-    /// Park until notified (or `timeout`), consuming the pending flag.
-    fn wait(&self, timeout: Duration) {
-        let mut pending = self.pending.lock();
-        if !*pending {
-            self.condvar
-                .wait_until(&mut pending, std::time::Instant::now() + timeout);
-        }
-        *pending = false;
-    }
-}
-
-/// The shard owning `(table, key)` among `shard_count` hash partitions.
-///
-/// The shard half of [`Placement::of`]: deterministic across processes, so
-/// checkpoint rows and WAL records re-route to the same shard on recovery,
-/// and tests can predict key placement.
-pub fn shard_of(table: &str, key: &Key, shard_count: usize) -> usize {
-    if shard_count <= 1 {
-        return 0;
-    }
-    Placement::of(table, key, shard_count, &[0]).shard
-}
-
-/// WAL stream name for one shard.  A single-shard engine keeps the legacy
-/// plain `wal` stream so its on-disk layout is byte-identical to the
-/// unsharded engine; sharded engines use one `wal-shard<K>` stream each
-/// (segment files `wal-shard<K>-<seq>.seg`).
-fn wal_stream(shard: usize, shard_count: usize) -> String {
-    if shard_count == 1 {
-        "wal".to_string()
-    } else {
-        format!("wal-shard{shard}")
-    }
-}
-
-/// One hash partition of the engine's write path: a `RowTable` partition per
-/// table, a replication log + applier feeding the shared columnar replicas,
-/// an optional WAL stream and the commit gate coordinating commits with
-/// checkpoints on this shard.
-struct Shard {
-    row_tables: RwLock<Arc<HashMap<String, Arc<RowTable>>>>,
-    replication: Arc<ReplicationLog>,
-    replicator: Arc<Mutex<Replicator>>,
-    applier: Mutex<Option<BackgroundApplier>>,
-    wal: Option<Arc<Wal>>,
-    /// Commits hold this for read across [WAL append .. commit marker]; the
-    /// checkpointer takes every shard's gate for write to pick a consistent
-    /// `(commit_ts, per-shard LSN)` cut with no transaction mid-flight.
-    commit_gate: RwLock<()>,
-}
-
-/// What crash recovery found and rebuilt when a durable database was opened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryReport {
-    /// Checkpoint ordering key (sum of the per-shard WAL cuts; 0 when no
-    /// checkpoint existed).
-    pub checkpoint_lsn: u64,
-    /// Commit timestamp the checkpoint snapshot was taken at.
-    pub checkpoint_commit_ts: Timestamp,
-    /// Rows loaded from the checkpoint.
-    pub checkpoint_rows: u64,
-    /// WAL records scanned during replay across all shard streams (including
-    /// ones the checkpoint already covered).
-    pub wal_records_scanned: u64,
-    /// Committed transactions replayed from the WAL tails.  A cross-shard
-    /// transaction counts once, however many shards it touched.
-    pub wal_txns_replayed: u64,
-    /// Mutations applied while replaying those transactions.
-    pub wal_mutations_replayed: u64,
-    /// Bytes of torn WAL tail truncated (a crash mid-write leaves these).
-    pub torn_bytes_truncated: u64,
-    /// Tables rebuilt (from the checkpoint catalog plus replayed DDL).
-    pub tables_recovered: u64,
-    /// Replication records re-seeded into the columnar replicas so freshness
-    /// watermarks resume correctly.
-    pub replication_reseeded: u64,
-    /// Cross-shard transactions resolved from an in-doubt prepared state: a
-    /// shard held Prepare + mutations without its own Commit marker, and
-    /// another shard's Commit marker decided the outcome as committed.
-    pub in_doubt_committed: u64,
-}
+/// Shared columnar replica map (see `HybridDatabase::col_tables` for why the
+/// container itself is reference-counted).
+pub(crate) type SharedColumnTables = Arc<RwLock<Arc<HashMap<String, Arc<ColumnTable>>>>>;
 
 /// An in-process HTAP database instance configured as one of the paper's
 /// architectural archetypes.
@@ -183,14 +68,10 @@ pub struct RecoveryReport {
 /// "background process" behind TiDB's asynchronous log replication.  Each
 /// thread parks when its log is empty, wakes on append, and is joined when
 /// the last reference to the database is dropped.
-/// Shared columnar replica map (see `HybridDatabase::col_tables` for why the
-/// container itself is reference-counted).
-type SharedColumnTables = Arc<RwLock<Arc<HashMap<String, Arc<ColumnTable>>>>>;
-
 pub struct HybridDatabase {
     config: EngineConfig,
     catalog: Catalog,
-    shards: Vec<Shard>,
+    pub(crate) shards: Vec<Shard>,
     /// Shared columnar replicas.  The outer `Arc` lets the background
     /// compactor hold the *container* without holding the database (no
     /// `Arc` cycle), so tables installed after the thread starts are still
@@ -204,16 +85,15 @@ pub struct HybridDatabase {
     /// What recovery rebuilt when this database was opened (durable engines).
     recovery: Mutex<Option<RecoveryReport>>,
     /// WAL records logged since the last checkpoint (drives auto-checkpoints).
-    wal_records_since_ckpt: AtomicU64,
+    pub(crate) wal_records_since_ckpt: AtomicU64,
     /// Guards against concurrent auto-checkpoints.
-    checkpointing: AtomicBool,
-    checkpoints_taken: AtomicU64,
-    checkpoint_failures: AtomicU64,
-    /// Wakes the background compactor when replication grows a delta tail.
-    compaction: Arc<CompactionSignal>,
-    /// The background delta-compactor thread (when
-    /// [`EngineConfig::compression`] is on).
-    compactor: Mutex<Option<BackgroundCompactor>>,
+    pub(crate) checkpointing: AtomicBool,
+    pub(crate) checkpoints_taken: AtomicU64,
+    pub(crate) checkpoint_failures: AtomicU64,
+    /// The delta compactor (started when [`EngineConfig::compression`] is
+    /// on).  Its signal is what appliers and catch-up steps notify when they
+    /// grow a delta tail.
+    compactor: Worker,
     /// Commits slower than [`EngineConfig::slow_txn_threshold_ms`], retained
     /// with their per-stage breakdown while tracing is enabled.
     slow_log: SlowTxnLog,
@@ -224,9 +104,9 @@ pub struct HybridDatabase {
     /// Sampler ring, SLO flags and the telemetry time axis.  Always present —
     /// idle when the sampler is disabled.
     telemetry_state: Arc<TelemetryState>,
-    /// The background metrics-sampler thread (when
+    /// The metrics sampler (started when
     /// [`EngineConfig::telemetry_interval_ms`] is non-zero).
-    telemetry: Mutex<Option<TelemetrySampler>>,
+    sampler: Worker,
     /// The embedded HTTP scrape listener (when
     /// [`EngineConfig::telemetry_addr`] is set).
     telemetry_http: Mutex<Option<TelemetryServer>>,
@@ -268,43 +148,20 @@ impl HybridDatabase {
             olxp_trace::set_enabled(true);
         }
         let shard_count = config.shards;
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut replays: Vec<WalReplay> = Vec::new();
         let checkpoint = match config.durability.data_dir.as_deref() {
             Some(dir) => load_latest_checkpoint(Path::new(dir))?,
             None => None,
         };
-        for shard in 0..shard_count {
-            let wal = match config.durability.data_dir.as_deref() {
-                Some(dir) => {
-                    let (wal, replay) = Wal::open_named(
-                        dir,
-                        &wal_stream(shard, shard_count),
-                        config.durability.sync,
-                        config.durability.segment_bytes,
-                    )?;
-                    replays.push(replay);
-                    Some(Arc::new(wal))
-                }
-                None => None,
-            };
-            let replication = Arc::new(ReplicationLog::new());
-            let replicator = Arc::new(Mutex::new(Replicator::new(Arc::clone(&replication))));
-            shards.push(Shard {
-                row_tables: RwLock::new(Arc::new(HashMap::new())),
-                replication,
-                replicator,
-                applier: Mutex::new(None),
-                wal,
-                commit_gate: RwLock::new(()),
-            });
+        let mut shards = Vec::with_capacity(shard_count);
+        let mut replays = Vec::new();
+        for index in 0..shard_count {
+            let (shard, replay) = Shard::open(index, &config)?;
+            shards.push(shard);
+            replays.extend(replay);
         }
         let metrics = Arc::new(EngineMetrics::with_shards(shard_count));
         let model = Model::new(&config, Arc::clone(&metrics));
-        let txn_mgr = TransactionManager::with_shards(
-            Duration::from_millis(config.lock_wait_timeout_ms),
-            shard_count,
-        );
+        let txn_mgr = TransactionManager::with_shards(LOCK_WAIT_TIMEOUT, shard_count);
         // Transaction ids name WAL records on every shard stream: recovery
         // keys its committed-transaction map by them, so new ones start past
         // every id already logged.
@@ -326,12 +183,11 @@ impl HybridDatabase {
             checkpointing: AtomicBool::new(false),
             checkpoints_taken: AtomicU64::new(0),
             checkpoint_failures: AtomicU64::new(0),
-            compaction: Arc::new(CompactionSignal::new()),
-            compactor: Mutex::new(None),
+            compactor: Worker::default(),
             slow_log,
             slow_query_log,
             telemetry_state: Arc::new(TelemetryState::new()),
-            telemetry: Mutex::new(None),
+            sampler: Worker::default(),
             telemetry_http: Mutex::new(None),
         });
         if db.is_durable() {
@@ -339,28 +195,26 @@ impl HybridDatabase {
             *db.recovery.lock() = Some(report);
         }
         if db.config.background_applier {
-            for (shard, state) in db.shards.iter().enumerate() {
-                *state.applier.lock() = Some(spawn_applier(
-                    shard,
-                    Arc::clone(&state.replication),
-                    Arc::clone(&state.replicator),
-                    Arc::clone(&db.metrics),
-                    db.config.replication_batch,
-                    Duration::from_micros(db.config.applier_idle_wait_us),
-                    Arc::clone(&db.compaction),
-                ));
+            for (index, shard) in db.shards.iter().enumerate() {
+                let log = Arc::clone(&shard.replication);
+                let replicator = Arc::clone(&shard.replicator);
+                let (metrics, compactor) = (Arc::clone(&db.metrics), db.compactor.signal());
+                let name = format!("olxp-replication-applier-{index}");
+                shard.applier.start(name, move |signal| {
+                    background::apply(signal, index, &log, &replicator, &metrics, &compactor)
+                });
             }
         }
         if db.config.compression {
-            *db.compactor.lock() = Some(spawn_compactor(
-                Arc::clone(&db.col_tables),
-                Arc::clone(&db.compaction),
-                Arc::clone(&db.metrics),
-                Duration::from_micros(db.config.compactor_idle_wait_us),
-            ));
+            let (tables, metrics) = (Arc::clone(&db.col_tables), Arc::clone(&db.metrics));
+            db.compactor
+                .start("olxp-delta-compactor".into(), move |signal| {
+                    background::compact(signal, &tables, &metrics)
+                });
         }
         if db.config.telemetry_interval_ms > 0 {
-            *db.telemetry.lock() = Some(telemetry::spawn_sampler(&db));
+            let sampler = telemetry::sampler(&db);
+            db.sampler.start("olxp-telemetry-sampler".into(), sampler);
         }
         if let Some(addr) = db.config.telemetry_addr.clone() {
             // A scrape endpoint that cannot bind (port taken, no permission)
@@ -441,8 +295,7 @@ impl HybridDatabase {
     /// True while the background metrics sampler is running (false once it
     /// has exited or panicked).
     pub fn has_telemetry_sampler(&self) -> bool {
-        let sampler = self.telemetry.lock();
-        is_running(sampler.as_ref().and_then(|s| s.handle.as_ref()))
+        self.sampler.running()
     }
 
     /// Copy of every retained per-interval timeline point, oldest first.
@@ -538,106 +391,6 @@ impl HybridDatabase {
     }
 
     // ------------------------------------------------------------------
-    // Sharding
-    // ------------------------------------------------------------------
-
-    /// Number of hash-partitioned storage shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `(table, key)`.
-    pub fn shard_for(&self, table: &str, key: &Key) -> usize {
-        shard_of(table, key, self.shards.len())
-    }
-
-    /// One shard's partition of a table.
-    pub(crate) fn row_partition(&self, shard: usize, table: &str) -> EngineResult<Arc<RowTable>> {
-        self.shards[shard]
-            .row_tables
-            .read()
-            .get(table)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownTable(table.to_string()))
-    }
-
-    /// Every shard's partition of `table`, in shard order.
-    pub fn row_partitions(&self, table: &str) -> EngineResult<Vec<Arc<RowTable>>> {
-        let parts: Vec<Arc<RowTable>> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.row_tables.read().get(table).cloned())
-            .collect();
-        if parts.is_empty() {
-            return Err(EngineError::UnknownTable(table.to_string()));
-        }
-        Ok(parts)
-    }
-
-    /// Scan every shard's partition of `table` at `ts`, calling `f` for each
-    /// visible row (shard-major order).  Returns rows examined.
-    pub fn scan_table(
-        &self,
-        table: &str,
-        ts: Timestamp,
-        mut f: impl FnMut(&Key, &Arc<Row>),
-    ) -> EngineResult<usize> {
-        let mut examined = 0;
-        for part in self.row_partitions(table)? {
-            examined += part.scan(ts, &mut f);
-        }
-        Ok(examined)
-    }
-
-    /// Live rows of `table` across all shards at the current read timestamp.
-    pub fn table_live_row_count(&self, table: &str) -> EngineResult<usize> {
-        let ts = self.txn_mgr.oracle().read_ts();
-        Ok(self
-            .row_partitions(table)?
-            .iter()
-            .map(|p| p.live_row_count(ts))
-            .sum())
-    }
-
-    /// Per-shard row-table maps, in shard order (feeds the sharded query
-    /// source).
-    pub fn sharded_row_tables(&self) -> Vec<Arc<HashMap<String, Arc<RowTable>>>> {
-        self.shards
-            .iter()
-            .map(|s| Arc::clone(&s.row_tables.read()))
-            .collect()
-    }
-
-    /// One shard's write-ahead log.  Only for durable engines: either every
-    /// shard has one or none does.
-    pub(crate) fn wal_for_shard(&self, shard: usize) -> &Arc<Wal> {
-        let wal = self.shards[shard].wal.as_ref();
-        wal.expect("durable engine has a WAL per shard")
-    }
-
-    /// Shared hold on one shard's commit gate.  Committers keep it across
-    /// [WAL mutation append .. commit marker append] on that shard so the
-    /// checkpointer's exclusive hold observes no transaction mid-flight.
-    /// Multi-gate holders (cross-shard commits, the checkpointer) always
-    /// acquire in ascending shard order.
-    pub(crate) fn commit_gate_read_for(&self, shard: usize) -> RwLockReadGuard<'_, ()> {
-        self.shards[shard].commit_gate.read()
-    }
-
-    /// One shard's replication log.
-    pub(crate) fn replication_for(&self, shard: usize) -> &Arc<ReplicationLog> {
-        &self.shards[shard].replication
-    }
-
-    /// Every shard's replication log, in shard order (freshness checks).
-    pub(crate) fn replication_logs(&self) -> Vec<Arc<ReplicationLog>> {
-        self.shards
-            .iter()
-            .map(|s| Arc::clone(&s.replication))
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
     // Tables
     // ------------------------------------------------------------------
 
@@ -675,7 +428,7 @@ impl HybridDatabase {
     /// Register a table with the catalog, stores and replication pipelines
     /// without touching the WAL (shared by [`Self::create_table`] and
     /// recovery, which must not re-log what it replays).
-    fn install_table(&self, schema: TableSchema) -> EngineResult<()> {
+    pub(crate) fn install_table(&self, schema: TableSchema) -> EngineResult<()> {
         let schema = self.catalog.create_table(schema)?;
         let col_table = Arc::new(ColumnTable::new(Arc::clone(&schema)));
         for shard in &self.shards {
@@ -700,24 +453,9 @@ impl HybridDatabase {
         Ok(())
     }
 
-    /// Shard 0's snapshot of the row tables (cheap to clone).  With more than
-    /// one shard this is only that shard's partition; use
-    /// [`Self::sharded_row_tables`] or [`Self::scan_table`] for whole-table
-    /// access.
-    pub fn row_tables(&self) -> Arc<HashMap<String, Arc<RowTable>>> {
-        Arc::clone(&self.shards[0].row_tables.read())
-    }
-
     /// Shared snapshot of the columnar replicas.
     pub fn col_tables(&self) -> Arc<HashMap<String, Arc<ColumnTable>>> {
         Arc::clone(&self.col_tables.read())
-    }
-
-    /// Shard 0's partition of the row table for `name`.  With one shard (the
-    /// default) this is the whole table; sharded callers route a key with
-    /// [`Self::shard_for`].
-    pub fn row_table(&self, name: &str) -> EngineResult<Arc<RowTable>> {
-        self.row_partition(0, name)
     }
 
     /// The columnar replica for `name`.
@@ -784,7 +522,7 @@ impl HybridDatabase {
     }
 
     // ------------------------------------------------------------------
-    // Replication
+    // Replication and background workers
     // ------------------------------------------------------------------
 
     /// Apply one batch of pending replication records on every shard
@@ -794,10 +532,7 @@ impl HybridDatabase {
     pub fn replicate_step(&self) -> EngineResult<usize> {
         let mut total = 0;
         for shard in &self.shards {
-            let result = shard
-                .replicator
-                .lock()
-                .apply_pending(self.config.replication_batch);
+            let result = shard.replicator.lock().apply_pending(REPLICATION_BATCH);
             match result {
                 Ok(applied) => total += applied,
                 Err(e) => {
@@ -811,7 +546,7 @@ impl HybridDatabase {
         }
         if total > 0 {
             self.metrics.add_replication_applied(total as u64);
-            self.compaction.notify();
+            self.compactor.signal().notify();
         }
         Ok(total)
     }
@@ -819,10 +554,7 @@ impl HybridDatabase {
     /// True while every shard's dedicated background applier thread is
     /// running: a thread that exited or panicked on any shard reads false.
     pub fn has_background_applier(&self) -> bool {
-        self.shards.iter().all(|shard| {
-            let applier = shard.applier.lock();
-            is_running(applier.as_ref().and_then(|a| a.handle.as_ref()))
-        })
+        self.shards.iter().all(|shard| shard.applier.running())
     }
 
     /// Stop every shard's background applier thread and wait for it to exit.
@@ -830,22 +562,16 @@ impl HybridDatabase {
     /// [`Self::finish_load`]).  Idempotent; also invoked on drop.
     pub fn shutdown_applier(&self) {
         for shard in &self.shards {
-            let Some(mut applier) = shard.applier.lock().take() else {
-                continue;
-            };
-            applier.shutdown.store(true, Ordering::Release);
-            shard.replication.notify_waiters();
-            if let Some(handle) = applier.handle.take() {
-                let _ = handle.join();
-            }
+            // The applier parks on its log, which appends wake; wake it too.
+            let log = &shard.replication;
+            shard.applier.stop_waking(|| log.notify_waiters());
         }
     }
 
     /// True while the background delta-compactor thread is running (false
     /// once it has exited or panicked).
     pub fn has_background_compactor(&self) -> bool {
-        let compactor = self.compactor.lock();
-        is_running(compactor.as_ref().and_then(|c| c.handle.as_ref()))
+        self.compactor.running()
     }
 
     /// Stop the background delta-compactor thread and wait for it to exit.
@@ -853,14 +579,7 @@ impl HybridDatabase {
     /// [`Self::compact_columnar`] calls still work).  Idempotent; also
     /// invoked on drop.
     pub fn shutdown_compactor(&self) {
-        let Some(mut compactor) = self.compactor.lock().take() else {
-            return;
-        };
-        compactor.shutdown.store(true, Ordering::Release);
-        self.compaction.notify();
-        if let Some(handle) = compactor.handle.take() {
-            let _ = handle.join();
-        }
+        self.compactor.stop();
     }
 
     /// Stop the telemetry sampler thread and the embedded HTTP listener.
@@ -870,21 +589,7 @@ impl HybridDatabase {
         if let Some(mut server) = self.telemetry_http.lock().take() {
             server.shutdown();
         }
-        let sampler = self.telemetry.lock().take();
-        if let Some(mut sampler) = sampler {
-            sampler.shutdown.store(true, Ordering::Release);
-            if let Some(handle) = sampler.handle.take() {
-                if handle.thread().id() == std::thread::current().id() {
-                    // The sampler's own upgraded Arc can be the last one, in
-                    // which case this drop runs *on* the sampler thread:
-                    // detach instead of self-joining — the thread exits at
-                    // its next shutdown check.
-                    drop(handle);
-                } else {
-                    let _ = handle.join();
-                }
-            }
-        }
+        self.sampler.stop();
     }
 
     /// Synchronously seal every full delta chunk of every columnar replica
@@ -909,347 +614,6 @@ impl HybridDatabase {
             .iter()
             .map(|s| s.replication.lag_records())
             .sum()
-    }
-
-    /// Shard 0's replication log (the only one in unsharded setups; used by
-    /// tests and metrics).
-    pub fn replication_log(&self) -> &Arc<ReplicationLog> {
-        &self.shards[0].replication
-    }
-
-    // ------------------------------------------------------------------
-    // Durability: WAL plumbing, checkpoints and crash recovery
-    // ------------------------------------------------------------------
-
-    /// Account WAL records toward the automatic checkpoint threshold.
-    pub(crate) fn note_wal_records(&self, records: u64) {
-        self.wal_records_since_ckpt
-            .fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// Take an automatic checkpoint when the configured record threshold has
-    /// been crossed.  At most one checkpoint runs at a time; a failure is
-    /// counted and retried at the next trigger (durability is unaffected —
-    /// the WALs retain everything a failed checkpoint did not truncate).
-    ///
-    /// Must not be called while holding any commit gate (the checkpoint takes
-    /// them all exclusively).
-    pub(crate) fn maybe_checkpoint(&self) {
-        let every = self.config.durability.checkpoint_every_records;
-        if every == 0 || !self.is_durable() {
-            return;
-        }
-        if self.wal_records_since_ckpt.load(Ordering::Relaxed) < every {
-            return;
-        }
-        if self
-            .checkpointing
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        if self.checkpoint().is_err() {
-            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        self.checkpointing.store(false, Ordering::Release);
-    }
-
-    /// Write a checkpoint: a consistent snapshot of the catalog and of every
-    /// row visible at one commit timestamp (merged across shards), tagged
-    /// with the WAL cut of every shard stream.  Each shard's WAL segments
-    /// wholly below its own cut are truncated afterwards.
-    ///
-    /// The `(commit_ts, per-shard LSN)` cut is taken while holding *every*
-    /// shard's commit gate exclusively (acquired in ascending shard order,
-    /// the same order cross-shard commits use, so the two cannot deadlock):
-    /// no transaction is between its WAL append and its commit marker on any
-    /// shard at that instant, so every transaction — including a cross-shard
-    /// one — is either fully below the cut on all its shards (and visible at
-    /// the timestamp) or fully above it (and replayed from the WAL tails on
-    /// recovery).
-    pub fn checkpoint(&self) -> EngineResult<u64> {
-        if !self.is_durable() {
-            return Err(EngineError::Config("durability is disabled".into()));
-        }
-        let data_dir = self
-            .config
-            .durability
-            .data_dir
-            .as_deref()
-            .ok_or_else(|| EngineError::Config("durability is disabled".into()))?;
-        let (ckpt_ts, shard_cuts) = {
-            let _gates: Vec<_> = self.shards.iter().map(|s| s.commit_gate.write()).collect();
-            let cuts: Vec<(u32, u64)> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as u32, s.wal.as_ref().map_or(0, |w| w.last_lsn())))
-                .collect();
-            (self.txn_mgr.oracle().read_ts(), cuts)
-        };
-        // The MVCC snapshot at `ckpt_ts` is stable after the gates are
-        // released: later commits carry strictly larger timestamps.
-        let mut tables = Vec::new();
-        for schema in self.catalog.tables() {
-            let mut rows = Vec::new();
-            for part in self.row_partitions(schema.name())? {
-                part.scan(ckpt_ts, |_, row| rows.push(Row::clone(row)));
-            }
-            tables.push(TableCheckpoint {
-                schema: TableSchema::clone(&schema),
-                rows,
-            });
-        }
-        let lsn_sum: u64 = shard_cuts.iter().map(|&(_, lsn)| lsn).sum();
-        let data = CheckpointData {
-            lsn: lsn_sum,
-            commit_ts: ckpt_ts,
-            tables,
-            shard_cuts: shard_cuts.clone(),
-        };
-        write_checkpoint(Path::new(data_dir), &data)?;
-        for &(shard, cut) in &shard_cuts {
-            if let Some(wal) = &self.shards[shard as usize].wal {
-                wal.truncate_up_to(cut)?;
-            }
-        }
-        self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
-        self.wal_records_since_ckpt.store(0, Ordering::Relaxed);
-        Ok(lsn_sum)
-    }
-
-    /// Simulate a crash: stop the appliers and discard all process state the
-    /// OS would lose on a kill — nothing buffered in any WAL is flushed, and
-    /// the clean-shutdown flush on drop is suppressed.  Everything a
-    /// [`crate::Session::commit`] acknowledged under a syncing policy is
-    /// already on disk and survives a subsequent [`HybridDatabase::open`].
-    pub fn simulate_crash(&self) {
-        self.shutdown_applier();
-        self.shutdown_compactor();
-        for shard in &self.shards {
-            if let Some(wal) = &shard.wal {
-                wal.mark_crashed();
-            }
-        }
-    }
-
-    /// Rebuild the stores from a checkpoint plus every shard's replayed WAL
-    /// tail.
-    ///
-    /// Replay runs in two passes.  The collection pass walks every shard
-    /// stream, installing DDL beyond that shard's cut and gathering each
-    /// transaction's mutations, Prepare LSN and Commit marker per shard —
-    /// plus a *global* committed map from every Commit marker on any shard.
-    /// The apply pass then resolves each shard's transactions in LSN order:
-    /// a transaction's effects on a shard are applied iff it is globally
-    /// committed and its resolution LSN on that shard (its own Commit marker
-    /// if present, else its Prepare) lies beyond the shard's checkpoint cut.
-    /// That rule is what makes cross-shard atomicity survive a crash between
-    /// one shard's Commit marker and another's: the shard that never logged
-    /// its marker still replays the transaction because *some* shard proved
-    /// the commit was decided, and a prepared transaction with no marker
-    /// anywhere is presumed aborted.
-    fn recover(
-        &self,
-        checkpoint: Option<CheckpointData>,
-        replays: Vec<WalReplay>,
-    ) -> EngineResult<RecoveryReport> {
-        let shard_count = self.shards.len();
-        let mut report = RecoveryReport {
-            torn_bytes_truncated: replays.iter().map(|r| r.truncated_bytes).sum(),
-            ..RecoveryReport::default()
-        };
-        let cuts: Vec<u64> = (0..shard_count)
-            .map(|s| checkpoint.as_ref().map_or(0, |c| c.cut_for_shard(s as u32)))
-            .collect();
-        let mut max_ts: Timestamp = 0;
-        if let Some(checkpoint) = checkpoint {
-            report.checkpoint_lsn = checkpoint.lsn;
-            report.checkpoint_commit_ts = checkpoint.commit_ts;
-            max_ts = checkpoint.commit_ts;
-            // Checkpointed rows do not carry per-row timestamps; they are all
-            // installed at the snapshot timestamp, which preserves visibility
-            // for every read at or above it (and the WAL tails only hold
-            // transactions committed after the snapshot).  Rows re-route to
-            // their shard by the same hash the write path uses, so a
-            // checkpoint taken at this shard count reloads into identical
-            // partitions.
-            let load_ts = checkpoint.commit_ts.max(1);
-            for table in checkpoint.tables {
-                self.install_table(table.schema.clone())?;
-                let schema = self.catalog.table(table.schema.name())?;
-                for row in table.rows {
-                    let key = schema.primary_key_of(&row);
-                    let shard = shard_of(schema.name(), &key, shard_count);
-                    self.row_partition(shard, schema.name())?
-                        .insert(row, load_ts)?;
-                    report.checkpoint_rows += 1;
-                }
-            }
-        }
-
-        // Collection pass.
-        #[derive(Default)]
-        struct ShardTxn {
-            ops: Vec<(WalOp, Timestamp)>,
-            commit: Option<(u64, Timestamp)>,
-            prepare_lsn: Option<u64>,
-        }
-        let mut per_shard: Vec<HashMap<u64, ShardTxn>> = Vec::with_capacity(shard_count);
-        let mut committed: HashMap<u64, Timestamp> = HashMap::new();
-        for (shard, replay) in replays.into_iter().enumerate() {
-            let mut txns: HashMap<u64, ShardTxn> = HashMap::new();
-            for ReplayedRecord { lsn, record } in replay.records {
-                report.wal_records_scanned += 1;
-                match record {
-                    WalRecord::CreateTable { schema } => {
-                        if lsn > cuts[shard] && !self.catalog.contains(schema.name()) {
-                            self.install_table(schema)?;
-                        }
-                    }
-                    WalRecord::Begin { txn_id } => {
-                        txns.entry(txn_id).or_default();
-                    }
-                    WalRecord::Mutation {
-                        txn_id,
-                        op,
-                        commit_ts,
-                    } => {
-                        txns.entry(txn_id).or_default().ops.push((op, commit_ts));
-                    }
-                    WalRecord::Prepare { txn_id } => {
-                        txns.entry(txn_id).or_default().prepare_lsn = Some(lsn);
-                    }
-                    WalRecord::Commit {
-                        txn_id, commit_ts, ..
-                    } => {
-                        txns.entry(txn_id).or_default().commit = Some((lsn, commit_ts));
-                        // A marker below the cut still proves the global
-                        // decision for other shards' in-doubt prepares.
-                        committed.insert(txn_id, commit_ts);
-                    }
-                }
-            }
-            per_shard.push(txns);
-        }
-
-        // Apply pass: per shard, in resolution-LSN order (matching original
-        // commit order for any given key, since row locks are held across the
-        // commit's whole WAL window).
-        // (resolution LSN, txn id, commit ts, buffered ops, resolved in doubt).
-        type Resolved = (u64, u64, Timestamp, Vec<(WalOp, Timestamp)>, bool);
-        let mut replayed: HashSet<u64> = HashSet::new();
-        let mut in_doubt: HashSet<u64> = HashSet::new();
-        for (shard, txns) in per_shard.into_iter().enumerate() {
-            let mut resolved: Vec<Resolved> = txns
-                .into_iter()
-                .filter_map(|(txn_id, st)| match (st.commit, st.prepare_lsn) {
-                    (Some((lsn, ts)), _) => Some((lsn, txn_id, ts, st.ops, false)),
-                    (None, Some(prepare_lsn)) => committed
-                        .get(&txn_id)
-                        .map(|&ts| (prepare_lsn, txn_id, ts, st.ops, true)),
-                    // No marker anywhere and no prepare: a crash before the
-                    // commit decision — presumed aborted, never replayed.
-                    (None, None) => None,
-                })
-                .collect();
-            resolved.sort_by_key(|&(lsn, ..)| lsn);
-            for (resolution_lsn, txn_id, commit_ts, ops, was_in_doubt) in resolved {
-                if resolution_lsn <= cuts[shard] {
-                    continue; // fully contained in the checkpoint on this shard
-                }
-                if replayed.insert(txn_id) {
-                    report.wal_txns_replayed += 1;
-                }
-                // Counted separately from the unique-txn tally: the shard
-                // holding the Commit marker replays the txn normally, and it
-                // is some *other* shard that resolves it in doubt.
-                if was_in_doubt && in_doubt.insert(txn_id) {
-                    report.in_doubt_committed += 1;
-                }
-                max_ts = max_ts.max(commit_ts);
-                // Every version a transaction writes carries its one commit
-                // timestamp, so `recover_apply`'s overlap rule would take a
-                // second write of a key for one the checkpoint already holds:
-                // only the last image of each key is applied.
-                let mut last_write: HashMap<(&str, &Key), usize> = HashMap::new();
-                for (i, (op, _)) in ops.iter().enumerate() {
-                    last_write.insert((op.table.as_str(), &op.key), i);
-                }
-                for (i, (op, op_ts)) in ops.iter().enumerate() {
-                    if last_write[&(op.table.as_str(), &op.key)] == i {
-                        self.recover_apply(op, *op_ts)?;
-                    }
-                    report.wal_mutations_replayed += 1;
-                }
-            }
-        }
-
-        // Resume the timeline above the newest recovered commit, then re-seed
-        // the replication pipelines: every recovered row is shipped to its
-        // shard's columnar-replica feed and applied synchronously, so the
-        // database opens with appended == applied watermarks and
-        // Strict-freshness reads see every pre-crash commit immediately.
-        self.txn_mgr.oracle().advance_to(max_ts);
-        let reseed_ts = self.txn_mgr.oracle().read_ts();
-        for schema in self.catalog.tables() {
-            for (shard, part) in self.row_partitions(schema.name())?.iter().enumerate() {
-                part.scan(reseed_ts, |key, row| {
-                    self.shards[shard].replication.append(
-                        schema.name(),
-                        MutationOp::Insert,
-                        key.clone(),
-                        Some(Row::clone(row)),
-                        reseed_ts,
-                    );
-                });
-            }
-        }
-        let mut applied = 0;
-        for shard in &self.shards {
-            applied += shard.replicator.lock().catch_up()?;
-        }
-        self.metrics.add_replication_applied(applied as u64);
-        report.replication_reseeded = applied as u64;
-        report.tables_recovered = self.catalog.len() as u64;
-        Ok(report)
-    }
-
-    /// Apply one replayed mutation at its original commit timestamp to the
-    /// shard partition owning its key.
-    ///
-    /// Idempotent against checkpoint overlap: a key whose newest version is
-    /// already at or above the mutation's timestamp is left untouched (the
-    /// checkpoint captured that transaction's effect), an update of a key the
-    /// snapshot never saw becomes an insert, and a delete of an absent key is
-    /// a no-op.
-    fn recover_apply(&self, op: &WalOp, commit_ts: Timestamp) -> EngineResult<()> {
-        let row_table = self.row_partition(self.shard_for(&op.table, &op.key), &op.table)?;
-        if row_table
-            .latest_commit_ts(&op.key)
-            .is_some_and(|latest| latest >= commit_ts)
-        {
-            return Ok(());
-        }
-        match op.op {
-            MutationOp::Insert | MutationOp::Update => {
-                let row = op.row.clone().ok_or_else(|| {
-                    StorageError::Internal("WAL mutation record without row image".into())
-                })?;
-                match row_table.update(&op.key, row.clone(), commit_ts) {
-                    Err(StorageError::KeyNotFound { .. }) => {
-                        row_table.insert(row, commit_ts)?;
-                    }
-                    other => other?,
-                }
-            }
-            MutationOp::Delete => match row_table.delete(&op.key, commit_ts) {
-                Err(StorageError::KeyNotFound { .. }) => {}
-                other => other?,
-            },
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1294,50 +658,6 @@ impl HybridDatabase {
     pub fn note_abort(&self) {
         self.metrics.add_abort();
     }
-
-    // ------------------------------------------------------------------
-    // Derived metrics
-    // ------------------------------------------------------------------
-
-    /// Lock overhead: time spent blocked (row-lock waits across every shard's
-    /// lock table plus worker-queue waits) relative to the simulated busy
-    /// time.  This is the quantity the paper measures with `perf` lock
-    /// samples in Figure 4.
-    pub fn lock_overhead(&self) -> f64 {
-        let snapshot = self.metrics.snapshot();
-        let busy = snapshot.total_busy_nanos() as f64;
-        if busy == 0.0 {
-            return 0.0;
-        }
-        let lock_wait = self.txn_mgr.stats().locks.wait_nanos as f64;
-        let queue_wait = snapshot.total_queue_wait_nanos() as f64;
-        (lock_wait + queue_wait) / busy
-    }
-
-    /// Total number of live rows across all shards and row tables (for
-    /// sanity checks).
-    pub fn total_live_rows(&self) -> usize {
-        let ts = self.txn_mgr.oracle().read_ts();
-        self.shards
-            .iter()
-            .map(|s| {
-                s.row_tables
-                    .read()
-                    .values()
-                    .map(|t| t.live_row_count(ts))
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Approximate number of keys in a table's row store across all shards
-    /// (physical size used by the cost model for full scans).
-    pub fn table_key_count(&self, table: &str) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.row_tables.read().get(table).map_or(0, |t| t.key_count()))
-            .sum()
-    }
 }
 
 impl Drop for HybridDatabase {
@@ -1347,153 +667,6 @@ impl Drop for HybridDatabase {
         self.shutdown_telemetry();
         self.shutdown_applier();
         self.shutdown_compactor();
-    }
-}
-
-/// Spawn one shard's dedicated applier thread.
-///
-/// The thread drains the shard's replication log in `batch`-sized steps,
-/// parking on the log's condition variable when it is empty (appends wake
-/// it).  Apply failures are counted and retried with a capped backoff — the
-/// failed batch stays queued (see [`Replicator::apply_pending`]), so
-/// committed mutations are never lost while the pipeline is unhealthy.
-fn spawn_applier(
-    shard: usize,
-    log: Arc<ReplicationLog>,
-    replicator: Arc<Mutex<Replicator>>,
-    metrics: Arc<EngineMetrics>,
-    batch: usize,
-    idle_wait: Duration,
-    compaction: Arc<CompactionSignal>,
-) -> BackgroundApplier {
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name(format!("olxp-replication-applier-{shard}"))
-        .spawn(move || {
-            // Error backoff is independent of the idle park time: it must
-            // start small so transient failures retry quickly (a parked
-            // freshness-bounded reader is waiting on this thread), growing
-            // only while failures persist.
-            let initial_backoff = Duration::from_micros(100);
-            let max_backoff = Duration::from_millis(5);
-            let mut backoff = initial_backoff;
-            while !stop.load(Ordering::Acquire) {
-                // The replication-apply span covers append→apply for the
-                // batch: it starts when the oldest record in the batch was
-                // appended (the lag a freshness-bounded reader would wait
-                // out), not when the applier picked it up.
-                let trace_from = if olxp_trace::enabled() {
-                    let now = olxp_trace::now_nanos();
-                    let age = log
-                        .oldest_pending_age()
-                        .map_or(0, |age| age.as_nanos() as u64);
-                    Some(now.saturating_sub(age))
-                } else {
-                    None
-                };
-                let result = replicator.lock().apply_pending(batch);
-                match result {
-                    Ok(0) => {
-                        log.wait_for_pending(idle_wait);
-                    }
-                    Ok(applied) => {
-                        metrics.add_replication_applied(applied as u64);
-                        if let Some(start) = trace_from {
-                            olxp_trace::record_span(
-                                olxp_trace::SpanCategory::ReplicationApply,
-                                shard as u32,
-                                applied as u64,
-                                start,
-                            );
-                            metrics.record_stage(
-                                olxp_trace::SpanCategory::ReplicationApply,
-                                olxp_trace::now_nanos().saturating_sub(start),
-                            );
-                        }
-                        // Applied mutations grow delta tails: give the
-                        // compactor a chance to seal any chunk they filled.
-                        compaction.notify();
-                        backoff = initial_backoff;
-                    }
-                    Err(_) => {
-                        metrics.add_replication_error();
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(max_backoff);
-                    }
-                }
-            }
-        })
-        .expect("spawning the replication applier thread succeeds");
-    BackgroundApplier {
-        shutdown,
-        handle: Some(handle),
-    }
-}
-
-/// Spawn the database's delta-compactor thread.
-///
-/// Each sweep snapshots the current table map (so tables installed later are
-/// picked up) and seals every full delta chunk into the compressed main tier.
-/// A sweep that sealed nothing parks on the [`CompactionSignal`] until the
-/// replication appliers apply more mutations (or the idle timeout elapses —
-/// the self-poll fallback that bounds staleness when writes bypass the
-/// appliers, e.g. opportunistic catch-up with the background applier off).
-fn spawn_compactor(
-    col_tables: SharedColumnTables,
-    signal: Arc<CompactionSignal>,
-    metrics: Arc<EngineMetrics>,
-    idle_wait: Duration,
-) -> BackgroundCompactor {
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name("olxp-delta-compactor".to_string())
-        .spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                let tables: Vec<Arc<ColumnTable>> = col_tables.read().values().cloned().collect();
-                let mut sealed = 0u64;
-                for table in tables {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // One `compact_chunk` call per chunk: each takes the
-                    // table's write lock once, so readers and the applier
-                    // interleave with the rewrite — and each seal/encode
-                    // gets its own stage-histogram entry while tracing.
-                    let mut chunks = 0u64;
-                    loop {
-                        let trace_from = if olxp_trace::enabled() {
-                            Some(olxp_trace::now_nanos())
-                        } else {
-                            None
-                        };
-                        if !table.compact_chunk() {
-                            break;
-                        }
-                        if let Some(start) = trace_from {
-                            metrics.record_stage(
-                                olxp_trace::SpanCategory::Compaction,
-                                olxp_trace::now_nanos().saturating_sub(start),
-                            );
-                        }
-                        chunks += 1;
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                    metrics.add_chunks_compacted(chunks);
-                    sealed += chunks;
-                }
-                if sealed == 0 {
-                    signal.wait(idle_wait);
-                }
-            }
-        })
-        .expect("spawning the delta compactor thread succeeds");
-    BackgroundCompactor {
-        shutdown,
-        handle: Some(handle),
     }
 }
 
@@ -1513,7 +686,7 @@ mod tests {
     use super::*;
     use crate::metrics::WorkClass;
     use crate::model::Work;
-    use olxp_storage::{ColumnDef, DataType, Value};
+    use olxp_storage::{ColumnDef, DataType, Key, Value};
 
     fn item_schema() -> TableSchema {
         TableSchema::new(
@@ -1531,10 +704,11 @@ mod tests {
     fn create_table_registers_row_and_column_stores() {
         let db = HybridDatabase::dual_engine();
         db.create_table(item_schema()).unwrap();
-        assert!(db.row_table("ITEM").is_ok());
+        let partitions = db.row_partitions("ITEM").unwrap();
+        assert_eq!(partitions.len(), db.shard_count());
         assert!(db.col_table("ITEM").is_ok());
         assert!(matches!(
-            db.row_table("NOPE"),
+            db.row_partitions("NOPE"),
             Err(EngineError::UnknownTable(_))
         ));
     }
@@ -1663,66 +837,62 @@ mod tests {
         (verdict.healthy, handler("/healthz").status)
     }
 
-    fn wait_until_finished(handle: &std::thread::JoinHandle<()>) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !handle.is_finished() {
-            assert!(std::time::Instant::now() < deadline, "thread never exited");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    /// Opens a database with every background worker, ends one thread behind
+    /// the database's back with `halt` (its handle stays stored, as when a
+    /// thread exits or panics on its own), and checks that `/healthz` turns
+    /// unhealthy on `check` and that `shutdown` and drop still join.
+    fn healthz_fails_when_worker_exits(
+        check: &str,
+        halt: fn(&HybridDatabase),
+        running: fn(&HybridDatabase) -> bool,
+        shutdown: fn(&HybridDatabase),
+    ) {
+        let config = EngineConfig::dual_engine()
+            .with_shards(4)
+            .with_compression(true)
+            .with_telemetry_interval_ms(5);
+        let db = HybridDatabase::new(config).unwrap();
+        assert!(running(&db));
+        assert_eq!(healthz(&db, check), (true, 200));
+        halt(&db);
+        assert!(!running(&db));
+        assert_eq!(healthz(&db, check), (false, 503));
+        shutdown(&db); // joins the exited thread whose handle was kept
+        assert!(!running(&db));
+        drop(db);
     }
 
     #[test]
     fn healthz_fails_when_one_shards_applier_has_exited() {
-        let db = HybridDatabase::new(EngineConfig::dual_engine().with_shards(4)).unwrap();
-        assert_eq!(healthz(&db, "replication_applier"), (true, 200));
-        // Stop shard 2's applier behind the database's back: its handle stays
-        // stored, exactly as after a panic inside the thread.
-        {
-            let shard = &db.shards[2];
-            let applier = shard.applier.lock();
-            let applier = applier.as_ref().expect("applier spawned at open");
-            applier.shutdown.store(true, Ordering::Release);
-            shard.replication.notify_waiters();
-            wait_until_finished(applier.handle.as_ref().unwrap());
-        }
-        assert!(!db.has_background_applier());
-        assert_eq!(healthz(&db, "replication_applier"), (false, 503));
-        db.shutdown_applier(); // still joins every shard cleanly
-        drop(db);
+        healthz_fails_when_worker_exits(
+            "replication_applier",
+            |db| {
+                let (applier, log) = (&db.shards[2].applier, &db.shards[2].replication);
+                applier.halt_for_test(|| log.notify_waiters());
+            },
+            HybridDatabase::has_background_applier,
+            HybridDatabase::shutdown_applier,
+        );
     }
 
     #[test]
     fn healthz_fails_when_the_compactor_has_exited() {
-        let db = HybridDatabase::new(EngineConfig::dual_engine().with_compression(true)).unwrap();
-        assert_eq!(healthz(&db, "delta_compactor"), (true, 200));
-        {
-            let compactor = db.compactor.lock();
-            let compactor = compactor.as_ref().expect("compactor spawned at open");
-            compactor.shutdown.store(true, Ordering::Release);
-            db.compaction.notify();
-            wait_until_finished(compactor.handle.as_ref().unwrap());
-        }
-        assert!(!db.has_background_compactor());
-        assert_eq!(healthz(&db, "delta_compactor"), (false, 503));
-        db.shutdown_compactor();
-        drop(db);
+        healthz_fails_when_worker_exits(
+            "delta_compactor",
+            |db| db.compactor.halt_for_test(|| {}),
+            HybridDatabase::has_background_compactor,
+            HybridDatabase::shutdown_compactor,
+        );
     }
 
     #[test]
     fn healthz_fails_when_the_telemetry_sampler_has_exited() {
-        let config = EngineConfig::dual_engine().with_telemetry_interval_ms(5);
-        let db = HybridDatabase::new(config).unwrap();
-        assert_eq!(healthz(&db, "telemetry_sampler"), (true, 200));
-        {
-            let sampler = db.telemetry.lock();
-            let sampler = sampler.as_ref().expect("sampler spawned at open");
-            sampler.shutdown.store(true, Ordering::Release);
-            wait_until_finished(sampler.handle.as_ref().unwrap());
-        }
-        assert!(!db.has_telemetry_sampler());
-        assert_eq!(healthz(&db, "telemetry_sampler"), (false, 503));
-        db.shutdown_telemetry(); // still joins the exited thread cleanly
-        drop(db);
+        healthz_fails_when_worker_exits(
+            "telemetry_sampler",
+            |db| db.sampler.halt_for_test(|| {}),
+            HybridDatabase::has_telemetry_sampler,
+            HybridDatabase::shutdown_telemetry,
+        );
 
         let off =
             HybridDatabase::new(EngineConfig::dual_engine().with_telemetry_interval_ms(0)).unwrap();
@@ -2003,9 +1173,26 @@ mod tests {
     }
 
     #[test]
-    fn lock_overhead_is_zero_without_work() {
-        let db = HybridDatabase::single_engine();
-        assert_eq!(db.lock_overhead(), 0.0);
+    fn idle_workers_stop_promptly_under_a_long_sampling_interval() {
+        let config = EngineConfig::dual_engine()
+            .with_compression(true)
+            .with_telemetry_interval_ms(60_000);
+        let db = HybridDatabase::new(config).unwrap();
+        assert!(db.has_background_applier() && db.has_background_compactor());
+        assert!(db.has_telemetry_sampler());
+        // Let every worker reach its idle park.
+        std::thread::sleep(Duration::from_millis(20));
+        let limit = Duration::from_millis(250);
+        let started = std::time::Instant::now();
+        db.shutdown_telemetry();
+        assert!(
+            started.elapsed() < limit,
+            "sampler: {:?}",
+            started.elapsed()
+        );
+        let started = std::time::Instant::now();
+        drop(db);
+        assert!(started.elapsed() < limit, "drop: {:?}", started.elapsed());
     }
 
     fn temp_dir(tag: &str) -> String {

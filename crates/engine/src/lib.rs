@@ -34,6 +34,7 @@
 //! threads obtain a [`session::Session`] each and execute online transactions,
 //! standalone analytical queries and hybrid transactions through it.
 
+mod background;
 mod bufferpool;
 mod cluster;
 pub mod config;
@@ -42,7 +43,9 @@ pub mod database;
 pub mod error;
 pub mod metrics;
 pub mod model;
+mod recovery;
 pub mod session;
+mod shard;
 pub mod slowlog;
 pub mod telemetry;
 

@@ -23,9 +23,7 @@ use crate::database::{AnalyticalRoute, HybridDatabase};
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{FreshnessSample, WorkClass};
 use crate::model::{Placement, Work};
-use olxp_query::{
-    execute_with, ColumnSource, ExecOptions, ExecStats, Plan, QueryOutput, ShardedRowSource,
-};
+use olxp_query::{execute, ColumnSource, ExecStats, Plan, QueryOutput, ShardedRowSource};
 use olxp_storage::{Key, MutationOp, Row, StorageError, Timestamp, Value, WalOp};
 use olxp_trace::SpanCategory;
 use olxp_txn::{IsolationLevel, Transaction, TxnError, WriteOp};
@@ -389,7 +387,7 @@ impl Session {
     /// Buffer an insert.
     pub fn insert(&self, handle: &mut TxnHandle, table: &str, row: Row) -> EngineResult<()> {
         self.note_statement(handle);
-        let schema = Arc::clone(self.db.row_table(table)?.schema());
+        let schema = self.db.catalog().table(table)?;
         schema.validate_row(&row)?;
         let key = schema.primary_key_of(&row);
         let table = table.to_string();
@@ -439,7 +437,7 @@ impl Session {
         standalone: bool,
     ) -> EngineResult<QueryOutput> {
         let source = ShardedRowSource::new(self.db.sharded_row_tables(), read_ts);
-        let output = execute_with(plan, &source, self.exec_options())?;
+        let output = execute(plan, &source)?;
         self.note_query_batches(&output.stats);
         self.db
             .metrics()
@@ -493,7 +491,7 @@ impl Session {
                 }
                 let tables = self.db.col_tables();
                 let source = ColumnSource::new(&tables);
-                let mut output = execute_with(plan, &source, self.exec_options())?;
+                let mut output = execute(plan, &source)?;
                 output.stats.freshness_lag_records = freshness.lag_records;
                 output.stats.freshness_lag_ts = freshness.lag_commit_ts;
                 self.db.metrics().record_freshness(freshness);
@@ -696,12 +694,6 @@ impl Session {
                 self.db.replicate_step()?;
             }
         }
-    }
-
-    /// Executor options derived from the engine configuration: vectorized
-    /// scans with the configured batch size.
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions::batched(self.db.config().batch_size)
     }
 
     /// Account the batches a query streamed through the vectorized executor
@@ -1121,7 +1113,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use olxp_query::{col, lit, AggFunc, AggSpec, QueryBuilder};
-    use olxp_storage::{ColumnDef, DataType, TableSchema};
+    use olxp_storage::{ColumnDef, DataType, TableSchema, DEFAULT_BATCH_SIZE};
     use olxp_trace::SpanCategory;
 
     fn test_db(mut config: EngineConfig) -> Arc<HybridDatabase> {
@@ -1311,21 +1303,38 @@ mod tests {
 
     #[test]
     fn queries_stream_batches_per_configured_batch_size() {
-        let db = test_db(EngineConfig::dual_engine().with_batch_size(64));
+        let db = test_db(EngineConfig::dual_engine());
+        // Past `test_db`'s 200 rows: 2148 in all, three batches on one shard.
+        for i in 200..2 * DEFAULT_BATCH_SIZE as i64 + 100 {
+            let name = Value::Str(format!("item-{}", i % 10));
+            db.load_row(
+                "ITEM",
+                Row::new(vec![Value::Int(i), name, Value::Decimal(i)]),
+            )
+            .unwrap();
+        }
+        db.finish_load().unwrap();
         let session = db.session();
         let plan = QueryBuilder::scan("ITEM").build();
         let mut txn = session.begin(WorkClass::Hybrid);
         let out = session.query_in_txn(&mut txn, &plan).unwrap();
         session.commit(txn).unwrap();
-        assert_eq!(
-            out.stats.batches_scanned, 4,
-            "200 rows at batch_size 64 stream as 4 batches"
-        );
+        // Each shard's partition streams its own batches.
+        let ts = db.txn_manager().oracle().read_ts();
+        let partitions = db.row_partitions("ITEM").unwrap();
+        let expected: usize = partitions
+            .iter()
+            .map(|p| p.live_row_count(ts).div_ceil(DEFAULT_BATCH_SIZE))
+            .sum();
+        assert_eq!(out.stats.batches_scanned as usize, expected);
+        if db.shard_count() == 1 {
+            assert_eq!(expected, 3, "2148 rows at batch size 1024");
+        }
         assert_eq!(
             out.stats.rows_materialized, out.stats.output_rows,
             "rows materialize only at the plan root"
         );
-        assert!(db.metrics_snapshot().query_batches >= 4);
+        assert!(db.metrics_snapshot().query_batches >= expected as u64);
     }
 
     #[test]
@@ -1524,7 +1533,7 @@ mod tests {
         let session = db.session();
         // Poison: an insert record without a row image fails to apply and is
         // retained at the head of the queue.
-        db.replication_log().append(
+        db.replication_for(0).append(
             "ITEM",
             olxp_storage::MutationOp::Insert,
             Key::int(42_000),
@@ -1553,7 +1562,7 @@ mod tests {
             .with_freshness_timeout_ms(50);
         let db = test_db(config);
         let session = db.session();
-        db.replication_log().append(
+        db.replication_for(0).append(
             "ITEM",
             olxp_storage::MutationOp::Insert,
             Key::int(43_000),

@@ -4,7 +4,7 @@
 //! Two optional background services ride on [`HybridDatabase`]:
 //!
 //! * **Sampler** — when [`crate::EngineConfig::telemetry_interval_ms`] is
-//!   non-zero (the default is 250 ms), a dedicated thread snapshots the
+//!   non-zero (the default is 250 ms), a background worker snapshots the
 //!   engine metrics every interval, diffs against the previous snapshot and
 //!   appends one [`TelemetryPoint`] per interval to a fixed-capacity
 //!   [`TimeSeriesRing`].  The ring feeds the `/timeseries` endpoint and,
@@ -15,11 +15,11 @@
 //!   health checks, 200/503), `/snapshot` (full counter snapshot as JSON)
 //!   and `/timeseries` (the sampler's ring as JSON).
 //!
-//! Both threads hold only a [`Weak`] reference to the database, so an open
-//! database with telemetry enabled can still be dropped normally; the
-//! threads observe the dead weak reference and exit, and
-//! [`HybridDatabase`]'s drop shuts them down explicitly first.
+//! Both hold only a [`Weak`] reference to the database, so an open database
+//! with telemetry enabled can still be dropped normally; [`HybridDatabase`]'s
+//! drop stops them first.
 
+use crate::background::Signal;
 use crate::database::HybridDatabase;
 use crate::metrics::{metric_families, MetricKind, MetricsSnapshot, METRICS};
 use olxp_storage::SyncPolicy;
@@ -188,10 +188,6 @@ impl TelemetryPoint {
 /// interval this is ~17 minutes of history, bounded at ~700 KiB.
 const TIMELINE_CAPACITY: usize = 4096;
 
-/// Longest single sleep inside the sampler loop, so shutdown is never
-/// delayed by more than this even under second-scale sampling intervals.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
-
 /// Live telemetry state shared between the sampler thread, the HTTP handler
 /// and the report path.  Owned by the database via `Arc` and referenced by
 /// the background threads through it (they hold the database weakly).
@@ -252,68 +248,45 @@ impl std::fmt::Debug for TelemetryState {
     }
 }
 
-/// The background metrics-sampler thread and its shutdown plumbing.
-pub(crate) struct TelemetrySampler {
-    pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Spawn the sampler thread.  It holds the database weakly: every tick
-/// upgrades, snapshots, diffs and appends one point; when the database is
-/// gone (or shutdown is flagged) the thread exits.
-pub(crate) fn spawn_sampler(db: &Arc<HybridDatabase>) -> TelemetrySampler {
+/// The sampler's worker body.  It holds the database weakly: every interval
+/// it upgrades, snapshots, diffs and appends one point; it returns when the
+/// database is gone or the worker is stopped (which ends the park at once).
+pub(crate) fn sampler(db: &Arc<HybridDatabase>) -> impl FnOnce(&Signal) + Send + 'static {
     let interval = Duration::from_millis(db.config().telemetry_interval_ms.max(1));
     let weak: Weak<HybridDatabase> = Arc::downgrade(db);
     let state = Arc::clone(db.telemetry_state_arc());
     let mut prev = db.metrics_snapshot();
     let mut prev_t = state.elapsed_ms();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name("olxp-telemetry-sampler".to_string())
-        .spawn(move || loop {
-            // Sleep the interval in small slices so shutdown (and drop) never
-            // waits a full sampling period.
-            let tick_deadline = Instant::now() + interval;
-            while Instant::now() < tick_deadline {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(SHUTDOWN_POLL.min(tick_deadline - Instant::now()));
-            }
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let Some(db) = weak.upgrade() else { return };
-            let now = db.metrics_snapshot();
-            let t_ms = state.elapsed_ms();
-            let delta = now.delta_since(&prev);
-            // The durable LSN failing to advance across a whole interval
-            // while commits are waiting on it means the fsync path is
-            // wedged.  `SyncPolicy::Never` legitimately leaves the durable
-            // LSN behind, so it never counts as a stall.
-            let syncing = db.is_durable() && db.config().durability.sync != SyncPolicy::Never;
-            let stalled = syncing
-                && now.wal.last_lsn > now.wal.durable_lsn
-                && now.wal.durable_lsn == prev.wal.durable_lsn;
-            state.wal_stalled.store(stalled, Ordering::Relaxed);
-            state.push(TelemetryPoint::from_delta(
-                t_ms,
-                t_ms.saturating_sub(prev_t).max(1),
-                &delta,
-                db.replication_lag(),
-            ));
-            prev = now;
-            prev_t = t_ms;
-            // Dropped before the next sleep: the sampler must not keep the
-            // database alive across an interval while everyone else is done
-            // with it.
-            drop(db);
-        })
-        .expect("spawning the telemetry sampler thread succeeds");
-    TelemetrySampler {
-        shutdown,
-        handle: Some(handle),
+    move |signal| loop {
+        signal.park(interval);
+        if signal.stopping() {
+            return;
+        }
+        let Some(db) = weak.upgrade() else { return };
+        let now = db.metrics_snapshot();
+        let t_ms = state.elapsed_ms();
+        let delta = now.delta_since(&prev);
+        // The durable LSN failing to advance across a whole interval while
+        // commits are waiting on it means the fsync path is wedged.
+        // `SyncPolicy::Never` legitimately leaves the durable LSN behind, so
+        // it never counts as a stall.
+        let syncing = db.is_durable() && db.config().durability.sync != SyncPolicy::Never;
+        let stalled = syncing
+            && now.wal.last_lsn > now.wal.durable_lsn
+            && now.wal.durable_lsn == prev.wal.durable_lsn;
+        state.wal_stalled.store(stalled, Ordering::Relaxed);
+        state.push(TelemetryPoint::from_delta(
+            t_ms,
+            t_ms.saturating_sub(prev_t).max(1),
+            &delta,
+            db.replication_lag(),
+        ));
+        prev = now;
+        prev_t = t_ms;
+        // Dropped before the next park: the sampler must not keep the
+        // database alive across an interval while everyone else is done with
+        // it.
+        drop(db);
     }
 }
 

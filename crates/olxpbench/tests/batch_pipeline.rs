@@ -7,7 +7,7 @@
 use olxpbench::prelude::*;
 use olxpbench::query::{
     execute, execute_with, ChunkPruner, ColumnSource, DataSource, ExecOptions, QueryResult,
-    RowSource, SourceKind,
+    ShardedRowSource, SourceKind,
 };
 use olxpbench::storage::{ColumnBatch, ColumnTable, RowTable, ScanOutcome};
 use proptest::prelude::*;
@@ -411,7 +411,7 @@ impl DataSource for Recording<'_> {
 fn each_scan_is_asked_for_exactly_the_columns_its_plan_reads() {
     let rows: Vec<(i64, i64, i64)> = (0..40).map(|i| (i, i % 8, i * 7 % 50 - 10)).collect();
     let (row_tables, col_tables) = build_tables(&rows, &[3, 17], true);
-    let row_src = RowSource::new(&row_tables, 10);
+    let row_src = ShardedRowSource::new(vec![Arc::new(row_tables)], 10);
     let col_src = ColumnSource::new(&col_tables);
     let all = None;
     let expected: [&[Scan<'_>]; SHAPES as usize] = [
@@ -457,8 +457,8 @@ fn each_scan_is_asked_for_exactly_the_columns_its_plan_reads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every plan shape returns identical rows through `RowSource`
-    /// row-at-a-time (the plan as written, full width), `RowSource` batched
+    /// Every plan shape returns identical rows through the row source
+    /// row-at-a-time (the plan as written, full width), the row source batched
     /// and `ColumnSource` batched (both column-pruned) — over a pure-delta and
     /// a compacted column store, tables with deleted slots, and batch sizes
     /// that force a partial final batch.
@@ -473,7 +473,7 @@ proptest! {
     ) {
         let (row_tables, col_tables) = build_tables(&rows, &delete_picks, compacted == 1);
         let plan = plan_for_shape(shape, knob);
-        let row_src = RowSource::new(&row_tables, 10);
+        let row_src = ShardedRowSource::new(vec![Arc::new(row_tables)], 10);
         let col_src = ColumnSource::new(&col_tables);
 
         let baseline = execute_with(
@@ -489,7 +489,7 @@ proptest! {
 
         prop_assert_eq!(
             &row_batched.rows, &baseline.rows,
-            "RowSource batched diverged (shape {}, batch_size {})", shape, batch_size
+            "row source batched diverged (shape {}, batch_size {})", shape, batch_size
         );
         prop_assert_eq!(
             &col_batched.rows, &baseline.rows,

@@ -349,7 +349,7 @@ proptest! {
     /// The merged per-shard vectorized scan is observationally identical to
     /// the unsharded scan: for every plan shape, executing against a
     /// `ShardedRowSource` over hash-routed partitions returns the same rows
-    /// as executing against one flat `RowSource` holding all of them.
+    /// as executing against one partition holding all of them.
     #[test]
     fn sharded_scan_batches_match_unsharded_scan_per_plan_shape(
         vals in proptest::collection::vec((0i64..8, -100i64..100), 1..60),
@@ -358,7 +358,7 @@ proptest! {
         knob in -50i64..50,
     ) {
         use olxpbench::engine::shard_of;
-        use olxpbench::query::{execute, QueryOutput, RowSource, ShardedRowSource};
+        use olxpbench::query::{execute, QueryOutput, ShardedRowSource};
         use std::collections::HashMap;
 
         let schema = three_col_schema();
@@ -389,7 +389,7 @@ proptest! {
                 Arc::new(m)
             })
             .collect();
-        let flat = RowSource::new(&single, 10);
+        let flat = ShardedRowSource::new(vec![Arc::new(single)], 10);
         let sharded = ShardedRowSource::new(sharded_maps, 10);
 
         let plan = match shape {

@@ -324,14 +324,14 @@ mod tests {
     use crate::builder::QueryBuilder;
     use crate::expr::{col, lit, AggFunc};
     use crate::plan::JoinKind;
-    use crate::source::RowSource;
+    use crate::source::ShardedRowSource;
     use olxp_storage::{ColumnDef, DataType, Key, RowTable, TableSchema};
     use std::collections::HashMap;
     use std::sync::Arc;
 
     /// Empty tables are enough: the pass only reads schemas.  `FACT` has six
     /// columns, `DIM` two.
-    fn tables() -> HashMap<String, Arc<RowTable>> {
+    fn source() -> ShardedRowSource {
         let table = |name: &str, width: usize| {
             let columns = (0..width)
                 .map(|i| ColumnDef::new(format!("c{i}"), DataType::Int, false))
@@ -339,7 +339,8 @@ mod tests {
             let schema = TableSchema::new(name, columns, vec!["c0"]).unwrap();
             (name.to_string(), Arc::new(RowTable::new(Arc::new(schema))))
         };
-        HashMap::from([table("FACT", 6), table("DIM", 2)])
+        let tables = HashMap::from([table("FACT", 6), table("DIM", 2)]);
+        ShardedRowSource::new(vec![Arc::new(tables)], 1)
     }
 
     fn scan(table: &str, filter: Option<Expr>, columns: &[usize]) -> Plan {
@@ -352,8 +353,7 @@ mod tests {
 
     #[test]
     fn aggregate_over_a_filtering_scan_reads_keys_inputs_and_filter_columns() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         let plan = QueryBuilder::scan_where("FACT", col(4).gt(lit(0)))
             .aggregate(vec![5], vec![AggSpec::new(AggFunc::Sum, 2)])
             .build();
@@ -365,8 +365,7 @@ mod tests {
 
     #[test]
     fn filter_sort_and_limit_pass_the_set_down_and_add_their_own() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         let plan = QueryBuilder::scan("FACT")
             .filter(col(3).eq(lit(1)))
             .sort(vec![SortKey::desc(5)])
@@ -384,8 +383,7 @@ mod tests {
 
     #[test]
     fn join_splits_the_set_at_the_left_width_and_adds_both_key_lists() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         // FACT ⋈ DIM on FACT.c1 = DIM.c0, reading FACT.c3 and DIM.c1 (at 6+1).
         let plan = QueryBuilder::scan("FACT")
             .join(
@@ -412,8 +410,7 @@ mod tests {
 
     #[test]
     fn a_root_that_outputs_whole_rows_leaves_the_plan_as_written() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         let plan = QueryBuilder::scan_where("FACT", col(0).gt(lit(3)))
             .join(QueryBuilder::scan("DIM"), vec![1], vec![0], JoinKind::Inner)
             .sort(vec![SortKey::asc(7)])
@@ -425,8 +422,7 @@ mod tests {
 
     #[test]
     fn an_already_narrowed_scan_narrows_further_in_base_table_terms() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         let plan = QueryBuilder::from_plan(scan("FACT", Some(col(2).lt(lit(9))), &[5, 0, 3]))
             .aggregate(vec![], vec![AggSpec::new(AggFunc::Max, 0)])
             .build();
@@ -438,8 +434,7 @@ mod tests {
 
     #[test]
     fn index_scans_return_whole_rows_and_are_left_alone() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         let plan = QueryBuilder::index_scan("FACT", None, Key::int(1))
             .aggregate(vec![], vec![AggSpec::new(AggFunc::Min, 4)])
             .build();
@@ -448,8 +443,7 @@ mod tests {
 
     #[test]
     fn a_reference_the_pass_cannot_place_leaves_the_plan_as_written() {
-        let tables = tables();
-        let source = RowSource::new(&tables, 1);
+        let source = source();
         let narrowable = |plan: QueryBuilder| plan.aggregate(vec![0], vec![]).build();
         for plan in [
             // Position past the table's width, in each place one can hide.

@@ -922,12 +922,13 @@ mod tests {
     use super::*;
     use crate::builder::QueryBuilder;
     use crate::expr::{col, lit};
-    use crate::source::RowSource;
+    use crate::source::ShardedRowSource;
     use olxp_storage::{ColumnDef, DataType, Key, RowTable, TableSchema};
     use std::collections::HashMap as StdHashMap;
     use std::sync::Arc;
 
-    fn fixture() -> StdHashMap<String, Arc<RowTable>> {
+    /// ORDERS and CUSTOMER on one shard, read at timestamp 10.
+    fn fixture() -> ShardedRowSource {
         let orders = Arc::new(RowTable::new(Arc::new(
             TableSchema::new(
                 "ORDERS",
@@ -967,13 +968,12 @@ mod tests {
         let mut tables = StdHashMap::new();
         tables.insert("ORDERS".to_string(), orders);
         tables.insert("CUSTOMER".to_string(), customers);
-        tables
+        ShardedRowSource::new(vec![Arc::new(tables)], 10)
     }
 
     #[test]
     fn scan_filter_project() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .filter(col(1).eq(lit(10)))
             .project(vec![col(0), col(2)])
@@ -988,8 +988,7 @@ mod tests {
 
     #[test]
     fn index_scan_uses_prefix() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::index_scan("ORDERS", None, Key::int(3)).build();
         let out = execute(&plan, &source).unwrap();
         assert_eq!(out.rows.len(), 1);
@@ -999,8 +998,7 @@ mod tests {
 
     #[test]
     fn inner_and_left_outer_join() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let inner = QueryBuilder::scan("ORDERS")
             .join(
                 QueryBuilder::scan("CUSTOMER"),
@@ -1035,8 +1033,7 @@ mod tests {
 
     #[test]
     fn group_by_aggregation() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .aggregate(
                 vec![1],
@@ -1061,8 +1058,7 @@ mod tests {
 
     #[test]
     fn global_aggregate_on_empty_input_yields_one_row() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .filter(col(0).gt(lit(1000)))
             .aggregate(
@@ -1081,8 +1077,7 @@ mod tests {
 
     #[test]
     fn sort_and_limit() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .sort(vec![SortKey::desc(2)])
             .limit(2)
@@ -1095,8 +1090,7 @@ mod tests {
 
     #[test]
     fn malformed_join_is_rejected() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .join(
                 QueryBuilder::scan("CUSTOMER"),
@@ -1167,12 +1161,9 @@ mod tests {
     /// `ColumnOutOfRange`.
     #[test]
     fn left_outer_join_with_an_empty_right_input_pads_to_the_plan_width() {
-        let row_tables = fixture();
         let col_tables = col_fixture();
-        let sources: [&dyn DataSource; 2] = [
-            &RowSource::new(&row_tables, 10),
-            &crate::source::ColumnSource::new(&col_tables),
-        ];
+        let sources: [&dyn DataSource; 2] =
+            [&fixture(), &crate::source::ColumnSource::new(&col_tables)];
         let join = QueryBuilder::scan("ORDERS").join(
             QueryBuilder::scan_where("CUSTOMER", col(0).eq(lit(999))),
             vec![1],
@@ -1211,8 +1202,7 @@ mod tests {
     /// width of the full input.
     #[test]
     fn out_of_range_positions_stay_typed_errors_under_column_pruning() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let orders = || QueryBuilder::scan_where("ORDERS", col(1).eq(lit(10)));
         for (plan, position, width) in [
             (
@@ -1290,8 +1280,7 @@ mod tests {
     /// A hand-written column list means the same thing in both scan modes.
     #[test]
     fn a_scan_with_a_column_list_emits_those_columns_in_that_order() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = Plan::TableScan {
             table: "ORDERS".into(),
             filter: Some(col(0).ge(lit(Value::Decimal(500)))),
@@ -1313,8 +1302,7 @@ mod tests {
 
     #[test]
     fn batched_and_row_at_a_time_agree_on_every_operator() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plans = vec![
             QueryBuilder::scan("ORDERS")
                 .filter(col(2).ge(lit(Value::Decimal(300))))
@@ -1370,8 +1358,7 @@ mod tests {
 
     #[test]
     fn limit_narrows_batch_selection() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").limit(3).build();
         let out = execute_with(&plan, &source, ExecOptions::batched(2)).unwrap();
         assert_eq!(out.rows.len(), 3);
@@ -1381,8 +1368,7 @@ mod tests {
 
     #[test]
     fn filter_errors_propagate_from_batches() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .filter(col(99).eq(lit(1)))
             .build();
@@ -1396,8 +1382,7 @@ mod tests {
     fn zero_width_projection_keeps_cardinality() {
         // SELECT (no columns) FROM ORDERS — degenerate, but the batch
         // pipeline must not lose the row count when width is 0.
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").project(vec![]).build();
         let batched = execute_with(&plan, &source, ExecOptions::batched(3)).unwrap();
         let row_mode = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
@@ -1412,8 +1397,7 @@ mod tests {
         assert_eq!(opts.batch_size, 1);
         let opts = ExecOptions::default().with_batch_size(0);
         assert_eq!(opts.batch_size, 1);
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").build();
         let out = execute_with(
             &plan,

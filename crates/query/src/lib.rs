@@ -15,8 +15,9 @@
 //! This crate provides the expression language ([`expr::Expr`]), the logical
 //! plan ([`plan::Plan`]) and an executor ([`exec::execute`]) that runs a plan
 //! against any [`source::DataSource`].  Two data sources are provided:
-//! [`source::RowSource`] (over MVCC row tables, used for statements that must
-//! run on the row engine — every statement of a hybrid transaction) and
+//! [`source::ShardedRowSource`] (over the per-shard partitions of MVCC row
+//! tables, used for statements that must run on the row engine — every
+//! statement of a hybrid transaction) and
 //! [`source::ColumnSource`] (over columnar replicas, used for standalone
 //! analytical queries on the dual-engine architecture).
 //!
@@ -39,4 +40,4 @@ pub use exec::{execute, execute_with, ExecOptions, ExecStats, QueryOutput, ScanM
 pub use expr::{col, lit, AggFunc, Expr, ValueAccess};
 pub use plan::{AggSpec, JoinKind, Plan, SortKey};
 pub use prune::{extract_sargable, ChunkPruner};
-pub use source::{ColumnSource, DataSource, RowSource, ShardedRowSource, SourceKind};
+pub use source::{ColumnSource, DataSource, ShardedRowSource, SourceKind};

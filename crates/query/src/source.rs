@@ -1,11 +1,11 @@
 //! Data sources the executor reads from.
 //!
 //! A [`DataSource`] abstracts over "where do base-table rows come from":
-//! [`RowSource`] reads MVCC row tables at a snapshot timestamp (the only
-//! option for statements inside a transaction, including the real-time query
-//! of a hybrid transaction), while [`ColumnSource`] reads the columnar
-//! replicas (what the dual-engine architecture uses for standalone analytical
-//! queries).
+//! [`ShardedRowSource`] reads the per-shard partitions of MVCC row tables at a
+//! snapshot timestamp (the only option for statements inside a transaction,
+//! including the real-time query of a hybrid transaction), while
+//! [`ColumnSource`] reads the columnar replicas (what the dual-engine
+//! architecture uses for standalone analytical queries).
 //!
 //! Every source serves the same one batched scan: the executor names the
 //! base-table columns a plan reads and, where the filter allows, a chunk
@@ -80,88 +80,13 @@ pub trait DataSource {
     ) -> QueryResult<(Vec<Row>, usize)>;
 }
 
-/// [`DataSource`] over MVCC row tables at a fixed snapshot.
-pub struct RowSource<'a> {
-    tables: &'a HashMap<String, Arc<RowTable>>,
-    read_ts: Timestamp,
-}
-
-impl<'a> RowSource<'a> {
-    /// Create a source reading the given tables at `read_ts`.
-    pub fn new(tables: &'a HashMap<String, Arc<RowTable>>, read_ts: Timestamp) -> RowSource<'a> {
-        RowSource { tables, read_ts }
-    }
-
-    fn table(&self, name: &str) -> QueryResult<&Arc<RowTable>> {
-        self.tables.get(name).ok_or_else(|| {
-            QueryError::Storage(olxp_storage::StorageError::TableNotFound(name.into()))
-        })
-    }
-}
-
-impl DataSource for RowSource<'_> {
-    fn kind(&self) -> SourceKind {
-        SourceKind::RowStore
-    }
-
-    fn schema(&self, table: &str) -> QueryResult<Arc<TableSchema>> {
-        Ok(Arc::clone(self.table(table)?.schema()))
-    }
-
-    fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize> {
-        let t = self.table(table)?;
-        let examined = t.scan(self.read_ts, |_, row| f(row));
-        Ok(examined)
-    }
-
-    fn scan_batches(
-        &self,
-        table: &str,
-        projection: Option<&[usize]>,
-        batch_size: usize,
-        _pruner: Option<&ChunkPruner>,
-        f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<ScanOutcome> {
-        let t = self.table(table)?;
-        Ok(ScanOutcome {
-            slots_examined: t.scan_batches(self.read_ts, projection, batch_size, |b| f(&b)),
-            ..ScanOutcome::default()
-        })
-    }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        index: Option<usize>,
-        prefix: &Key,
-    ) -> QueryResult<(Vec<Row>, usize)> {
-        let t = self.table(table)?;
-        match index {
-            None => {
-                let mut rows = Vec::new();
-                let examined = t.prefix_scan(prefix, self.read_ts, |_, row| {
-                    rows.push(Row::clone(row));
-                });
-                Ok((rows, examined.max(1)))
-            }
-            Some(pos) => {
-                let (pairs, examined) = t.index_lookup(pos, prefix, self.read_ts)?;
-                Ok((
-                    pairs.into_iter().map(|(_, row)| Row::clone(&row)).collect(),
-                    examined,
-                ))
-            }
-        }
-    }
-}
-
 /// [`DataSource`] over the per-shard partitions of hash-partitioned MVCC row
 /// tables, all read at one snapshot.
 ///
 /// Each shard owns a disjoint slice of every table's keys, so a scan is the
 /// concatenation of the per-shard scans (shard-major order) and an index
-/// lookup is the union of the per-shard lookups.  With one shard this is
-/// exactly [`RowSource`].
+/// lookup is the union of the per-shard lookups.  An unsharded caller passes
+/// its one table map as a single shard.
 pub struct ShardedRowSource {
     shards: Vec<Arc<HashMap<String, Arc<RowTable>>>>,
     read_ts: Timestamp,
@@ -361,10 +286,8 @@ mod tests {
         table
             .insert(Row::new(vec![Value::Int(99), Value::Decimal(1)]), 20)
             .unwrap();
-        let mut tables = HashMap::new();
-        tables.insert("ITEM".to_string(), Arc::clone(&table));
-
-        let source = RowSource::new(&tables, 15);
+        let tables = HashMap::from([("ITEM".to_string(), table)]);
+        let source = ShardedRowSource::new(vec![Arc::new(tables)], 15);
         let mut count = 0;
         source.scan("ITEM", &mut |_| count += 1).unwrap();
         assert_eq!(count, 5, "row committed at ts 20 is invisible at ts 15");
@@ -433,8 +356,7 @@ mod tests {
 
     #[test]
     fn unknown_table_is_an_error() {
-        let tables = HashMap::new();
-        let source = RowSource::new(&tables, 1);
+        let source = ShardedRowSource::new(vec![Arc::new(HashMap::new())], 1);
         assert!(source.scan("NOPE", &mut |_| {}).is_err());
         assert!(source.schema("NOPE").is_err());
     }

@@ -414,7 +414,7 @@ fn sharded_wal_streams_scale_oltp_throughput() {
             })
             .run(&db, &workload)
             .unwrap();
-            db.shutdown_applier();
+            drop(db);
             let _ = std::fs::remove_dir_all(&dir);
             result.oltp_throughput()
         };
