@@ -58,24 +58,17 @@ pub fn commit_latency_by_sync_policy(opts: ExpOptions) -> String {
         };
         let result = run_config(&db, &workload, config);
         let oltp = result.oltp.expect("OLTP agents were enabled");
-        let commits_per_fsync = if result.wal_fsyncs == 0 {
-            "-".to_string()
-        } else {
-            format!(
-                "{:.1}",
-                result.wal_synced_commits as f64 / result.wal_fsyncs as f64
-            )
-        };
+        let wal = result.engine.wal;
         rows.push(vec![
             mode.label().to_string(),
             format!("{:.0}", oltp.throughput),
             fmt_ms(oltp.mean_ms),
             fmt_ms(oltp.p95_ms),
             fmt_ms(oltp.p999_ms),
-            result.wal_fsyncs.to_string(),
-            commits_per_fsync,
-            result.group_commit_p50.to_string(),
-            result.group_commit_p99.to_string(),
+            wal.fsyncs.to_string(),
+            format!("{:.1}", wal.commits_per_fsync()),
+            wal.group_batch_p50.to_string(),
+            wal.group_batch_p99.to_string(),
         ]);
         drop(db);
         // Ephemeral engines (no --data-dir) clean up their temp state.

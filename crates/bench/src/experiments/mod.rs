@@ -311,18 +311,18 @@ pub struct SloViolation {
 pub fn check_slos(runs: &[BenchmarkResult]) -> Vec<SloViolation> {
     let mut violations = Vec::new();
     for run in runs {
-        if run.replication_errors > 0 {
+        if run.engine.replication_errors > 0 {
             violations.push(SloViolation {
                 run: run.label.clone(),
                 bound: "replication_errors == 0",
-                observed: run.replication_errors,
+                observed: run.engine.replication_errors,
             });
         }
-        if run.freshness_timeouts > 0 {
+        if run.engine.freshness_timeouts > 0 {
             violations.push(SloViolation {
                 run: run.label.clone(),
                 bound: "freshness_timeouts == 0",
-                observed: run.freshness_timeouts,
+                observed: run.engine.freshness_timeouts,
             });
         }
     }
@@ -391,4 +391,34 @@ pub(crate) fn measure_peak(
         _ => result.oltp_throughput(),
     }
     .max(1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use olxpbench::engine::MetricsSnapshot;
+
+    #[test]
+    fn check_slos_flags_replication_errors_and_freshness_timeouts() {
+        let unhealthy = BenchmarkResult {
+            label: "unhealthy".into(),
+            engine: MetricsSnapshot {
+                replication_errors: 2,
+                freshness_timeouts: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let violations = check_slos(&[unhealthy]);
+        let observed: Vec<(&str, u64)> = violations.iter().map(|v| (v.bound, v.observed)).collect();
+        assert_eq!(
+            observed,
+            [
+                ("replication_errors == 0", 2),
+                ("freshness_timeouts == 0", 1)
+            ]
+        );
+        assert!(violations.iter().all(|v| v.run == "unhealthy"));
+        assert!(check_slos(&[BenchmarkResult::default()]).is_empty());
+    }
 }

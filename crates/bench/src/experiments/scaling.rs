@@ -213,7 +213,7 @@ pub fn shard_scaling(opts: ExpOptions) -> String {
         ]);
         // The widest run's per-shard commit/lock/WAL counters show how evenly
         // the hash partitioning spreads the write path.
-        widest_breakdown = shard_table(&result.per_shard);
+        widest_breakdown = shard_table(&result.engine.per_shard);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

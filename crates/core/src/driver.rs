@@ -11,19 +11,19 @@
 use crate::config::{AgentConfig, BenchConfig, LoopMode};
 use crate::error::{BenchError, BenchResult};
 use crate::generator::{OpenLoopSchedule, RequestSchedule, WeightedChoice};
-use crate::report::{FreshnessSummary, LatencySummary, ShardSummary, StageSummary};
+use crate::report::{FreshnessSummary, LatencySummary, StageSummary};
 use crate::stats::LatencyRecorder;
 use crate::workload::{AnalyticalQuery, HybridTransaction, OnlineTransaction, Workload};
 use olxp_engine::{HybridDatabase, MetricsSnapshot, Session, TelemetryPoint};
 use olxp_txn::LockStatsSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of one benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct BenchmarkResult {
     /// Configuration label.
     pub label: String,
@@ -41,58 +41,21 @@ pub struct BenchmarkResult {
     /// worker-queue waits) divided by simulated busy time — the paper's
     /// Figure 4 metric.
     pub lock_overhead: f64,
-    /// Engine commits during the run.
-    pub commits: u64,
-    /// Engine aborts during the run.
-    pub aborts: u64,
-    /// Rows scanned from row stores during the run.
-    pub row_rows_scanned: u64,
-    /// Rows scanned from column stores during the run.
-    pub col_rows_scanned: u64,
-    /// Column-store chunks whose rows were scanned during the run.
-    pub chunks_scanned: u64,
-    /// Column-store chunks skipped by zone maps during the run.
-    pub chunks_pruned_zonemap: u64,
-    /// Live rows in surviving compressed main-tier chunks deselected by
-    /// predicate evaluation on encoded columns during the run.
-    pub rows_pruned_encoded: u64,
-    /// Delta chunks sealed into the compressed main tier during the run.
-    pub chunks_compacted: u64,
-    /// Bytes resident across the columnar replicas at the end of the run
-    /// (encoded main chunks plus plain delta tails).
-    pub col_bytes_resident: u64,
-    /// Columnar compression ratio at the end of the run: bytes the same data
-    /// would occupy unencoded per resident byte (1.0 when uncompressed).
-    pub col_compression_ratio: f64,
-    /// Buffer-pool misses during the run.
-    pub buffer_misses: u64,
+    /// The engine's metrics over the measurement window
+    /// (`after.delta_since(&before)`): counters cover the window, gauges and
+    /// lifetime percentiles (resident bytes, group-commit batch sizes, LSN
+    /// watermarks) are their values at the end of the run.
+    pub engine: MetricsSnapshot,
     /// Replication lag (records) at the end of the run.
     pub replication_lag: u64,
-    /// Replication apply failures during the run (records are retained and
-    /// retried, but a non-zero value means the pipeline was unhealthy).
-    pub replication_errors: u64,
     /// Distribution of the replication staleness analytical reads observed
     /// during the run (`None` when OLAP agents were disabled) — the freshness
     /// percentiles reported next to throughput.
     pub freshness: Option<FreshnessSummary>,
-    /// WAL records appended during the run (0 for in-memory engines).
-    pub wal_appends: u64,
-    /// WAL fsyncs issued during the run (0 for in-memory engines).
-    pub wal_fsyncs: u64,
-    /// Commits acknowledged through a durability sync during the run.
-    pub wal_synced_commits: u64,
-    /// Median group-commit batch size over the engine's lifetime (committers
-    /// per fsync; 0 for in-memory engines).
-    pub group_commit_p50: u64,
-    /// 99th percentile group-commit batch size over the engine's lifetime.
-    pub group_commit_p99: u64,
     /// Per-stage lifecycle latency summaries over the run (lock, WAL append,
     /// fsync, install, 2PC, replication apply, compaction, query operators).
     /// Empty unless the engine ran with tracing enabled.
     pub stages: Vec<StageSummary>,
-    /// Per-shard commit / lock-wait / WAL activity over the run.  Always
-    /// populated (one entry per shard), independent of tracing.
-    pub per_shard: Vec<ShardSummary>,
     /// Formatted records of transactions that exceeded the engine's
     /// slow-transaction threshold during the run (drained from the engine's
     /// log; empty when the threshold is unset or nothing qualified).
@@ -100,8 +63,6 @@ pub struct BenchmarkResult {
     /// Formatted records of analytical queries that exceeded the engine's
     /// slow-query threshold during the run (drained from the engine's log).
     pub slow_queries: Vec<String>,
-    /// Analytical freshness waits that timed out during the run.
-    pub freshness_timeouts: u64,
     /// The engine's sampled telemetry timeline over the run (warm-up
     /// included), rebased so `t_ms == 0` at the driver's start.  Empty when
     /// the telemetry sampler is disabled.
@@ -207,14 +168,7 @@ impl BenchmarkDriver {
         );
         let analytical_choice = WeightedChoice::new(&vec![1u32; analytical.len().max(1)]);
 
-        let metrics_before = db.metrics_snapshot();
         let telemetry_t0 = db.telemetry_elapsed_ms();
-        // Discard freshness samples left over from earlier runs against the
-        // same database; the warm-up's samples are discarded by a marker
-        // thread below so the distribution covers the same window as the
-        // latency summaries.
-        db.metrics().take_freshness_samples();
-        let locks_before = db.txn_manager().locks().stats();
         let start = Instant::now();
         let measure_start = start + self.config.warmup;
         let deadline = start + self.config.total_runtime();
@@ -223,12 +177,15 @@ impl BenchmarkDriver {
         let mut olap_recorder = LatencyRecorder::new();
         let mut hybrid_recorder = LatencyRecorder::new();
 
-        std::thread::scope(|scope| {
-            // Drop warm-up freshness observations the moment measurement
-            // starts, so the collected samples match the measurement window.
-            scope.spawn(|| {
+        let (metrics_before, locks_before) = std::thread::scope(|scope| {
+            // The moment measurement starts, drop the freshness samples taken
+            // so far (earlier runs and the warm-up) and snapshot the engine
+            // and lock counters, so every figure covers the same window as
+            // the latency summaries.
+            let marker = scope.spawn(|| {
                 std::thread::sleep(measure_start.saturating_duration_since(Instant::now()));
                 db.metrics().take_freshness_samples();
+                (db.metrics_snapshot(), db.txn_manager().locks().stats())
             });
             let mut handles = Vec::new();
             let groups: [(AgentKind, &AgentConfig); 3] = [
@@ -278,12 +235,12 @@ impl BenchmarkDriver {
                     AgentKind::Hybrid => hybrid_recorder.merge(&recorder),
                 }
             }
+            marker.join().expect("measurement marker thread panicked")
         });
 
-        let metrics_after = db.metrics_snapshot();
+        let engine = db.metrics_snapshot().delta_since(&metrics_before);
         let locks_after = db.txn_manager().locks().stats();
-        let delta = metrics_after.delta_since(&metrics_before);
-        let lock_overhead = compute_lock_overhead(&delta, &locks_before, &locks_after);
+        let lock_overhead = compute_lock_overhead(&engine, &locks_before, &locks_after);
         let measured_samples = db.metrics().take_freshness_samples();
         let freshness = if self.config.olap.is_enabled() {
             let lag_records: Vec<u64> = measured_samples.iter().map(|s| s.lag_records).collect();
@@ -306,28 +263,10 @@ impl BenchmarkDriver {
             olap: enabled_summary(&self.config.olap, &olap_recorder, window),
             hybrid: enabled_summary(&self.config.hybrid, &hybrid_recorder, window),
             lock_overhead,
-            commits: delta.commits,
-            aborts: delta.aborts,
-            row_rows_scanned: delta.row_rows_scanned,
-            col_rows_scanned: delta.col_rows_scanned,
-            chunks_scanned: delta.chunks_scanned,
-            chunks_pruned_zonemap: delta.chunks_pruned_zonemap,
-            rows_pruned_encoded: delta.rows_pruned_encoded,
-            chunks_compacted: delta.chunks_compacted,
-            // Footprint is a gauge: report the run-end state, not a delta.
-            col_bytes_resident: metrics_after.col_bytes_resident,
-            col_compression_ratio: metrics_after.col_compression_ratio(),
-            buffer_misses: delta.buffer_misses,
+            stages: StageSummary::from_breakdown(&engine.stages),
+            engine,
             replication_lag: db.replication_lag(),
-            replication_errors: delta.replication_errors,
             freshness,
-            wal_appends: delta.wal.appends,
-            wal_fsyncs: delta.wal.fsyncs,
-            wal_synced_commits: delta.wal.synced_commits,
-            group_commit_p50: delta.wal.group_batch_p50,
-            group_commit_p99: delta.wal.group_batch_p99,
-            stages: StageSummary::from_breakdown(&delta.stages),
-            per_shard: ShardSummary::from_breakdowns(&delta.per_shard),
             slow_txns: db
                 .slow_txn_log()
                 .take()
@@ -340,7 +279,6 @@ impl BenchmarkDriver {
                 .iter()
                 .map(|record| record.format())
                 .collect(),
-            freshness_timeouts: delta.freshness_timeouts,
             timeline: db
                 .telemetry_points_since(telemetry_t0)
                 .into_iter()

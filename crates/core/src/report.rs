@@ -234,55 +234,22 @@ pub fn stage_table(stages: &[StageSummary]) -> String {
     )
 }
 
-/// Per-shard commit and WAL activity over one run, in reportable form.
+/// Render a run's per-shard commit, lock-wait and WAL counters as a text
+/// table, one row per shard in shard order (empty string for no shards).
 /// Lock-wait accounting is always on, so this is available without tracing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct ShardSummary {
-    /// Shard index.
-    pub shard: u32,
-    /// Transactions that committed touching this shard.
-    pub commits: u64,
-    /// Row-lock acquisitions that waited on this shard.
-    pub lock_waits: u64,
-    /// Mean lock wait (µs) across this shard's acquisitions.
-    pub mean_lock_wait_us: f64,
-    /// WAL records appended to this shard's stream.
-    pub wal_appends: u64,
-    /// Fsyncs issued against this shard's stream.
-    pub wal_fsyncs: u64,
-}
-
-impl ShardSummary {
-    /// Summarise the engine's per-shard counters, one entry per shard.
-    pub fn from_breakdowns(per_shard: &[ShardBreakdown]) -> Vec<ShardSummary> {
-        per_shard
-            .iter()
-            .enumerate()
-            .map(|(shard, b)| ShardSummary {
-                shard: shard as u32,
-                commits: b.commits,
-                lock_waits: b.lock_waits,
-                mean_lock_wait_us: b.mean_lock_wait_nanos() / 1_000.0,
-                wal_appends: b.wal_appends,
-                wal_fsyncs: b.wal_fsyncs,
-            })
-            .collect()
-    }
-}
-
-/// Render per-shard summaries as a text table (empty string for no shards).
-pub fn shard_table(shards: &[ShardSummary]) -> String {
+pub fn shard_table(shards: &[ShardBreakdown]) -> String {
     if shards.is_empty() {
         return String::new();
     }
     let rows: Vec<Vec<String>> = shards
         .iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(shard, s)| {
             vec![
-                s.shard.to_string(),
+                shard.to_string(),
                 s.commits.to_string(),
                 s.lock_waits.to_string(),
-                format!("{:.1}", s.mean_lock_wait_us),
+                format!("{:.1}", s.mean_lock_wait_nanos() / 1_000.0),
                 s.wal_appends.to_string(),
                 s.wal_fsyncs.to_string(),
             ]
@@ -473,14 +440,24 @@ mod tests {
             },
             ShardBreakdown::default(),
         ];
-        let summaries = ShardSummary::from_breakdowns(&breakdowns);
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].shard, 0);
-        assert_eq!(summaries[1].shard, 1);
-        assert!((summaries[0].mean_lock_wait_us - 2.0).abs() < 1e-9);
-        assert_eq!(summaries[0].wal_fsyncs, 5);
-        let table = shard_table(&summaries);
-        assert!(table.contains("mean_wait_us"));
+        let table = shard_table(&breakdowns);
+        let cells: Vec<Vec<&str>> = table
+            .lines()
+            .map(|line| {
+                line.split('|')
+                    .map(str::trim)
+                    .filter(|c| !c.is_empty())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            cells.len(),
+            4,
+            "header, rule and one row per shard: {table}"
+        );
+        assert_eq!(cells[0][3], "mean_wait_us");
+        assert_eq!(cells[2], ["0", "10", "4", "2.0", "20", "5"]);
+        assert_eq!(cells[3], ["1", "0", "0", "0.0", "0", "0"]);
         assert!(shard_table(&[]).is_empty());
     }
 

@@ -6,6 +6,7 @@
 
 use olxp_trace::{SpanCategory, StageBreakdown};
 use parking_lot::Mutex;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Freshness observed by one analytical read at the moment it started.
@@ -39,7 +40,7 @@ impl WalMetrics {
 /// touching several shards counts once on each); the WAL counters are filled
 /// in by [`crate::HybridDatabase::metrics_snapshot`] from that shard's own
 /// stream and stay zero on in-memory engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ShardBreakdown {
     /// Commits that wrote to this shard.
     pub commits: u64,
@@ -419,6 +420,19 @@ impl MetricsSnapshot {
     }
 }
 
+/// One key per [`METRICS`] entry, named as in `/snapshot`, plus `per_shard`.
+/// Stage histograms are left out: reports carry their quantiles instead.
+impl Serialize for MetricsSnapshot {
+    fn serialize(&self) -> Value {
+        let mut entries: Vec<(String, Value)> = METRICS
+            .iter()
+            .map(|def| (def.key.to_string(), def.value(self).serialize()))
+            .collect();
+        entries.push(("per_shard".to_string(), self.per_shard.serialize()));
+        Value::Map(entries)
+    }
+}
+
 impl EngineMetrics {
     /// Create zeroed metrics without a per-shard breakdown.
     pub fn new() -> EngineMetrics {
@@ -483,11 +497,11 @@ impl EngineMetrics {
 
     /// Drain and return the retained freshness samples.
     ///
-    /// The benchmark driver drains once when a run starts (discarding
-    /// leftovers from earlier runs on the same database), once when the
-    /// warm-up ends (so the distribution covers the same window as the
-    /// latency summaries), and once at the end to collect the run's samples —
-    /// which also keeps long-lived databases from ever pinning the sample cap.
+    /// The benchmark driver drains once when the warm-up ends (discarding
+    /// leftovers from earlier runs and the warm-up's samples, so the
+    /// distribution covers the same window as the latency summaries) and once
+    /// at the end to collect the run's samples — which also keeps long-lived
+    /// databases from ever pinning the sample cap.
     pub fn take_freshness_samples(&self) -> Vec<FreshnessSample> {
         std::mem::take(&mut *self.freshness_samples.lock())
     }

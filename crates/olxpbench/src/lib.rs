@@ -66,7 +66,7 @@ pub mod prelude {
         check_semantic_consistency, shard_table, stage_table, timeline_table, AgentConfig,
         AnalyticalQuery, BenchConfig, BenchmarkComparison, BenchmarkDriver, BenchmarkResult,
         FreshnessSummary, HybridTransaction, LatencySummary, LoopMode, OnlineTransaction,
-        ShardSummary, StageSummary, TransactionMix, Workload, WorkloadFeatures, WorkloadKind,
+        StageSummary, TransactionMix, Workload, WorkloadFeatures, WorkloadKind,
     };
     pub use olxpbench_workloads::{
         olxp_suites, workload_by_name, ChBenchmark, Fibenchmark, Subenchmark, Tabenchmark,

@@ -129,18 +129,13 @@ fn batched_column_aggregate_materializes_no_per_row_tuples_on_100k_rows() {
         )
         .build();
 
-    let before = table.stats();
     let batched = execute_with(&plan, &source, ExecOptions::batched(1024)).unwrap();
-    let mid = table.stats();
     let row_mode = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
-    let after = table.stats();
 
     assert_eq!(batched.rows, row_mode.rows, "identical results");
     assert_eq!(batched.rows.len(), 1);
 
     // Both paths walked the same physical slots...
-    assert_eq!(mid.slots_examined - before.slots_examined, ROWS as u64);
-    assert_eq!(after.slots_examined - mid.slots_examined, ROWS as u64);
     assert_eq!(batched.stats.rows_scanned, ROWS as u64);
     assert_eq!(row_mode.stats.rows_scanned, ROWS as u64);
 

@@ -547,8 +547,8 @@ fn benchmark_workload_survives_crash_recovery() {
         let driver = BenchmarkDriver::new(bench);
         driver.prepare(&db, &workload).unwrap();
         let result = driver.run(&db, &workload).unwrap();
-        assert!(result.wal_appends > 0, "durable run logs to the WAL");
-        assert!(result.wal_fsyncs > 0);
+        assert!(result.engine.wal.appends > 0, "durable run logs to the WAL");
+        assert!(result.engine.wal.fsyncs > 0);
         committed = db.total_live_rows();
         db.simulate_crash();
     }

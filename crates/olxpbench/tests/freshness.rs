@@ -176,7 +176,7 @@ fn driver_reports_freshness_percentiles() {
         freshness.lag_records_max <= 512,
         "bound held during the run"
     );
-    assert_eq!(result.replication_errors, 0);
+    assert_eq!(result.engine.replication_errors, 0);
 
     // An OLTP-only run reports no freshness distribution.
     let oltp_only = BenchConfig {

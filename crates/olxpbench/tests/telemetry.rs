@@ -3,6 +3,7 @@
 //! the driver threads the sampled timeline into its `BenchmarkResult` so the
 //! report layer can print the per-interval table.
 
+use olxpbench::engine::metrics::METRICS;
 use olxpbench::prelude::*;
 use std::collections::BTreeSet;
 use std::io::{Read as _, Write as _};
@@ -82,7 +83,7 @@ fn live_run_is_scrapeable_and_reports_a_timeline() {
     let table = timeline_table(&result.timeline);
     assert!(table.contains("commit/s"));
     assert!(table.lines().count() >= result.timeline.len() + 2);
-    assert_eq!(result.freshness_timeouts, 0);
+    assert_eq!(result.engine.freshness_timeouts, 0);
 
     // The listener keeps serving after the run.
     let (status, metrics) = http_get(addr, "/metrics");
@@ -274,6 +275,15 @@ fn wire_names_are_pinned() {
     let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
     let entry = &doc.get("timeline").and_then(|t| t.as_seq()).unwrap()[0];
     assert_eq!(keys(entry), set(&timeline_entry), "timeline entry keys");
+    // The run's counters are serialised once, under the one declaration's
+    // names.
+    let mut engine_keys: BTreeSet<String> = METRICS.iter().map(|d| d.key.to_string()).collect();
+    engine_keys.insert("per_shard".to_string());
+    assert_eq!(
+        keys(doc.get("engine").expect("an engine object")),
+        engine_keys,
+        "engine keys"
+    );
 
     drop(db);
     let _ = std::fs::remove_dir_all(dir);

@@ -39,48 +39,7 @@ use crate::zonemap::{ChunkZone, ScanOutcome, ScanPredicate, DEFAULT_CHUNK_SIZE};
 use crate::Timestamp;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Counters exposed by a [`ColumnTable`].
-///
-/// Physical and logical scan work are tracked separately: `slots_examined`
-/// counts every row slot a scan walked over (including deleted slots, the
-/// quantity that drives the cost model), while `rows_scanned` counts only the
-/// *live* rows actually handed to the consumer.  Slots inside pruned chunks
-/// are neither examined nor scanned; the chunk counters record how much work
-/// pruning skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ColumnTableStats {
-    /// Number of scans performed (scans of an empty table are no-ops and are
-    /// not counted).
-    pub scans: u64,
-    /// Total row slots examined by scans, including deleted slots but
-    /// excluding slots inside pruned chunks.
-    pub slots_examined: u64,
-    /// Live rows produced by scans (excludes deleted slots and rows
-    /// deselected by encoded-predicate evaluation).
-    pub rows_scanned: u64,
-    /// Number of replication mutations applied.
-    pub mutations_applied: u64,
-    /// Chunks whose column data was touched by scans.
-    pub chunks_scanned: u64,
-    /// Chunks skipped because a zone map (or empty live count) excluded them.
-    pub chunks_pruned_zonemap: u64,
-    /// Delta chunks sealed into the compressed main tier.
-    pub chunks_compacted: u64,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    scans: AtomicU64,
-    slots_examined: AtomicU64,
-    rows_scanned: AtomicU64,
-    mutations_applied: AtomicU64,
-    chunks_scanned: AtomicU64,
-    chunks_pruned_zonemap: AtomicU64,
-    chunks_compacted: AtomicU64,
-}
 
 /// Approximate resident memory of one [`ColumnTable`], split by tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,7 +103,6 @@ pub struct ColumnTable {
     schema: Arc<TableSchema>,
     chunk_size: usize,
     data: RwLock<ColumnData>,
-    counters: Counters,
 }
 
 impl ColumnTable {
@@ -169,7 +127,6 @@ impl ColumnTable {
                 applied_ts: 0,
                 applied_lsn: 0,
             }),
-            counters: Counters::default(),
         }
     }
 
@@ -212,19 +169,6 @@ impl ColumnTable {
     /// Log sequence number of the newest applied mutation.
     pub fn applied_lsn(&self) -> u64 {
         self.data.read().applied_lsn
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ColumnTableStats {
-        ColumnTableStats {
-            scans: self.counters.scans.load(Ordering::Relaxed),
-            slots_examined: self.counters.slots_examined.load(Ordering::Relaxed),
-            rows_scanned: self.counters.rows_scanned.load(Ordering::Relaxed),
-            mutations_applied: self.counters.mutations_applied.load(Ordering::Relaxed),
-            chunks_scanned: self.counters.chunks_scanned.load(Ordering::Relaxed),
-            chunks_pruned_zonemap: self.counters.chunks_pruned_zonemap.load(Ordering::Relaxed),
-            chunks_compacted: self.counters.chunks_compacted.load(Ordering::Relaxed),
-        }
     }
 
     /// Approximate resident memory, split by tier.  Main-chunk sizes were
@@ -278,8 +222,7 @@ impl ColumnTable {
         &mut zones[chunk]
     }
 
-    /// Append one row to the delta tail.  Caller updates `applied_ts` / LSN
-    /// and the mutation counter.
+    /// Append one row to the delta tail.  Caller updates `applied_ts` / LSN.
     fn append_row(&self, data: &mut ColumnData, pk: &Key, row: &Row) {
         let columns = self.schema.column_count();
         for (col_idx, value) in row.values().iter().enumerate() {
@@ -343,9 +286,6 @@ impl ColumnTable {
         }
         data.applied_ts = data.applied_ts.max(commit_ts);
         data.applied_lsn = data.applied_lsn.max(lsn);
-        self.counters
-            .mutations_applied
-            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -388,9 +328,6 @@ impl ColumnTable {
         }
         data.applied_ts = data.applied_ts.max(commit_ts);
         data.applied_lsn = data.applied_lsn.max(lsn);
-        self.counters
-            .mutations_applied
-            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -410,9 +347,6 @@ impl ColumnTable {
         }
         data.applied_ts = data.applied_ts.max(commit_ts);
         data.applied_lsn = data.applied_lsn.max(lsn);
-        self.counters
-            .mutations_applied
-            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -449,9 +383,6 @@ impl ColumnTable {
         for column in data.columns.iter_mut() {
             column.drain(..self.chunk_size);
         }
-        self.counters
-            .chunks_compacted
-            .fetch_add(1, Ordering::Relaxed);
         if let Some(start) = trace_start {
             // One span per sealed chunk; the span's shard field carries the
             // main-tier chunk index, its txn field the chunk's row capacity.
@@ -484,7 +415,7 @@ impl ColumnTable {
     /// so the batch layout matches the physical slot layout.  `projection`
     /// selects and orders the columns each batch exposes; `None` exposes
     /// every column in schema order.  Returns the number of slots examined.
-    /// Scanning an empty table is a no-op and touches no counters.
+    /// Scanning an empty table is a no-op.
     pub fn scan_batches<F>(&self, projection: Option<&[usize]>, batch_size: usize, f: F) -> usize
     where
         F: FnMut(&ColumnBatch<'_>),
@@ -552,8 +483,6 @@ impl ColumnTable {
             })
             .collect();
 
-        let mut live_rows = 0u64;
-
         // Main tier: per-chunk encoded filtering + selective decode.
         for (chunk, main) in data.main.iter().enumerate() {
             if !survivors[chunk] {
@@ -583,7 +512,6 @@ impl ColumnTable {
                         .collect();
                     let mut batch = ColumnBatch::owned_sized(columns, end - start);
                     batch.set_selection(selection);
-                    live_rows += kept as u64;
                     f(&batch);
                 }
                 start = end;
@@ -621,24 +549,10 @@ impl ColumnTable {
                 } else {
                     ColumnBatch::borrowed_sized(columns, None, end - start)
                 };
-                live_rows += batch.selected_count() as u64;
                 f(&batch);
                 start = end;
             }
         }
-        self.counters.scans.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .slots_examined
-            .fetch_add(outcome.slots_examined as u64, Ordering::Relaxed);
-        self.counters
-            .rows_scanned
-            .fetch_add(live_rows, Ordering::Relaxed);
-        self.counters
-            .chunks_scanned
-            .fetch_add(outcome.chunks_scanned, Ordering::Relaxed);
-        self.counters
-            .chunks_pruned_zonemap
-            .fetch_add(outcome.chunks_pruned_zonemap, Ordering::Relaxed);
         outcome
     }
 
@@ -815,29 +729,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_tracked() {
-        let t = table();
-        t.apply_insert(&Key::int(1), &order(1, 500, "new"), 10, 1)
-            .unwrap();
-        t.scan_rows(|_| {});
-        let s = t.stats();
-        assert_eq!(s.mutations_applied, 1);
-        assert_eq!(s.scans, 1);
-        assert_eq!(s.slots_examined, 1);
-        assert_eq!(s.rows_scanned, 1);
-        assert_eq!(s.chunks_scanned, 1);
-    }
-
-    #[test]
     fn empty_scan_is_a_counterless_noop() {
         let t = table();
         let examined = t.scan_rows(|_| panic!("no rows to visit"));
         assert_eq!(examined, 0);
-        let s = t.stats();
-        assert_eq!(s.scans, 0, "scanning an empty table is a no-op");
-        assert_eq!(s.slots_examined, 0);
-        assert_eq!(s.rows_scanned, 0);
-        assert_eq!(s.chunks_scanned, 0);
+        let outcome = t.scan_batches_pruned(None, 64, None, |_| panic!("no batches"));
+        assert_eq!(
+            outcome,
+            ScanOutcome::default(),
+            "scanning an empty table is a no-op"
+        );
     }
 
     #[test]
@@ -853,9 +754,6 @@ mod tests {
         let examined = t.scan_rows(|_| seen += 1);
         assert_eq!(examined, 6, "deleted slots are still walked");
         assert_eq!(seen, 4);
-        let s = t.stats();
-        assert_eq!(s.slots_examined, 6);
-        assert_eq!(s.rows_scanned, 4, "only live rows count as scanned");
     }
 
     #[test]
@@ -897,10 +795,6 @@ mod tests {
         assert_eq!(batch_sizes, vec![4, 4, 2], "partial final batch");
         assert_eq!(selected, 9, "deleted slot is deselected, not compacted");
         assert!(!amounts.contains(&Value::Decimal(1)));
-        let s = t.stats();
-        assert_eq!(s.scans, 1);
-        assert_eq!(s.slots_examined, 10);
-        assert_eq!(s.rows_scanned, 9);
     }
 
     // -- chunk pruning ------------------------------------------------------
@@ -957,12 +851,8 @@ mod tests {
         });
         assert_eq!(outcome.slots_examined, 4, "pruned slots are not examined");
         assert_eq!(seen, 3, "deleted slot in the surviving chunk is deselected");
-        let s = t.stats();
-        assert_eq!(s.scans, 1);
-        assert_eq!(s.slots_examined, 4);
-        assert_eq!(s.rows_scanned, 3, "pruned slots are not scanned either");
-        assert_eq!(s.chunks_scanned, 1);
-        assert_eq!(s.chunks_pruned_zonemap, 2);
+        assert_eq!(outcome.chunks_scanned, 1);
+        assert_eq!(outcome.chunks_pruned_zonemap, 2);
     }
 
     #[test]
@@ -1116,7 +1006,6 @@ mod tests {
         assert_eq!(t.delta_slot_count(), 2);
         assert_eq!(t.slot_count(), 10, "global slot space is unchanged");
         assert_eq!(t.live_row_count(), 9);
-        assert_eq!(t.stats().chunks_compacted, 2);
 
         assert_eq!(collect_ids(&t, None, false), before);
         for pred in [

@@ -49,14 +49,14 @@ pub(crate) mod test_util;
 pub use batch::{BatchBuilder, ColumnBatch, DEFAULT_BATCH_SIZE};
 pub use catalog::Catalog;
 pub use checkpoint::{CheckpointData, TableCheckpoint};
-pub use colstore::{ColumnTable, ColumnTableStats, MemoryFootprint};
+pub use colstore::{ColumnTable, MemoryFootprint};
 pub use delta::MainChunk;
 pub use encode::{EncodedColumn, Encoding};
 pub use error::{StorageError, StorageResult};
 pub use key::Key;
 pub use replication::{LogRecord, MutationOp, ReplicationLog, Replicator};
 pub use row::Row;
-pub use rowstore::{RowTable, RowTableStats, ScanDirection};
+pub use rowstore::{RowTable, ScanDirection};
 pub use schema::{ColumnDef, DataType, IndexDef, TableSchema};
 pub use value::Value;
 pub use wal::{SyncPolicy, Wal, WalOp, WalRecord, WalReplay, WalStatsSnapshot};

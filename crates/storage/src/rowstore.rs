@@ -22,7 +22,6 @@ use crate::{Timestamp, TS_MAX};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result of an index lookup: the matching `(primary key, row)` pairs plus
@@ -55,44 +54,6 @@ impl Version {
 /// Version chain, oldest first.
 type VersionChain = Vec<Version>;
 
-/// Counters exposed by a [`RowTable`], used by the engine metrics and the
-/// experiment harness.
-#[derive(Debug, Default)]
-pub struct RowTableStats {
-    point_reads: AtomicU64,
-    range_reads: AtomicU64,
-    full_scans: AtomicU64,
-    rows_scanned: AtomicU64,
-    writes: AtomicU64,
-}
-
-/// A point-in-time copy of [`RowTableStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RowTableStatsSnapshot {
-    /// Number of primary-key point reads served.
-    pub point_reads: u64,
-    /// Number of range/prefix scans served.
-    pub range_reads: u64,
-    /// Number of full table scans served.
-    pub full_scans: u64,
-    /// Total rows examined by scans.
-    pub rows_scanned: u64,
-    /// Number of write operations (insert/update/delete versions installed).
-    pub writes: u64,
-}
-
-impl RowTableStats {
-    fn snapshot(&self) -> RowTableStatsSnapshot {
-        RowTableStatsSnapshot {
-            point_reads: self.point_reads.load(Ordering::Relaxed),
-            range_reads: self.range_reads.load(Ordering::Relaxed),
-            full_scans: self.full_scans.load(Ordering::Relaxed),
-            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A multi-version table stored in row format.
 pub struct RowTable {
     schema: Arc<TableSchema>,
@@ -100,7 +61,6 @@ pub struct RowTable {
     /// One (index key -> set of primary keys) map per secondary index, in the
     /// same order as `schema.indexes()`.
     secondary: Vec<RwLock<BTreeMap<Key, BTreeSet<Key>>>>,
-    stats: RowTableStats,
 }
 
 impl RowTable {
@@ -115,7 +75,6 @@ impl RowTable {
             schema,
             data: RwLock::new(BTreeMap::new()),
             secondary,
-            stats: RowTableStats::default(),
         }
     }
 
@@ -136,11 +95,6 @@ impl RowTable {
             .values()
             .filter(|chain| Self::visible(chain, read_ts).is_some())
             .count()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> RowTableStatsSnapshot {
-        self.stats.snapshot()
     }
 
     fn visible(chain: &VersionChain, read_ts: Timestamp) -> Option<Arc<Row>> {
@@ -175,7 +129,6 @@ impl RowTable {
             });
         }
         self.index_row(&pk, &row);
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
         Ok(pk)
     }
 
@@ -210,7 +163,6 @@ impl RowTable {
             });
         }
         self.index_row(pk, &new_row);
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -234,13 +186,11 @@ impl RowTable {
             end: TS_MAX,
             row: None,
         });
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Point read by primary key at snapshot `read_ts`.
     pub fn get(&self, pk: &Key, read_ts: Timestamp) -> Option<Arc<Row>> {
-        self.stats.point_reads.fetch_add(1, Ordering::Relaxed);
         let data = self.data.read();
         data.get(pk).and_then(|chain| Self::visible(chain, read_ts))
     }
@@ -266,7 +216,6 @@ impl RowTable {
     where
         F: FnMut(&Key, &Arc<Row>),
     {
-        self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
         let data = self.data.read();
         let mut examined = 0usize;
         for (key, chain) in data.iter() {
@@ -275,9 +224,6 @@ impl RowTable {
                 f(key, &row);
             }
         }
-        self.stats
-            .rows_scanned
-            .fetch_add(examined as u64, Ordering::Relaxed);
         examined
     }
 
@@ -335,7 +281,6 @@ impl RowTable {
     where
         F: FnMut(&Key, &Arc<Row>),
     {
-        self.stats.range_reads.fetch_add(1, Ordering::Relaxed);
         let data = self.data.read();
         let iter = data.range::<Key, _>((low, high));
         let mut examined = 0usize;
@@ -357,9 +302,6 @@ impl RowTable {
                 }
             }
         }
-        self.stats
-            .rows_scanned
-            .fetch_add(examined as u64, Ordering::Relaxed);
         examined
     }
 
@@ -430,10 +372,6 @@ impl RowTable {
                 }
             }
         }
-        self.stats
-            .rows_scanned
-            .fetch_add(examined as u64, Ordering::Relaxed);
-        self.stats.range_reads.fetch_add(1, Ordering::Relaxed);
         Ok((out, examined.max(1)))
     }
 
@@ -510,7 +448,6 @@ mod tests {
         );
         let row = t.get(&Key::int(1), 10).unwrap();
         assert_eq!(row[1], Value::Str("bolt".into()));
-        assert_eq!(t.stats().writes, 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! cargo run -p olxpbench --release --example quickstart
 //! ```
 
+use olxpbench::engine::metrics::METRICS;
 use olxpbench::prelude::*;
 use std::time::Duration;
 
@@ -52,19 +53,17 @@ fn main() {
         println!("hybrid transactions : {hybrid}");
     }
     println!(
-        "commits={} aborts={} lock-overhead={:.4} replication-lag={} records",
-        result.commits, result.aborts, result.lock_overhead, result.replication_lag
+        "lock-overhead={:.4} replication-lag={} records compression-ratio={:.2}x",
+        result.lock_overhead,
+        result.replication_lag,
+        result.engine.col_compression_ratio()
     );
-    println!(
-        "columnar chunks: scanned={} pruned-by-zonemap={}",
-        result.chunks_scanned, result.chunks_pruned_zonemap
-    );
-    println!(
-        "columnar storage: resident={} bytes compression-ratio={:.2}x \
-         chunks-compacted={} rows-pruned-encoded={}",
-        result.col_bytes_resident,
-        result.col_compression_ratio,
-        result.chunks_compacted,
-        result.rows_pruned_encoded
-    );
+    // Every non-zero engine metric of the measurement window, by its
+    // `/snapshot` name.
+    for def in METRICS {
+        let value = def.value(&result.engine);
+        if value != 0 {
+            println!("  {:<28} {value}", def.key);
+        }
+    }
 }

@@ -47,7 +47,7 @@ fn every_suite_runs_all_three_agent_classes_on_the_dual_engine() {
         assert!(oltp.count > 0, "{name}: no online transactions completed");
         assert!(olap.count > 0, "{name}: no analytical queries completed");
         assert!(hybrid.count > 0, "{name}: no hybrid transactions completed");
-        assert!(result.commits > 0, "{name}: nothing committed");
+        assert!(result.engine.commits > 0, "{name}: nothing committed");
         assert!(
             oltp.errors + olap.errors + hybrid.errors
                 <= (oltp.count + olap.count + hybrid.count) / 10,
@@ -228,5 +228,29 @@ fn weight_overrides_restrict_the_transaction_mix() {
         db.table_key_count("ORDERS"),
         orders_before,
         "OrderStatus-only mix must not create orders"
+    );
+}
+
+#[test]
+fn run_counters_cover_only_the_measurement_window() {
+    let workload = Fibenchmark::new();
+    let db = HybridDatabase::new(EngineConfig::dual_engine().with_time_scale(0.0))
+        .expect("valid config");
+    let config = BenchConfig::oltp_only(1, 2_000.0, Duration::from_millis(100))
+        .with_warmup(Duration::from_millis(400))
+        .with_scale_factor(1);
+    let driver = BenchmarkDriver::new(config);
+    driver.prepare(&db, &workload).unwrap();
+    let result = driver.run(&db, &workload).unwrap();
+    let oltp = result.oltp.expect("oltp agents enabled");
+    assert!(oltp.count > 0);
+    // One transaction may straddle the window's start and count in both.
+    assert!(
+        result.engine.commits <= oltp.count + oltp.errors + 1,
+        "{} commits against {} completed and {} failed transactions: the \
+         warm-up leaked into the run's counters",
+        result.engine.commits,
+        oltp.count,
+        oltp.errors
     );
 }
