@@ -162,9 +162,8 @@ fn col_orders_fixture(rows: i64) -> HashMap<String, Arc<ColumnTable>> {
     tables
 }
 
-/// The executor's vectorized pipeline against the same plans consumed
-/// row-at-a-time, over the columnar replica — the comparison the batch
-/// refactor exists for.
+/// The executor's batch pipeline over the columnar replica: a global
+/// aggregate and a filtered group-by on 100k rows.
 fn bench_vectorized(c: &mut Criterion) {
     let mut group = c.benchmark_group("vectorized");
     group.measurement_time(Duration::from_millis(1000));
@@ -190,14 +189,6 @@ fn bench_vectorized(c: &mut Criterion) {
                 .len()
         })
     });
-    group.bench_function("col_aggregate_100k_row_at_a_time", |b| {
-        b.iter(|| {
-            execute_with(&agg_plan, &source, ExecOptions::row_at_a_time())
-                .unwrap()
-                .rows
-                .len()
-        })
-    });
 
     let filter_plan = QueryBuilder::scan_where("ORDERS", col(2).gt(lit(Value::Decimal(1_000))))
         .aggregate(vec![1], vec![AggSpec::new(AggFunc::Count, 0)])
@@ -205,14 +196,6 @@ fn bench_vectorized(c: &mut Criterion) {
     group.bench_function("col_filter_group_100k_batched", |b| {
         b.iter(|| {
             execute_with(&filter_plan, &source, ExecOptions::batched(1024))
-                .unwrap()
-                .rows
-                .len()
-        })
-    });
-    group.bench_function("col_filter_group_100k_row_at_a_time", |b| {
-        b.iter(|| {
-            execute_with(&filter_plan, &source, ExecOptions::row_at_a_time())
                 .unwrap()
                 .rows
                 .len()

@@ -170,10 +170,9 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
 
     group.finish();
 
-    // Row-at-a-time vs. vectorized consumption of the same columnar data.
-    // `scan_rows` materializes a `Row` per live tuple; `scan_batches` hands
-    // out the projected columns (zero-copy slices in the delta tier, decoded
-    // vectors in the main tier) with a selection bitmap.
+    // Vectorized consumption of columnar data: `scan_batches` hands out the
+    // projected columns (zero-copy slices in the delta tier, decoded vectors
+    // in the main tier) with a selection bitmap.
     let mut group = c.benchmark_group("colstore_batch");
     group.measurement_time(Duration::from_millis(800));
     group.sample_size(10);
@@ -182,13 +181,6 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
         big.apply_insert(&Key::int(i), &item(i), 1, i as u64 + 1)
             .unwrap();
     }
-    group.bench_function("row_scan_100k", |b| {
-        b.iter(|| {
-            let mut sum = 0f64;
-            big.scan_rows(|row| sum += row[2].as_f64().unwrap_or(0.0));
-            sum
-        })
-    });
     group.bench_function("batched_scan_100k", |b| {
         b.iter(|| sum_columns(&big, Some(&[2]), &[0]))
     });

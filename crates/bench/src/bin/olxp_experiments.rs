@@ -8,8 +8,7 @@
 //!
 //! Experiment ids: `table1`, `table2`, `fig1`, `fig3`, `fig4`, `fig5`, `fig6`,
 //! `fig7`, `fig8`, `fig9`, `findings`, `fig10`, `interference`, `durability`,
-//! `shards`, `prefilter`, `compression`, `tracing_overhead`,
-//! `telemetry_overhead`.
+//! `shards`, `compression`, `tracing_overhead`, `telemetry_overhead`.
 //!
 //! `--durability` runs every experiment engine on a write-ahead log with the
 //! given sync policy (default `none`: in-memory, the paper's setup),

@@ -1,7 +1,9 @@
 //! Experiment registry and shared helpers.
 //!
 //! Every experiment corresponds to one table or figure of the paper's
-//! evaluation (see the per-experiment index in `DESIGN.md`).  Experiments run
+//! evaluation, or to one engine property the README reports (see the
+//! experiment list in the README's "Running the paper's experiments"
+//! section).  Experiments run
 //! against freshly created in-process engines; because the substrate is a
 //! calibrated model rather than the authors' 4-node testbed, absolute numbers
 //! differ from the paper, but each experiment prints the same rows/series and
@@ -11,7 +13,6 @@
 mod compression;
 mod design;
 mod durability;
-mod prefilter;
 mod scaling;
 mod sweeps;
 mod tables;
@@ -158,7 +159,6 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
         "interference",
         "durability",
         "shards",
-        "prefilter",
         "compression",
         "tracing_overhead",
         "telemetry_overhead",
@@ -184,7 +184,6 @@ pub fn run_experiment(id: &str, opts: ExpOptions) -> Option<String> {
         "interference" => design::interference(opts),
         "durability" => durability::commit_latency_by_sync_policy(opts),
         "shards" => scaling::shard_scaling(opts),
-        "prefilter" => prefilter::selectivity_sweep(opts),
         "compression" => compression::compression(opts),
         "tracing_overhead" => tracing::tracing_overhead(opts),
         "telemetry_overhead" => tracing::telemetry_overhead(opts),

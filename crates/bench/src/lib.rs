@@ -11,8 +11,8 @@
 //! ```
 //!
 //! or all of them with `-- all` (append `--quick` for a scaled-down pass).
-//! The mapping from experiment ids to the paper's tables/figures is documented
-//! in `DESIGN.md`; measured outputs are recorded in `EXPERIMENTS.md`.
+//! The experiment ids and what each one prints are listed in the README's
+//! "Running the paper's experiments" section.
 
 pub mod experiments;
 

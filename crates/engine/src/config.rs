@@ -386,12 +386,6 @@ impl EngineConfig {
         self
     }
 
-    /// Override the cost model (builder style).
-    pub fn with_cost(mut self, cost: CostParams) -> EngineConfig {
-        self.cost = cost;
-        self
-    }
-
     /// Override the freshness policy for analytical reads (builder style).
     pub fn with_freshness(mut self, freshness: FreshnessPolicy) -> EngineConfig {
         self.freshness = freshness;

@@ -201,7 +201,7 @@ impl Model {
                 stats,
                 standalone,
             } => {
-                let rows = stats.physical_rows();
+                let rows = stats.rows_scanned;
                 let mut nanos = cost.statement_overhead_ns
                     + cost.row_scan(medium, rows)
                     + self.operators(stats);
@@ -229,7 +229,7 @@ impl Model {
             }
             Work::ColumnPlan { stats } => {
                 let nanos = cost.statement_overhead_ns
-                    + cost.columnar_scan(stats.physical_rows())
+                    + cost.columnar_scan(stats.rows_scanned)
                     + self.operators(stats);
                 if self.config.has_dedicated_analytical_nodes() {
                     let hops = self.scatter(self.cluster.analytical_nodes());

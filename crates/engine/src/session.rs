@@ -441,7 +441,7 @@ impl Session {
         self.note_query_batches(&output.stats);
         self.db
             .metrics()
-            .add_row_rows_scanned(output.stats.physical_rows());
+            .add_row_rows_scanned(output.stats.rows_scanned);
         let work = Work::RowPlan {
             plan,
             stats: &output.stats,
@@ -498,7 +498,7 @@ impl Session {
                 self.note_query_batches(&output.stats);
                 self.db
                     .metrics()
-                    .add_col_rows_scanned(output.stats.physical_rows());
+                    .add_col_rows_scanned(output.stats.rows_scanned);
                 self.db.model().charge(
                     WorkClass::Olap,
                     Work::ColumnPlan {

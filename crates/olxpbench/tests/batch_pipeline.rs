@@ -1,8 +1,8 @@
 //! Integration tests for the vectorized batch pipeline: equivalence of the
-//! three read paths (row source row-at-a-time, row source batched, column
-//! source batched) across every plan shape, the exact columns column pruning
-//! asks each scan for, and the late-materialization guarantee on a large
-//! columnar scan.
+//! reference (the row source with pruning off) and the pruned path over the
+//! row source and the column source across every plan shape, the exact
+//! columns and pruner each scan is asked for, and the late-materialization
+//! guarantee on a large columnar scan.
 
 use olxpbench::prelude::*;
 use olxpbench::query::{
@@ -93,9 +93,9 @@ fn wide_row(id: i64, grp: i64, val: i64) -> Row {
 
 /// The batched column-store aggregate never materializes a per-row tuple:
 /// on a 100k-row table the executor's `rows_materialized` counter stays at
-/// the single output row, while the row-at-a-time consumption of the *same*
-/// physical scan pays one materialized `Row` per tuple.  This is the counter
-/// assertion backing the `colstore_batch`/`vectorized` criterion benches.
+/// the single output row, and the reference (pruning off) walks the same
+/// physical slots to the same result.  This is the counter assertion backing
+/// the `colstore_batch`/`vectorized` criterion benches.
 #[test]
 fn batched_column_aggregate_materializes_no_per_row_tuples_on_100k_rows() {
     const ROWS: i64 = 100_000;
@@ -130,23 +130,24 @@ fn batched_column_aggregate_materializes_no_per_row_tuples_on_100k_rows() {
         .build();
 
     let batched = execute_with(&plan, &source, ExecOptions::batched(1024)).unwrap();
-    let row_mode = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
+    let reference = execute_with(
+        &plan,
+        &source,
+        ExecOptions::batched(1024).with_pruning(false),
+    )
+    .unwrap();
 
-    assert_eq!(batched.rows, row_mode.rows, "identical results");
+    assert_eq!(batched.rows, reference.rows, "identical results");
     assert_eq!(batched.rows.len(), 1);
 
     // Both paths walked the same physical slots...
     assert_eq!(batched.stats.rows_scanned, ROWS as u64);
-    assert_eq!(row_mode.stats.rows_scanned, ROWS as u64);
+    assert_eq!(reference.stats.rows_scanned, ROWS as u64);
 
-    // ...but only the row-at-a-time path materialized per-row tuples.
+    // ...and materialized only the plan root's output row.
     assert_eq!(
         batched.stats.rows_materialized, 1,
         "batched path materializes only the plan root's output row"
-    );
-    assert!(
-        row_mode.stats.rows_materialized >= ROWS as u64,
-        "row-at-a-time pays a materialized row per scanned tuple"
     );
     assert_eq!(
         batched.stats.batches_scanned,
@@ -268,7 +269,7 @@ fn plan_for_shape(shape: u8, knob: i64) -> Plan {
                 JoinKind::LeftOuter,
             )
             .build(),
-        // Sort (late materialization point) + limit above it.
+        // Sort + limit above it.
         5 => QueryBuilder::scan("T")
             .sort(vec![SortKey::desc(2), SortKey::asc(0)])
             .limit(5)
@@ -334,7 +335,7 @@ fn plan_for_shape(shape: u8, knob: i64) -> Plan {
                 ],
             )
             .build(),
-        // Sort and limit below a projection: the sort materializes narrow rows.
+        // Sort and limit below a projection: the sort gathers narrow batches.
         _ => QueryBuilder::scan_where("W", col(3).like("%1%"))
             .sort(vec![SortKey::desc(4), SortKey::asc(3)])
             .limit(7)
@@ -347,10 +348,28 @@ fn plan_for_shape(shape: u8, knob: i64) -> Plan {
 type Scan<'a> = (&'a str, Option<&'a [usize]>);
 
 /// A [`DataSource`] that records which columns each batched scan is asked
-/// for, then serves it from the wrapped source.
+/// for and whether it was handed a pruner, then serves it from the wrapped
+/// source.
 struct Recording<'a> {
     inner: &'a dyn DataSource,
-    scans: RefCell<Vec<(String, Option<Vec<usize>>)>>,
+    scans: RefCell<Vec<Asked>>,
+}
+
+/// What one scan was asked for.
+#[derive(Debug)]
+struct Asked {
+    table: String,
+    columns: Option<Vec<usize>>,
+    pruner: bool,
+}
+
+impl<'a> Recording<'a> {
+    fn new(inner: &'a dyn DataSource) -> Recording<'a> {
+        Recording {
+            inner,
+            scans: RefCell::default(),
+        }
+    }
 }
 
 impl DataSource for Recording<'_> {
@@ -362,10 +381,6 @@ impl DataSource for Recording<'_> {
         self.inner.schema(table)
     }
 
-    fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize> {
-        self.inner.scan(table, f)
-    }
-
     fn scan_batches(
         &self,
         table: &str,
@@ -374,9 +389,11 @@ impl DataSource for Recording<'_> {
         pruner: Option<&ChunkPruner>,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
     ) -> QueryResult<ScanOutcome> {
-        self.scans
-            .borrow_mut()
-            .push((table.to_string(), projection.map(<[usize]>::to_vec)));
+        self.scans.borrow_mut().push(Asked {
+            table: table.to_string(),
+            columns: projection.map(<[usize]>::to_vec),
+            pruner: pruner.is_some(),
+        });
         let width = projection.map_or(self.inner.schema(table)?.column_count(), <[usize]>::len);
         self.inner
             .scan_batches(table, projection, batch_size, pruner, &mut |batch| {
@@ -388,20 +405,13 @@ impl DataSource for Recording<'_> {
                 f(batch)
             })
     }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        index: Option<usize>,
-        prefix: &Key,
-    ) -> QueryResult<(Vec<Row>, usize)> {
-        self.inner.index_lookup(table, index, prefix)
-    }
 }
 
 /// Column pruning asks every scan for exactly the columns its plan reads —
 /// the operators' own plus the scan's pushed-down filter — in ascending
-/// order, and for everything (`None`) where the plan outputs whole rows.
+/// order, and for everything (`None`) where the plan outputs whole rows;
+/// every scan gets a pruner.  The reference (pruning off) asks every scan
+/// for everything and hands it no pruner.
 #[test]
 fn each_scan_is_asked_for_exactly_the_columns_its_plan_reads() {
     let rows: Vec<(i64, i64, i64)> = (0..40).map(|i| (i, i % 8, i * 7 % 50 - 10)).collect();
@@ -427,24 +437,26 @@ fn each_scan_is_asked_for_exactly_the_columns_its_plan_reads() {
     for (shape, expected) in expected.iter().enumerate() {
         let plan = plan_for_shape(shape as u8, 0);
         for inner in [&row_src as &dyn DataSource, &col_src] {
-            let source = Recording {
-                inner,
-                scans: RefCell::default(),
-            };
+            let source = Recording::new(inner);
             let out = execute(&plan, &source).unwrap();
             let scans = source.scans.into_inner();
             let asked: Vec<Scan<'_>> = scans
                 .iter()
-                .map(|(table, columns)| (table.as_str(), columns.as_deref()))
+                .map(|s| (s.table.as_str(), s.columns.as_deref()))
                 .collect();
             assert_eq!(asked, *expected, "shape {shape}");
-            assert_eq!(
-                out.rows,
-                execute_with(&plan, inner, ExecOptions::row_at_a_time())
-                    .unwrap()
-                    .rows,
-                "shape {shape}"
+            assert!(scans.iter().all(|s| s.pruner), "shape {shape}: a pruner");
+
+            let source = Recording::new(inner);
+            let reference =
+                execute_with(&plan, &source, ExecOptions::default().with_pruning(false)).unwrap();
+            let scans = source.scans.into_inner();
+            assert_eq!(scans.len(), expected.len(), "shape {shape}");
+            assert!(
+                scans.iter().all(|s| s.columns.is_none() && !s.pruner),
+                "shape {shape}: the reference asks for everything, unpruned: {scans:?}"
             );
+            assert_eq!(out.rows, reference.rows, "shape {shape}");
         }
     }
 }
@@ -452,10 +464,10 @@ fn each_scan_is_asked_for_exactly_the_columns_its_plan_reads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every plan shape returns identical rows through the row source
-    /// row-at-a-time (the plan as written, full width), the row source batched
-    /// and `ColumnSource` batched (both column-pruned) — over a pure-delta and
-    /// a compacted column store, tables with deleted slots, and batch sizes
+    /// Every plan shape returns identical rows through the row source with
+    /// pruning off (the reference: the plan as written, full width), the row
+    /// source pruned and `ColumnSource` pruned — over a pure-delta and a
+    /// compacted column store, tables with deleted slots, and batch sizes
     /// that force a partial final batch.
     #[test]
     fn plan_shapes_agree_across_sources_and_scan_modes(
@@ -474,7 +486,7 @@ proptest! {
         let baseline = execute_with(
             &plan,
             &row_src,
-            ExecOptions::row_at_a_time().with_batch_size(batch_size),
+            ExecOptions::batched(batch_size).with_pruning(false),
         )
         .unwrap();
         let row_batched =

@@ -7,7 +7,9 @@ use olxpbench::framework::stats::LatencyRecorder;
 use olxpbench::framework::WeightedChoice;
 use olxpbench::prelude::*;
 use olxpbench::query::expr::like_match;
-use olxpbench::storage::{ColumnTable, MutationOp, ReplicationLog, Replicator, RowTable};
+use olxpbench::storage::{
+    ColumnTable, MutationOp, ReplicationLog, Replicator, RowTable, DEFAULT_BATCH_SIZE,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,9 +138,13 @@ proptest! {
         let mut mismatch = false;
         row_table.scan(ts + 1, |key, row| {
             let mut found = false;
-            col_table.scan_rows(|crow| {
-                if &schema.primary_key_of(crow) == key {
-                    found = crow == row.as_ref();
+            col_table.scan_batches(None, DEFAULT_BATCH_SIZE, |batch| {
+                let mut crows = Vec::new();
+                batch.materialize_into(&mut crows);
+                for crow in &crows {
+                    if &schema.primary_key_of(crow) == key {
+                        found = crow == row.as_ref();
+                    }
                 }
             });
             if !found {

@@ -2,7 +2,6 @@
 
 use crate::expr::Expr;
 use crate::plan::{AggSpec, JoinKind, Plan, SortKey};
-use olxp_storage::Key;
 
 /// Builds [`Plan`] trees with a fluent API.
 ///
@@ -43,18 +42,6 @@ impl QueryBuilder {
                 table: table.into(),
                 filter: Some(filter),
                 columns: None,
-            },
-        }
-    }
-
-    /// Start from an index lookup (`index = None` means the primary key).
-    pub fn index_scan(table: impl Into<String>, index: Option<usize>, prefix: Key) -> QueryBuilder {
-        QueryBuilder {
-            plan: Plan::IndexScan {
-                table: table.into(),
-                index,
-                prefix,
-                filter: None,
             },
         }
     }
@@ -159,9 +146,7 @@ mod tests {
             .sort(vec![SortKey::desc(1)])
             .limit(10)
             .build();
-        assert_eq!(plan.join_count(), 1);
         assert_eq!(plan.referenced_tables(), vec!["ACCOUNT", "CHECKING"]);
-        assert!(plan.has_full_scan());
         match plan {
             Plan::Limit { limit, .. } => assert_eq!(limit, 10),
             other => panic!("expected Limit at the root, got {other:?}"),

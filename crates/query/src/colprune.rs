@@ -12,8 +12,7 @@
 //!   is asked of them; `Limit` passes the set through;
 //! * `Join` splits the set at its left input's width and adds both key lists;
 //! * a `TableScan` adds the columns of its own pushed-down filter and, when
-//!   that is still short of its full width, gets a column list.  An
-//!   `IndexScan` returns whole rows and is left alone.
+//!   that is still short of its full width, gets a column list.
 //!
 //! Batches stay rectangular: a narrowed scan emits a batch of exactly the
 //! listed columns, so every position between that scan and the nearest
@@ -24,6 +23,9 @@
 //! The pass is conservative: when any reference is out of range, a table is
 //! unknown, or nothing can be narrowed, it returns `None` and the executor
 //! runs the plan as written, reporting errors exactly as it always has.
+//! The executor runs the pass only while `ExecOptions::pruning` is on; off,
+//! every plan runs as written over full-width batches, which is the
+//! reference the pruned path is tested against.
 
 use crate::error::QueryResult;
 use crate::expr::Expr;
@@ -38,9 +40,7 @@ pub(crate) fn output_width(plan: &Plan, source: &dyn DataSource) -> QueryResult<
             columns: Some(columns),
             ..
         } => columns.len(),
-        Plan::TableScan { table, .. } | Plan::IndexScan { table, .. } => {
-            source.schema(table)?.column_count()
-        }
+        Plan::TableScan { table, .. } => source.schema(table)?.column_count(),
         Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
             output_width(input, source)?
         }
@@ -172,13 +172,6 @@ impl Pass<'_> {
                     },
                     remap,
                 }
-            }
-            Plan::IndexScan { .. } => {
-                let width = output_width(plan, self.source).ok()?;
-                if !within(&required, width) {
-                    return None;
-                }
-                Pruned::in_place(plan.clone(), width)
             }
             Plan::Filter { input, predicate } => {
                 require(&mut required, predicate);
@@ -325,7 +318,7 @@ mod tests {
     use crate::expr::{col, lit, AggFunc};
     use crate::plan::JoinKind;
     use crate::source::ShardedRowSource;
-    use olxp_storage::{ColumnDef, DataType, Key, RowTable, TableSchema};
+    use olxp_storage::{ColumnDef, DataType, RowTable, TableSchema};
     use std::collections::HashMap;
     use std::sync::Arc;
 
@@ -430,15 +423,6 @@ mod tests {
             .aggregate(vec![], vec![AggSpec::new(AggFunc::Max, 0)])
             .build();
         assert_eq!(prune_columns(&plan, &source), Some(expected));
-    }
-
-    #[test]
-    fn index_scans_return_whole_rows_and_are_left_alone() {
-        let source = source();
-        let plan = QueryBuilder::index_scan("FACT", None, Key::int(1))
-            .aggregate(vec![], vec![AggSpec::new(AggFunc::Min, 4)])
-            .build();
-        assert_eq!(prune_columns(&plan, &source), None);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Plan interpreter.
 //!
-//! The executor is *batch-first*: base tables stream in as
-//! [`ColumnBatch`]es, and the relational operators (filter, project,
-//! aggregate, hash join, limit) work directly on batch slots — filters narrow
-//! a batch's selection bitmap in place, projections and joins emit new owned
-//! batches, aggregates fold batch columns into group states.  Full [`Row`]
-//! tuples are materialized *late*: only at the plan root, by index lookups
-//! (which produce point results), and inside sort (which genuinely needs
-//! movable tuples).  [`ExecStats::rows_materialized`] counts exactly those
-//! materializations, which is how tests assert that the vectorized path never
-//! re-rowifies a scan.
+//! The executor is *batch-only*: base tables stream in as [`ColumnBatch`]es
+//! through the one [`DataSource::scan_batches`], and every operator takes and
+//! emits batches — filters narrow a batch's selection bitmap in place,
+//! projections and joins emit new owned batches, aggregates fold batch
+//! columns into group states, and sort orders `(batch, slot)` locators before
+//! gathering them into fresh batches.  Full [`Row`] tuples are materialized
+//! once, at the plan root; [`ExecStats::rows_materialized`] counts them.
+//!
+//! [`ExecOptions::pruning`] is the one switch between the pruned path (the
+//! default, and what the engine runs) and the reference: off runs the plan
+//! as written over full-width batches, with no column or chunk pruning.
 
 use crate::colprune::{output_width, prune_columns};
 use crate::error::{QueryError, QueryResult};
@@ -20,31 +21,17 @@ use crate::source::{DataSource, SourceKind};
 use olxp_storage::{BatchBuilder, ColumnBatch, Row, Value, DEFAULT_BATCH_SIZE};
 use std::collections::HashMap;
 
-/// How the executor consumes base-table scans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Consume [`DataSource::scan_batches`]: columnar chunks of only the
-    /// columns the plan reads (see [`crate::colprune`]), no per-row tuple at
-    /// the storage boundary.  The default.
-    Batched,
-    /// Consume the row-at-a-time [`DataSource::scan`] callback and re-batch
-    /// the rows inside the executor.  The plan runs as written, at full
-    /// width: this is the oracle the batched path is tested against, and a
-    /// baseline for the micro-benchmarks.
-    RowAtATime,
-}
-
 /// Executor tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Row slots per [`ColumnBatch`] flowing between operators (>= 1).
     pub batch_size: usize,
-    /// How base-table scans are consumed.
-    pub scan_mode: ScanMode,
-    /// Whether batched scans may prune chunks.  When on, sargable conjuncts
-    /// of the scan filter are pushed down as a [`ChunkPruner`]; sources
-    /// without chunk summaries (the row stores) ignore it.  Off is the
-    /// reference the equivalence tests compare against.
+    /// Whether the executor prunes.  On, the plan is first narrowed to the
+    /// columns it reads (see [`crate::colprune`]) and the sargable conjuncts
+    /// of each scan filter are pushed down as a [`ChunkPruner`]; sources
+    /// without chunk summaries (the row stores) ignore the pruner.  Off runs
+    /// the plan as written over full-width batches and hands the source no
+    /// pruner: the reference the equivalence tests compare against.
     pub pruning: bool,
 }
 
@@ -52,7 +39,6 @@ impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            scan_mode: ScanMode::Batched,
             pruning: true,
         }
     }
@@ -67,22 +53,7 @@ impl ExecOptions {
         }
     }
 
-    /// Row-at-a-time scan consumption (operators still run over batches).
-    /// Never prunes: it is the equivalence baseline for the batched path.
-    pub fn row_at_a_time() -> ExecOptions {
-        ExecOptions {
-            scan_mode: ScanMode::RowAtATime,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Override the batch size (builder style, clamped to >= 1).
-    pub fn with_batch_size(mut self, batch_size: usize) -> ExecOptions {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Switch chunk pruning on or off (builder style).
+    /// Switch pruning on or off (builder style).
     pub fn with_pruning(mut self, pruning: bool) -> ExecOptions {
         self.pruning = pruning;
         self
@@ -98,19 +69,16 @@ impl ExecOptions {
 pub struct ExecStats {
     /// Which store served the base-table accesses.
     pub source_kind: Option<SourceKind>,
-    /// Physical rows examined by table scans.
+    /// Physical rows examined by table scans, the headline input to the scan
+    /// cost model.
     pub rows_scanned: u64,
-    /// Physical entries examined by index lookups.
-    pub index_entries: u64,
     /// Number of full table scans performed.
     pub full_scans: u64,
     /// Column batches streamed out of table scans.
     pub batches_scanned: u64,
-    /// Individually materialized `Row` tuples the executor created or
-    /// consumed: rows received row-at-a-time from a scan, index-lookup
-    /// results, rows materialized for sorting, projected row outputs and the
-    /// late materialization at the plan root.  The batched path keeps this
-    /// near the output size; the row-at-a-time path pays it per scanned row.
+    /// `Row` tuples the executor materialized.  Operators exchange batches
+    /// only, so this is the late materialization at the plan root: tests use
+    /// it to assert that no operator re-rowifies a scan.
     pub rows_materialized: u64,
     /// Hash-join probe operations (probes plus emitted matches).
     pub join_probes: u64,
@@ -145,12 +113,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Total physical rows touched (scan + index), the headline input to the
-    /// scan cost model.
-    pub fn physical_rows(&self) -> u64 {
-        self.rows_scanned + self.index_entries
-    }
-
     /// Merge another stats record into this one (used when a transaction runs
     /// several statements).
     pub fn merge(&mut self, other: &ExecStats) {
@@ -158,7 +120,6 @@ impl ExecStats {
             self.source_kind = other.source_kind;
         }
         self.rows_scanned += other.rows_scanned;
-        self.index_entries += other.index_entries;
         self.full_scans += other.full_scans;
         self.batches_scanned += other.batches_scanned;
         self.rows_materialized += other.rows_materialized;
@@ -187,7 +148,7 @@ pub struct QueryOutput {
     pub stats: ExecStats,
 }
 
-/// Execute `plan` against `source` with default options (batched scans,
+/// Execute `plan` against `source` with default options (pruning on,
 /// [`DEFAULT_BATCH_SIZE`]).
 pub fn execute(plan: &Plan, source: &dyn DataSource) -> QueryResult<QueryOutput> {
     execute_with(plan, source, ExecOptions::default())
@@ -207,12 +168,9 @@ pub fn execute_with(
         source_kind: Some(source.kind()),
         ..ExecStats::default()
     };
-    let pruned = match opts.scan_mode {
-        ScanMode::Batched => prune_columns(plan, source),
-        ScanMode::RowAtATime => None,
-    };
-    let chunked = run(pruned.as_ref().unwrap_or(plan), source, &mut stats, &opts)?;
-    let rows = chunked.into_rows(&mut stats);
+    let pruned = opts.pruning.then(|| prune_columns(plan, source)).flatten();
+    let batches = run(pruned.as_ref().unwrap_or(plan), source, &mut stats, &opts)?;
+    let rows = batches.into_rows(&mut stats);
     stats.output_rows = rows.len() as u64;
     Ok(QueryOutput { rows, stats })
 }
@@ -221,64 +179,42 @@ pub fn execute_with(
 // Intermediate representation
 // ----------------------------------------------------------------------
 
-/// One selected slot of an operator's input: either a position across a
-/// batch's column vectors (nothing materialized) or a borrowed row.
+/// One selected slot of an operator's input: a position across a batch's
+/// column vectors (nothing materialized).
 #[derive(Clone, Copy)]
-enum RowAt<'a> {
-    Batch(&'a ColumnBatch<'a>, usize),
-    Row(&'a Row),
+struct RowAt<'a> {
+    batch: &'a ColumnBatch<'a>,
+    slot: usize,
 }
 
 impl ValueAccess for RowAt<'_> {
     fn width(&self) -> usize {
-        match self {
-            RowAt::Batch(batch, _) => batch.width(),
-            RowAt::Row(row) => row.arity(),
-        }
+        self.batch.width()
     }
 
     fn value_at(&self, pos: usize) -> Option<&Value> {
-        match self {
-            RowAt::Batch(batch, row) => batch.value(pos, *row),
-            RowAt::Row(row) => row.get(pos),
-        }
+        self.batch.value(pos, self.slot)
     }
 }
 
-/// Result of one operator: batches in the vectorized pipeline, rows where an
-/// operator genuinely produced tuples (index lookups, sort).
-enum Chunked {
-    Batches(Vec<ColumnBatch<'static>>),
-    Rows(Vec<Row>),
-}
+/// Result of one operator: owned batches of the operator's output width.
+struct Batches(Vec<ColumnBatch<'static>>);
 
-impl Chunked {
+impl Batches {
     /// Number of selected rows across the result.
     fn selected_len(&self) -> usize {
-        match self {
-            Chunked::Batches(batches) => batches.iter().map(ColumnBatch::selected_count).sum(),
-            Chunked::Rows(rows) => rows.len(),
-        }
+        self.0.iter().map(ColumnBatch::selected_count).sum()
     }
 
     /// Visit every selected row in order.  The row handles borrow `self`, so
-    /// consumers (e.g. the join build side) may retain them.
+    /// consumers (the join build side, sort) may retain them.
     fn for_each<'s, F>(&'s self, mut f: F) -> QueryResult<()>
     where
         F: FnMut(RowAt<'s>) -> QueryResult<()>,
     {
-        match self {
-            Chunked::Batches(batches) => {
-                for batch in batches {
-                    for row in batch.selected_rows() {
-                        f(RowAt::Batch(batch, row))?;
-                    }
-                }
-            }
-            Chunked::Rows(rows) => {
-                for row in rows {
-                    f(RowAt::Row(row))?;
-                }
+        for batch in &self.0 {
+            for slot in batch.selected_rows() {
+                f(RowAt { batch, slot })?;
             }
         }
         Ok(())
@@ -287,17 +223,11 @@ impl Chunked {
     /// Late materialization: turn the result into `Row` tuples, counting the
     /// newly materialized rows.
     fn into_rows(self, stats: &mut ExecStats) -> Vec<Row> {
-        match self {
-            Chunked::Rows(rows) => rows,
-            Chunked::Batches(batches) => {
-                let capacity: usize = batches.iter().map(ColumnBatch::selected_count).sum();
-                let mut rows = Vec::with_capacity(capacity);
-                for batch in &batches {
-                    stats.rows_materialized += batch.materialize_into(&mut rows) as u64;
-                }
-                rows
-            }
+        let mut rows = Vec::with_capacity(self.selected_len());
+        for batch in &self.0 {
+            stats.rows_materialized += batch.materialize_into(&mut rows) as u64;
         }
+        rows
     }
 }
 
@@ -335,7 +265,6 @@ fn extract_key(row: &RowAt<'_>, positions: &[usize]) -> QueryResult<Vec<Value>> 
 fn operator_tag(plan: &Plan) -> u32 {
     match plan {
         Plan::TableScan { .. } => 0,
-        Plan::IndexScan { .. } => 1,
         Plan::Filter { .. } => 2,
         Plan::Project { .. } => 3,
         Plan::Join { .. } => 4,
@@ -350,7 +279,7 @@ fn run(
     source: &dyn DataSource,
     stats: &mut ExecStats,
     opts: &ExecOptions,
-) -> QueryResult<Chunked> {
+) -> QueryResult<Batches> {
     // Per-operator batch timing, one relaxed load when tracing is off.  A
     // node's span (and recorded duration) includes its children, matching
     // how the spans nest in a Chrome trace view.
@@ -379,7 +308,7 @@ fn run_node(
     source: &dyn DataSource,
     stats: &mut ExecStats,
     opts: &ExecOptions,
-) -> QueryResult<Chunked> {
+) -> QueryResult<Batches> {
     match plan {
         Plan::TableScan {
             table,
@@ -393,86 +322,35 @@ fn run_node(
             stats,
             opts,
         ),
-        Plan::IndexScan {
-            table,
-            index,
-            prefix,
-            filter,
-        } => {
-            let (mut rows, examined) = source.index_lookup(table, *index, prefix)?;
-            stats.index_entries += examined as u64;
-            stats.rows_materialized += rows.len() as u64;
-            if let Some(f) = filter {
-                let mut kept = Vec::with_capacity(rows.len());
-                for row in rows.drain(..) {
-                    if f.matches(row.values())? {
-                        kept.push(row);
-                    }
-                }
-                rows = kept;
-            }
-            Ok(Chunked::Rows(rows))
-        }
         Plan::Filter { input, predicate } => {
-            let input = run(input, source, stats, opts)?;
-            match input {
-                Chunked::Rows(rows) => {
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        if predicate.matches(row.values())? {
-                            kept.push(row);
-                        }
+            // Narrow each batch's selection bitmap in place; nothing is
+            // copied or compacted.
+            let mut input = run(input, source, stats, opts)?;
+            for batch in &mut input.0 {
+                let mut selection = vec![false; batch.num_rows()];
+                for slot in batch.selected_rows() {
+                    if predicate.matches_access(&RowAt { batch, slot })? {
+                        selection[slot] = true;
                     }
-                    Ok(Chunked::Rows(kept))
                 }
-                Chunked::Batches(mut batches) => {
-                    // Vectorized filter: narrow each batch's selection bitmap
-                    // in place; nothing is copied or compacted.
-                    for batch in &mut batches {
-                        let mut selection = vec![false; batch.num_rows()];
-                        for row in batch.selected_rows() {
-                            if predicate.matches_access(&RowAt::Batch(batch, row))? {
-                                selection[row] = true;
-                            }
-                        }
-                        batch.set_selection(selection);
-                    }
-                    Ok(Chunked::Batches(batches))
-                }
+                batch.set_selection(selection);
             }
+            Ok(input)
         }
         Plan::Project { input, exprs } => {
             let input = run(input, source, stats, opts)?;
-            match input {
-                Chunked::Rows(rows) => {
-                    let mut out = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        let mut values = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            values.push(e.eval(row.values())?);
-                        }
-                        out.push(Row::new(values));
-                    }
-                    stats.rows_materialized += out.len() as u64;
-                    Ok(Chunked::Rows(out))
-                }
-                Chunked::Batches(batches) => {
-                    let mut out = Vec::new();
-                    let mut builder = BatchBuilder::new(exprs.len(), opts.batch_size);
-                    for batch in &batches {
-                        for row in batch.selected_rows() {
-                            let access = RowAt::Batch(batch, row);
-                            let mut values = Vec::with_capacity(exprs.len());
-                            for e in exprs {
-                                values.push(e.eval_access(&access)?);
-                            }
-                            builder.push_row_values_into(values, &mut out);
-                        }
-                    }
-                    builder.flush_into(&mut out);
-                    Ok(Chunked::Batches(out))
-                }
-            }
+            let mut out = Vec::new();
+            let mut builder = BatchBuilder::new(exprs.len(), opts.batch_size);
+            input.for_each(|row| {
+                let values = exprs
+                    .iter()
+                    .map(|e| e.eval_access(&row))
+                    .collect::<QueryResult<_>>()?;
+                builder.push_row_values_into(values, &mut out);
+                Ok(())
+            })?;
+            builder.flush_into(&mut out);
+            Ok(Batches(out))
         }
         Plan::Join {
             left,
@@ -518,50 +396,38 @@ fn run_node(
             aggregate(&input, group_by, aggregates, stats, opts)
         }
         Plan::Sort { input, keys } => {
-            // Sorting genuinely needs movable tuples: materialize here.
-            let mut rows = run(input, source, stats, opts)?.into_rows(stats);
-            stats.sort_rows += rows.len() as u64;
-            sort_rows(&mut rows, keys)?;
-            Ok(Chunked::Rows(rows))
+            let input = run(input, source, stats, opts)?;
+            stats.sort_rows += input.selected_len() as u64;
+            sort(&input, keys, opts)
         }
         Plan::Limit { input, limit } => {
-            let input = run(input, source, stats, opts)?;
-            match input {
-                Chunked::Rows(mut rows) => {
-                    rows.truncate(*limit);
-                    Ok(Chunked::Rows(rows))
+            let mut out = Vec::new();
+            let mut remaining = *limit;
+            for mut batch in run(input, source, stats, opts)?.0 {
+                if remaining == 0 {
+                    break;
                 }
-                Chunked::Batches(batches) => {
-                    let mut out = Vec::new();
-                    let mut remaining = *limit;
-                    for mut batch in batches {
-                        if remaining == 0 {
-                            break;
-                        }
-                        let selected = batch.selected_count();
-                        if selected > remaining {
-                            let keep: Vec<usize> = batch.selected_rows().take(remaining).collect();
-                            let mut selection = vec![false; batch.num_rows()];
-                            for row in keep {
-                                selection[row] = true;
-                            }
-                            batch.set_selection(selection);
-                            remaining = 0;
-                        } else {
-                            remaining -= selected;
-                        }
-                        out.push(batch);
+                let selected = batch.selected_count();
+                if selected > remaining {
+                    let mut selection = vec![false; batch.num_rows()];
+                    for slot in batch.selected_rows().take(remaining) {
+                        selection[slot] = true;
                     }
-                    Ok(Chunked::Batches(out))
+                    batch.set_selection(selection);
+                    remaining = 0;
+                } else {
+                    remaining -= selected;
                 }
+                out.push(batch);
             }
+            Ok(Batches(out))
         }
     }
 }
 
-/// Base-table scan: stream batches (or rows, in [`ScanMode::RowAtATime`])
-/// of the scan's `columns` from the source, apply the pushed-down filter per
-/// selected slot, and emit owned batches of the surviving rows.
+/// Base-table scan: stream batches of the scan's `columns` from the source,
+/// apply the pushed-down filter per selected slot, and emit owned batches of
+/// the surviving rows.
 fn scan_table(
     table: &str,
     filter: Option<&crate::expr::Expr>,
@@ -569,7 +435,7 @@ fn scan_table(
     source: &dyn DataSource,
     stats: &mut ExecStats,
     opts: &ExecOptions,
-) -> QueryResult<Chunked> {
+) -> QueryResult<Batches> {
     let table_width = source.schema(table)?.column_count();
     if let Some(&position) = columns.and_then(|c| c.iter().find(|&&c| c >= table_width)) {
         return Err(QueryError::ColumnOutOfRange {
@@ -582,116 +448,80 @@ fn scan_table(
     let mut builder = BatchBuilder::new(width, opts.batch_size);
     let mut err: Option<QueryError> = None;
     let mut batches = 0u64;
-    let mut materialized = 0u64;
-    let examined = match opts.scan_mode {
-        ScanMode::Batched => {
-            // Push the sargable conjuncts of the filter down to the source so
-            // column stores can skip chunks before touching data.  Pruning
-            // only ever removes chunks that cannot contain a matching row;
-            // the full filter still runs on every surviving slot below.
-            let pruner = opts.pruning.then(|| match filter {
-                Some(f) => ChunkPruner::from_filter(f, columns),
-                None => ChunkPruner::unfiltered(),
-            });
-            let outcome = source.scan_batches(
-                table,
-                columns,
-                opts.batch_size,
-                pruner.as_ref(),
-                &mut |batch| {
-                    if err.is_some() {
-                        return;
-                    }
-                    batches += 1;
-                    match filter {
-                        None => {
-                            // Flush first if the bulk append would overflow the
-                            // configured batch size: emitted batches stay <= batch_size.
-                            if !builder.is_empty()
-                                && builder.len() + batch.selected_count() > builder.capacity()
-                            {
-                                out.push(builder.finish());
-                            }
-                            builder.extend_from_batch(batch);
-                        }
-                        Some(f) => {
-                            // Evaluate the predicate per selected slot into a keep
-                            // bitmap, then copy the survivors column-wise.
-                            let mut keep = vec![false; batch.num_rows()];
-                            let mut survivors = 0usize;
-                            for row in batch.selected_rows() {
-                                match f.matches_access(&RowAt::Batch(batch, row)) {
-                                    Ok(matched) => {
-                                        keep[row] = matched;
-                                        survivors += usize::from(matched);
-                                    }
-                                    Err(e) => {
-                                        err = Some(e);
-                                        return;
-                                    }
-                                }
-                            }
-                            if !builder.is_empty() && builder.len() + survivors > builder.capacity()
-                            {
-                                out.push(builder.finish());
-                            }
-                            builder.extend_selected(batch, &keep);
-                        }
-                    }
-                    if builder.is_full() {
-                        out.push(builder.finish());
-                    }
-                },
-            )?;
-            stats.chunks_scanned += outcome.chunks_scanned;
-            stats.chunks_pruned_zonemap += outcome.chunks_pruned_zonemap;
-            stats.rows_pruned_encoded += outcome.rows_pruned_encoded;
-            outcome.slots_examined
-        }
-        ScanMode::RowAtATime => source.scan(table, &mut |row| {
+    // Push the sargable conjuncts of the filter down to the source so column
+    // stores can skip chunks before touching data.  Pruning only ever removes
+    // chunks that cannot contain a matching row; the full filter still runs
+    // on every surviving slot below.
+    let pruner = opts.pruning.then(|| match filter {
+        Some(f) => ChunkPruner::from_filter(f, columns),
+        None => ChunkPruner::unfiltered(),
+    });
+    let outcome = source.scan_batches(
+        table,
+        columns,
+        opts.batch_size,
+        pruner.as_ref(),
+        &mut |batch| {
             if err.is_some() {
                 return;
             }
-            materialized += 1;
-            let projected: Option<Vec<Value>> =
-                columns.map(|c| c.iter().map(|&c| row[c].clone()).collect());
-            let keep = match filter {
-                Some(f) => match f.matches(projected.as_deref().unwrap_or(row.values())) {
-                    Ok(keep) => keep,
-                    Err(e) => {
-                        err = Some(e);
-                        return;
+            batches += 1;
+            match filter {
+                None => {
+                    // Flush first if the bulk append would overflow the
+                    // configured batch size: emitted batches stay <= batch_size.
+                    if !builder.is_empty()
+                        && builder.len() + batch.selected_count() > builder.capacity()
+                    {
+                        out.push(builder.finish());
                     }
-                },
-                None => true,
-            };
-            if keep {
-                match projected {
-                    Some(values) => builder.push_row_values(values),
-                    None => builder.push_row(row.values()),
+                    builder.extend_from_batch(batch);
                 }
-                if builder.is_full() {
-                    out.push(builder.finish());
-                    batches += 1;
+                Some(f) => {
+                    // Evaluate the predicate per selected slot into a keep
+                    // bitmap, then copy the survivors column-wise.
+                    let mut keep = vec![false; batch.num_rows()];
+                    let mut survivors = 0usize;
+                    for slot in batch.selected_rows() {
+                        match f.matches_access(&RowAt { batch, slot }) {
+                            Ok(matched) => {
+                                keep[slot] = matched;
+                                survivors += usize::from(matched);
+                            }
+                            Err(e) => {
+                                err = Some(e);
+                                return;
+                            }
+                        }
+                    }
+                    if !builder.is_empty() && builder.len() + survivors > builder.capacity() {
+                        out.push(builder.finish());
+                    }
+                    builder.extend_selected(batch, &keep);
                 }
             }
-        })?,
-    };
+            if builder.is_full() {
+                out.push(builder.finish());
+            }
+        },
+    )?;
     if let Some(e) = err {
         return Err(e);
     }
     builder.flush_into(&mut out);
-    stats.rows_scanned += examined as u64;
+    stats.rows_scanned += outcome.slots_examined as u64;
     stats.full_scans += 1;
     stats.batches_scanned += batches;
-    stats.rows_materialized += materialized;
-    Ok(Chunked::Batches(out))
+    stats.chunks_scanned += outcome.chunks_scanned;
+    stats.chunks_pruned_zonemap += outcome.chunks_pruned_zonemap;
+    stats.rows_pruned_encoded += outcome.rows_pruned_encoded;
+    Ok(Batches(out))
 }
 
 /// One input of a hash join: its rows, its key positions, and the width the
 /// plan gives it — a result with no rows cannot tell its own.
 struct JoinInput<'a> {
-    rows: &'a Chunked,
+    rows: &'a Batches,
     keys: &'a [usize],
     width: usize,
 }
@@ -705,7 +535,7 @@ fn join(
     kind: JoinKind,
     stats: &mut ExecStats,
     opts: &ExecOptions,
-) -> QueryResult<Chunked> {
+) -> QueryResult<Batches> {
     let build_rows = right.rows.selected_len();
     stats.join_build_rows += build_rows as u64;
     let right_width = right.width;
@@ -748,7 +578,7 @@ fn join(
         Ok(())
     })?;
     builder.flush_into(&mut out);
-    Ok(Chunked::Batches(out))
+    Ok(Batches(out))
 }
 
 #[derive(Debug, Clone)]
@@ -808,12 +638,12 @@ impl AggState {
 /// [`AggState`]s (per-batch increments for the input accounting), then emit
 /// the groups as one batch — the result stays columnar until the plan root.
 fn aggregate(
-    input: &Chunked,
+    input: &Batches,
     group_by: &[usize],
     aggregates: &[AggSpec],
     stats: &mut ExecStats,
     opts: &ExecOptions,
-) -> QueryResult<Chunked> {
+) -> QueryResult<Batches> {
     stats.agg_input_rows += input.selected_len() as u64;
     if group_by.is_empty() {
         return aggregate_global(input, aggregates, opts);
@@ -856,17 +686,17 @@ fn aggregate(
         builder.push_row_values_into(values, &mut out);
     }
     builder.flush_into(&mut out);
-    Ok(Chunked::Batches(out))
+    Ok(Batches(out))
 }
 
 /// Global (ungrouped) aggregate: a single state vector folded over every
 /// input slot — no per-row group-key allocation or hashing.  A global
 /// aggregate over zero rows still yields one row.
 fn aggregate_global(
-    input: &Chunked,
+    input: &Batches,
     aggregates: &[AggSpec],
     opts: &ExecOptions,
-) -> QueryResult<Chunked> {
+) -> QueryResult<Batches> {
     let mut states = vec![AggState::new(); aggregates.len()];
     input.for_each(|row| {
         for (state, spec) in states.iter_mut().zip(aggregates) {
@@ -889,24 +719,34 @@ fn aggregate_global(
     let mut builder = BatchBuilder::new(aggregates.len(), opts.batch_size);
     builder.push_row_values(values);
     builder.flush_into(&mut out);
-    Ok(Chunked::Batches(out))
+    Ok(Batches(out))
 }
 
-fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> QueryResult<()> {
+/// Stable sort: order the selected `(batch, slot)` locators by `keys` (tied
+/// rows keep their input order), then gather them into fresh batches.
+fn sort(input: &Batches, keys: &[SortKey], opts: &ExecOptions) -> QueryResult<Batches> {
+    let mut locators: Vec<RowAt<'_>> = Vec::with_capacity(input.selected_len());
+    input.for_each(|row| {
+        locators.push(row);
+        Ok(())
+    })?;
+    let Some(first) = locators.first() else {
+        return Ok(Batches(Vec::new()));
+    };
     // Validate positions up front so sorting itself cannot fail.
-    if let Some(first) = rows.first() {
-        for key in keys {
-            if key.column >= first.arity() {
-                return Err(QueryError::ColumnOutOfRange {
-                    position: key.column,
-                    width: first.arity(),
-                });
-            }
-        }
+    let width = first.width();
+    if let Some(key) = keys.iter().find(|k| k.column >= width) {
+        return Err(QueryError::ColumnOutOfRange {
+            position: key.column,
+            width,
+        });
     }
-    rows.sort_by(|a, b| {
+    locators.sort_by(|a, b| {
         for key in keys {
-            let (x, y) = (&a[key.column], &b[key.column]);
+            let (x, y) = (
+                &a.batch.column(key.column)[a.slot],
+                &b.batch.column(key.column)[b.slot],
+            );
             let ord = if key.ascending { x.cmp(y) } else { y.cmp(x) };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -914,7 +754,16 @@ fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> QueryResult<()> {
         }
         std::cmp::Ordering::Equal
     });
-    Ok(())
+    let mut out = Vec::new();
+    let mut builder = BatchBuilder::new(width, opts.batch_size);
+    for row in &locators {
+        builder.push_row_from(row.batch, row.slot);
+        if builder.is_full() {
+            out.push(builder.finish());
+        }
+    }
+    builder.flush_into(&mut out);
+    Ok(Batches(out))
 }
 
 #[cfg(test)]
@@ -926,6 +775,11 @@ mod tests {
     use olxp_storage::{ColumnDef, DataType, Key, RowTable, TableSchema};
     use std::collections::HashMap as StdHashMap;
     use std::sync::Arc;
+
+    /// The reference: the plan as written, full width, no pruner.
+    fn reference() -> ExecOptions {
+        ExecOptions::default().with_pruning(false)
+    }
 
     /// ORDERS and CUSTOMER on one shard, read at timestamp 10.
     fn fixture() -> ShardedRowSource {
@@ -984,16 +838,6 @@ mod tests {
         assert_eq!(out.stats.rows_scanned, 4);
         assert_eq!(out.stats.full_scans, 1);
         assert_eq!(out.stats.output_rows, 2);
-    }
-
-    #[test]
-    fn index_scan_uses_prefix() {
-        let source = fixture();
-        let plan = QueryBuilder::index_scan("ORDERS", None, Key::int(3)).build();
-        let out = execute(&plan, &source).unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.stats.full_scans, 0);
-        assert!(out.stats.index_entries >= 1);
     }
 
     #[test]
@@ -1088,6 +932,37 @@ mod tests {
         assert_eq!(out.rows[1][2], Value::Decimal(500));
     }
 
+    /// `Sort` is stable across batch boundaries: rows with equal keys come
+    /// out in their input order even when the ties sit in different input
+    /// batches.  `amount > 4.00` ties orders 1 and 3 (true) and 2 and 4
+    /// (false), and `batched(2)` puts each pair's rows in different batches.
+    #[test]
+    fn sort_keeps_tied_rows_in_input_order_across_batches() {
+        let col_tables = col_fixture();
+        let sources: [&dyn DataSource; 2] =
+            [&fixture(), &crate::source::ColumnSource::new(&col_tables)];
+        let flagged = || {
+            QueryBuilder::scan("ORDERS").project(vec![col(0), col(2).gt(lit(Value::Decimal(400)))])
+        };
+        for source in sources {
+            for (key, ids) in [
+                (SortKey::asc(1), [2, 4, 1, 3]),
+                (SortKey::desc(1), [1, 3, 2, 4]),
+            ] {
+                let plan = flagged().sort(vec![key]).build();
+                let out = execute_with(&plan, source, ExecOptions::batched(2)).unwrap();
+                let got: Vec<&Value> = out.rows.iter().map(|r| &r[0]).collect();
+                let want: Vec<Value> = ids.into_iter().map(Value::Int).collect();
+                assert_eq!(got, want.iter().collect::<Vec<_>>(), "{key:?}");
+                assert_eq!(out.stats.sort_rows, 4);
+                assert_eq!(out.stats.rows_materialized, 4, "only the root materializes");
+                let expected =
+                    execute_with(&plan, source, ExecOptions::batched(2).with_pruning(false));
+                assert_eq!(out.rows, expected.unwrap().rows, "{key:?}");
+            }
+        }
+    }
+
     #[test]
     fn malformed_join_is_rejected() {
         let source = fixture();
@@ -1171,7 +1046,7 @@ mod tests {
             JoinKind::LeftOuter,
         );
         for source in sources {
-            for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+            for opts in [ExecOptions::default(), reference()] {
                 let out = execute_with(&join.clone().build(), source, opts).unwrap();
                 assert_eq!(out.rows.len(), 4);
                 assert_eq!(
@@ -1252,7 +1127,7 @@ mod tests {
             ),
         ] {
             let plan = plan.build();
-            for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+            for opts in [ExecOptions::default(), reference()] {
                 assert_eq!(
                     execute_with(&plan, &source, opts).unwrap_err(),
                     QueryError::ColumnOutOfRange { position, width },
@@ -1266,7 +1141,7 @@ mod tests {
             filter: None,
             columns: Some(vec![0, 3]),
         };
-        for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+        for opts in [ExecOptions::default(), reference()] {
             assert_eq!(
                 execute_with(&plan, &source, opts).unwrap_err(),
                 QueryError::ColumnOutOfRange {
@@ -1277,7 +1152,8 @@ mod tests {
         }
     }
 
-    /// A hand-written column list means the same thing in both scan modes.
+    /// A hand-written column list means the same thing with pruning on and
+    /// off.
     #[test]
     fn a_scan_with_a_column_list_emits_those_columns_in_that_order() {
         let source = fixture();
@@ -1286,7 +1162,7 @@ mod tests {
             filter: Some(col(0).ge(lit(Value::Decimal(500)))),
             columns: Some(vec![2, 0]),
         };
-        for opts in [ExecOptions::default(), ExecOptions::row_at_a_time()] {
+        for opts in [ExecOptions::default(), reference()] {
             let out = execute_with(&plan, &source, opts).unwrap();
             let rows: Vec<&[Value]> = out.rows.iter().map(Row::values).collect();
             assert_eq!(
@@ -1301,7 +1177,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_row_at_a_time_agree_on_every_operator() {
+    fn pruned_and_reference_agree_on_every_operator() {
         let source = fixture();
         let plans = vec![
             QueryBuilder::scan("ORDERS")
@@ -1321,13 +1197,13 @@ mod tests {
                 .build(),
         ];
         for plan in &plans {
-            let row_mode = execute_with(plan, &source, ExecOptions::row_at_a_time()).unwrap();
+            let expected = execute_with(plan, &source, reference()).unwrap();
             for batch_size in [1usize, 3, 1024] {
                 let batched =
                     execute_with(plan, &source, ExecOptions::batched(batch_size)).unwrap();
-                assert_eq!(batched.rows, row_mode.rows, "batch_size={batch_size}");
-                assert_eq!(batched.stats.rows_scanned, row_mode.stats.rows_scanned);
-                assert_eq!(batched.stats.output_rows, row_mode.stats.output_rows);
+                assert_eq!(batched.rows, expected.rows, "batch_size={batch_size}");
+                assert_eq!(batched.stats.rows_scanned, expected.stats.rows_scanned);
+                assert_eq!(batched.stats.output_rows, expected.stats.output_rows);
             }
         }
     }
@@ -1348,12 +1224,8 @@ mod tests {
             "only the root row is materialized on the batched path"
         );
 
-        let row_mode = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
-        assert_eq!(row_mode.rows, batched.rows);
-        assert!(
-            row_mode.stats.rows_materialized >= 4,
-            "row-at-a-time pays a materialized row per scanned tuple"
-        );
+        let expected = execute_with(&plan, &source, ExecOptions::batched(2).with_pruning(false));
+        assert_eq!(expected.unwrap().rows, batched.rows);
     }
 
     #[test]
@@ -1385,17 +1257,16 @@ mod tests {
         let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").project(vec![]).build();
         let batched = execute_with(&plan, &source, ExecOptions::batched(3)).unwrap();
-        let row_mode = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
+        let expected =
+            execute_with(&plan, &source, ExecOptions::batched(3).with_pruning(false)).unwrap();
         assert_eq!(batched.rows.len(), 4, "one empty row per input row");
-        assert_eq!(batched.rows, row_mode.rows);
+        assert_eq!(batched.rows, expected.rows);
         assert!(batched.rows.iter().all(Row::is_empty));
     }
 
     #[test]
     fn exec_options_clamp_batch_size() {
         let opts = ExecOptions::batched(0);
-        assert_eq!(opts.batch_size, 1);
-        let opts = ExecOptions::default().with_batch_size(0);
         assert_eq!(opts.batch_size, 1);
         let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").build();
@@ -1404,7 +1275,6 @@ mod tests {
             &source,
             ExecOptions {
                 batch_size: 0,
-                scan_mode: ScanMode::Batched,
                 pruning: true,
             },
         )
@@ -1446,9 +1316,7 @@ mod tests {
         let pruned = execute_with(&plan, &source, ExecOptions::batched(8)).unwrap();
         let unpruned =
             execute_with(&plan, &source, ExecOptions::batched(8).with_pruning(false)).unwrap();
-        let baseline = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
         assert_eq!(pruned.rows, unpruned.rows, "pruning never changes results");
-        assert_eq!(pruned.rows, baseline.rows);
         assert_eq!(pruned.rows.len(), 1);
 
         assert_eq!(pruned.stats.chunks_pruned_zonemap, 3);
@@ -1481,6 +1349,5 @@ mod tests {
         assert_eq!(a.rows_scanned, 12);
         assert_eq!(a.join_probes, 3);
         assert_eq!(a.source_kind, Some(SourceKind::RowStore));
-        assert_eq!(a.physical_rows(), 12);
     }
 }

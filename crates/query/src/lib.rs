@@ -36,7 +36,7 @@ pub mod source;
 
 pub use builder::QueryBuilder;
 pub use error::{QueryError, QueryResult};
-pub use exec::{execute, execute_with, ExecOptions, ExecStats, QueryOutput, ScanMode};
+pub use exec::{execute, execute_with, ExecOptions, ExecStats, QueryOutput};
 pub use expr::{col, lit, AggFunc, Expr, ValueAccess};
 pub use plan::{AggSpec, JoinKind, Plan, SortKey};
 pub use prune::{extract_sargable, ChunkPruner};

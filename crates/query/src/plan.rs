@@ -1,7 +1,6 @@
 //! Logical query plans.
 
 use crate::expr::{AggFunc, Expr};
-use olxp_storage::Key;
 use serde::{Deserialize, Serialize};
 
 /// Join kind.  The workloads only need inner and left-outer joins.
@@ -73,17 +72,6 @@ pub enum Plan {
         /// executor's column-pruning pass narrows it to what the plan reads.
         columns: Option<Vec<usize>>,
     },
-    /// Look up rows through an index (or the primary key) by key prefix.
-    IndexScan {
-        /// Table name.
-        table: String,
-        /// `None` = primary key, `Some(pos)` = secondary index position.
-        index: Option<usize>,
-        /// Equality key prefix to look up.
-        prefix: Key,
-        /// Optional residual filter applied after the lookup.
-        filter: Option<Expr>,
-    },
     /// Filter rows by a predicate.
     Filter {
         /// Input plan.
@@ -149,7 +137,7 @@ impl Plan {
 
     fn collect_tables(&self, out: &mut Vec<String>) {
         match self {
-            Plan::TableScan { table, .. } | Plan::IndexScan { table, .. } => {
+            Plan::TableScan { table, .. } => {
                 if !out.contains(table) {
                     out.push(table.clone());
                 }
@@ -163,36 +151,6 @@ impl Plan {
                 left.collect_tables(out);
                 right.collect_tables(out);
             }
-        }
-    }
-
-    /// Number of join operators in the plan (a crude complexity measure used by
-    /// the single-engine vertical-partition penalty).
-    pub fn join_count(&self) -> usize {
-        match self {
-            Plan::TableScan { .. } | Plan::IndexScan { .. } => 0,
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.join_count(),
-            Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
-        }
-    }
-
-    /// True when the plan contains at least one full table scan (no index
-    /// prefix); such plans are what the paper calls "time-consuming scan
-    /// tables operations".
-    pub fn has_full_scan(&self) -> bool {
-        match self {
-            Plan::TableScan { .. } => true,
-            Plan::IndexScan { .. } => false,
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.has_full_scan(),
-            Plan::Join { left, right, .. } => left.has_full_scan() || right.has_full_scan(),
         }
     }
 }
@@ -210,11 +168,10 @@ mod tests {
                     filter: None,
                     columns: None,
                 }),
-                right: Box::new(Plan::IndexScan {
+                right: Box::new(Plan::TableScan {
                     table: "ORDER_LINE".into(),
-                    index: None,
-                    prefix: Key::int(1),
                     filter: Some(col(2).gt(lit(0))),
+                    columns: None,
                 }),
                 left_keys: vec![0],
                 right_keys: vec![0],
@@ -239,19 +196,5 @@ mod tests {
             kind: JoinKind::Inner,
         };
         assert_eq!(plan.referenced_tables(), vec!["ORDERS", "ORDER_LINE"]);
-    }
-
-    #[test]
-    fn join_count_and_full_scan_detection() {
-        let plan = sample_plan();
-        assert_eq!(plan.join_count(), 1);
-        assert!(plan.has_full_scan());
-        let index_only = Plan::IndexScan {
-            table: "ITEM".into(),
-            index: Some(0),
-            prefix: Key::int(3),
-            filter: None,
-        };
-        assert!(!index_only.has_full_scan());
     }
 }

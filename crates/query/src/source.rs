@@ -7,19 +7,19 @@
 //! [`ColumnSource`] reads the columnar replicas (what the dual-engine
 //! architecture uses for standalone analytical queries).
 //!
-//! Every source serves the same one batched scan: the executor names the
-//! base-table columns a plan reads and, where the filter allows, a chunk
-//! pruner; the source hands back batches of exactly those columns.  The row
-//! stores clone nothing else out of their version chains and ignore the
-//! pruner (they keep no chunk summaries); the column store borrows only those
-//! delta vectors, decodes only those main-tier columns, and skips the chunks
-//! the pruner excludes.
+//! A source has one way to read a table: the batched scan.  The executor
+//! names the base-table columns a plan reads (or `None` for all of them)
+//! and, when pruning is on, a chunk pruner; the source hands back batches of
+//! exactly those columns.  The row stores clone nothing else out of their
+//! version chains and ignore the pruner (they keep no chunk summaries); the
+//! column store borrows only those delta vectors, decodes only those
+//! main-tier columns, and skips the chunks the pruner excludes.  Point and
+//! prefix reads of the workloads go through the engine session, not through
+//! a plan.
 
 use crate::error::{QueryError, QueryResult};
 use crate::prune::ChunkPruner;
-use olxp_storage::{
-    ColumnBatch, ColumnTable, Key, Row, RowTable, ScanOutcome, TableSchema, Timestamp,
-};
+use olxp_storage::{ColumnBatch, ColumnTable, RowTable, ScanOutcome, TableSchema, Timestamp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,15 +42,8 @@ pub trait DataSource {
     /// Schema of a table.
     fn schema(&self, table: &str) -> QueryResult<Arc<TableSchema>>;
 
-    /// Scan every visible row at full width, calling `f` for each.  Returns
-    /// the number of physical rows examined.
-    ///
-    /// This is the row-at-a-time path kept as the test oracle; the executor's
-    /// default is [`DataSource::scan_batches`].
-    fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize>;
-
-    /// Vectorized scan: stream the visible rows as [`ColumnBatch`]es of up to
-    /// `batch_size` row slots, calling `f` for each batch.
+    /// Stream the visible rows as [`ColumnBatch`]es of up to `batch_size` row
+    /// slots, calling `f` for each batch.
     ///
     /// `projection` names the base-table columns each batch carries, in that
     /// order (`None` = every column in schema order); every position must be
@@ -59,7 +52,7 @@ pub trait DataSource {
     /// predicate, and deselect rows on encoded data; sources
     /// without them (the row stores) scan everything and report zeroed chunk
     /// counters.  Neither changes which rows are *examined* for a surviving
-    /// chunk, only how many values are moved.  No per-row [`Row`] is
+    /// chunk, only how many values are moved.  No per-row `Row` is
     /// materialized at the storage/query boundary.
     fn scan_batches(
         &self,
@@ -69,23 +62,14 @@ pub trait DataSource {
         pruner: Option<&ChunkPruner>,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
     ) -> QueryResult<ScanOutcome>;
-
-    /// Look up rows by an index (or primary-key) prefix.  Returns the matching
-    /// rows and the number of physical entries examined.
-    fn index_lookup(
-        &self,
-        table: &str,
-        index: Option<usize>,
-        prefix: &Key,
-    ) -> QueryResult<(Vec<Row>, usize)>;
 }
 
 /// [`DataSource`] over the per-shard partitions of hash-partitioned MVCC row
 /// tables, all read at one snapshot.
 ///
 /// Each shard owns a disjoint slice of every table's keys, so a scan is the
-/// concatenation of the per-shard scans (shard-major order) and an index
-/// lookup is the union of the per-shard lookups.  An unsharded caller passes
+/// concatenation of the per-shard scans (shard-major order).  An unsharded
+/// caller passes
 /// its one table map as a single shard.
 pub struct ShardedRowSource {
     shards: Vec<Arc<HashMap<String, Arc<RowTable>>>>,
@@ -125,14 +109,6 @@ impl DataSource for ShardedRowSource {
         Ok(Arc::clone(self.partitions(table)?[0].schema()))
     }
 
-    fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize> {
-        let mut examined = 0;
-        for part in self.partitions(table)? {
-            examined += part.scan(self.read_ts, |_, row| f(row));
-        }
-        Ok(examined)
-    }
-
     fn scan_batches(
         &self,
         table: &str,
@@ -147,31 +123,6 @@ impl DataSource for ShardedRowSource {
                 part.scan_batches(self.read_ts, projection, batch_size, |b| f(&b));
         }
         Ok(outcome)
-    }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        index: Option<usize>,
-        prefix: &Key,
-    ) -> QueryResult<(Vec<Row>, usize)> {
-        let mut rows = Vec::new();
-        let mut examined = 0;
-        for part in self.partitions(table)? {
-            match index {
-                None => {
-                    examined += part.prefix_scan(prefix, self.read_ts, |_, row| {
-                        rows.push(Row::clone(row));
-                    });
-                }
-                Some(pos) => {
-                    let (pairs, scanned) = part.index_lookup(pos, prefix, self.read_ts)?;
-                    rows.extend(pairs.into_iter().map(|(_, row)| Row::clone(&row)));
-                    examined += scanned;
-                }
-            }
-        }
-        Ok((rows, examined.max(1)))
     }
 }
 
@@ -202,11 +153,6 @@ impl DataSource for ColumnSource<'_> {
         Ok(Arc::clone(self.table(table)?.schema()))
     }
 
-    fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize> {
-        let t = self.table(table)?;
-        Ok(t.scan_rows(|row| f(row)))
-    }
-
     fn scan_batches(
         &self,
         table: &str,
@@ -227,39 +173,19 @@ impl DataSource for ColumnSource<'_> {
         let predicate = pruner.map(ChunkPruner::predicate);
         Ok(t.scan_batches_pruned(projection, batch_size, predicate, |batch| f(batch)))
     }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        _index: Option<usize>,
-        prefix: &Key,
-    ) -> QueryResult<(Vec<Row>, usize)> {
-        // Column stores have no secondary indexes: an "index lookup" is served
-        // by scanning and filtering on the primary-key prefix, exactly the way
-        // TiFlash answers selective predicates.  The scan runs over batches
-        // and only materializes the rows whose key matches.
-        let t = self.table(table)?;
-        let schema = t.schema();
-        let pk = schema.primary_key().to_vec();
-        let mut rows = Vec::new();
-        let examined = t.scan_batches(None, olxp_storage::DEFAULT_BATCH_SIZE, |batch| {
-            for slot in batch.selected_rows() {
-                let key = Key::new(pk.iter().map(|&i| batch.column(i)[slot].clone()).collect());
-                if key.starts_with(prefix) {
-                    let mut values = Vec::with_capacity(batch.width());
-                    batch.gather_row_into(slot, &mut values);
-                    rows.push(Row::new(values));
-                }
-            }
-        });
-        Ok((rows, examined.max(1)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olxp_storage::{ColumnDef, DataType, Value};
+    use olxp_storage::{ColumnDef, DataType, Row, Value};
+
+    /// Selected rows a full-width scan of `table` hands out.
+    fn count(source: &dyn DataSource, table: &str) -> QueryResult<usize> {
+        let mut rows = 0;
+        source.scan_batches(table, None, 4, None, &mut |b| rows += b.selected_count())?;
+        Ok(rows)
+    }
 
     fn schema() -> Arc<TableSchema> {
         Arc::new(
@@ -288,36 +214,12 @@ mod tests {
             .unwrap();
         let tables = HashMap::from([("ITEM".to_string(), table)]);
         let source = ShardedRowSource::new(vec![Arc::new(tables)], 15);
-        let mut count = 0;
-        source.scan("ITEM", &mut |_| count += 1).unwrap();
-        assert_eq!(count, 5, "row committed at ts 20 is invisible at ts 15");
+        assert_eq!(
+            count(&source, "ITEM").unwrap(),
+            5,
+            "row committed at ts 20 is invisible at ts 15"
+        );
         assert_eq!(source.kind(), SourceKind::RowStore);
-
-        let (rows, examined) = source.index_lookup("ITEM", None, &Key::int(3)).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert!(examined >= 1);
-    }
-
-    #[test]
-    fn column_source_prefix_lookup_scans_and_filters() {
-        let table = Arc::new(ColumnTable::new(schema()));
-        for i in 0..5 {
-            table
-                .apply_insert(
-                    &Key::int(i),
-                    &Row::new(vec![Value::Int(i), Value::Decimal(i * 10)]),
-                    5,
-                    i as u64 + 1,
-                )
-                .unwrap();
-        }
-        let mut tables = HashMap::new();
-        tables.insert("ITEM".to_string(), Arc::clone(&table));
-        let source = ColumnSource::new(&tables);
-        assert_eq!(source.kind(), SourceKind::ColumnStore);
-        let (rows, examined) = source.index_lookup("ITEM", None, &Key::int(2)).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(examined, 5, "column store answers lookups by scanning");
     }
 
     #[test]
@@ -337,9 +239,11 @@ mod tests {
         }
         let source = ShardedRowSource::new(shards, 15);
         assert_eq!(source.kind(), SourceKind::RowStore);
-        let mut count = 0;
-        source.scan("ITEM", &mut |_| count += 1).unwrap();
-        assert_eq!(count, 6, "scan concatenates every shard's partition");
+        assert_eq!(
+            count(&source, "ITEM").unwrap(),
+            6,
+            "scan concatenates every shard's partition"
+        );
         let mut batched = 0;
         let outcome = source
             .scan_batches("ITEM", Some(&[1]), 4, None, &mut |b| {
@@ -349,15 +253,13 @@ mod tests {
             .unwrap();
         assert_eq!(batched, 6);
         assert_eq!(outcome.slots_examined, 6);
-        let (rows, _) = source.index_lookup("ITEM", None, &Key::int(101)).unwrap();
-        assert_eq!(rows.len(), 1, "lookup unions per-shard results");
-        assert!(source.scan("NOPE", &mut |_| {}).is_err());
+        assert!(count(&source, "NOPE").is_err());
     }
 
     #[test]
     fn unknown_table_is_an_error() {
         let source = ShardedRowSource::new(vec![Arc::new(HashMap::new())], 1);
-        assert!(source.scan("NOPE", &mut |_| {}).is_err());
+        assert!(count(&source, "NOPE").is_err());
         assert!(source.schema("NOPE").is_err());
     }
 }

@@ -8,9 +8,8 @@
 //! **borrowed** zero-copy slices of its column vectors and decodes only them
 //! from its compressed main tier; the MVCC row store and the query operators
 //! produce **owned** batches built with [`BatchBuilder`], cloning no value of
-//! a column nobody asked for.  Rows are only materialized "late", at a plan
-//! root or inside operators that genuinely need full tuples (sorting, final
-//! output).
+//! a column nobody asked for.  Rows are only materialized "late", at the
+//! root of a query plan.
 //!
 //! This is the standard HTAP recipe (TiFlash, SAP HANA, the vectorized
 //! engines surveyed by Zhang et al. 2024): the columnar replica only pays off
@@ -154,15 +153,6 @@ impl<'a> ColumnBatch<'a> {
             "selection bitmap must cover every row slot"
         );
         self.selection = Some(Cow::Owned(selection));
-    }
-
-    /// Clone the values of row `row` into `buf` (cleared first), in column
-    /// order.
-    pub fn gather_row_into(&self, row: usize, buf: &mut Vec<Value>) {
-        buf.clear();
-        for col in &self.columns {
-            buf.push(col[row].clone());
-        }
     }
 
     /// Late materialization: append one [`Row`] per *selected* slot to `out`.
@@ -421,9 +411,9 @@ mod tests {
         let batch = ColumnBatch::borrowed(vec![&c0, &c1], Some(&sel));
         assert_eq!(batch.num_rows(), 2);
         assert_eq!(batch.selected_count(), 1);
-        let mut buf = Vec::new();
-        batch.gather_row_into(1, &mut buf);
-        assert_eq!(buf, vec![Value::Int(20), Value::Int(2)]);
+        let mut rows = Vec::new();
+        batch.materialize_into(&mut rows);
+        assert_eq!(rows, vec![Row::new(vec![Value::Int(20), Value::Int(2)])]);
     }
 
     #[test]

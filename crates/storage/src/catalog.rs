@@ -84,11 +84,6 @@ impl Catalog {
     pub fn total_columns(&self) -> usize {
         self.tables().iter().map(|t| t.column_count()).sum()
     }
-
-    /// Total number of secondary indexes across all tables (for Table II).
-    pub fn total_secondary_indexes(&self) -> usize {
-        self.tables().iter().map(|t| t.indexes().len()).sum()
-    }
 }
 
 #[cfg(test)]

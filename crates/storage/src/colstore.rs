@@ -28,7 +28,7 @@
 //! encoded columns themselves, so only rows that can still match are ever
 //! decoded.
 
-use crate::batch::{ColumnBatch, DEFAULT_BATCH_SIZE};
+use crate::batch::ColumnBatch;
 use crate::delta::{seal_chunk, MainChunk};
 use crate::encode::{plain_slice_bytes, Encoding};
 use crate::error::{StorageError, StorageResult};
@@ -555,20 +555,6 @@ impl ColumnTable {
         }
         outcome
     }
-
-    /// Scan live rows materialising full rows (schema column order).
-    pub fn scan_rows<F>(&self, mut f: F) -> usize
-    where
-        F: FnMut(&Row),
-    {
-        let mut buf: Vec<crate::Value> = Vec::with_capacity(self.schema.column_count());
-        self.scan_batches(None, DEFAULT_BATCH_SIZE, |batch| {
-            for row in batch.selected_rows() {
-                batch.gather_row_into(row, &mut buf);
-                f(&Row::new(std::mem::take(&mut buf)));
-            }
-        })
-    }
 }
 
 impl std::fmt::Debug for ColumnTable {
@@ -670,7 +656,9 @@ mod tests {
         assert_eq!(t.applied_lsn(), 4);
 
         let mut rows = Vec::new();
-        t.scan_rows(|r| rows.push(r.clone()));
+        t.scan_batches(None, 64, |batch| {
+            batch.materialize_into(&mut rows);
+        });
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Value::Decimal(900));
     }
@@ -731,7 +719,7 @@ mod tests {
     #[test]
     fn empty_scan_is_a_counterless_noop() {
         let t = table();
-        let examined = t.scan_rows(|_| panic!("no rows to visit"));
+        let examined = t.scan_batches(None, 64, |_| panic!("no batches"));
         assert_eq!(examined, 0);
         let outcome = t.scan_batches_pruned(None, 64, None, |_| panic!("no batches"));
         assert_eq!(
@@ -751,7 +739,7 @@ mod tests {
         t.apply_delete(&Key::int(2), 6, 7).unwrap();
         t.apply_delete(&Key::int(4), 6, 8).unwrap();
         let mut seen = 0;
-        let examined = t.scan_rows(|_| seen += 1);
+        let examined = t.scan_batches(None, 64, |batch| seen += batch.selected_count());
         assert_eq!(examined, 6, "deleted slots are still walked");
         assert_eq!(seen, 4);
     }

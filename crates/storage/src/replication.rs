@@ -300,11 +300,6 @@ impl Replicator {
         self.replicas.insert(table.into(), replica);
     }
 
-    /// True if a replica is registered for `table`.
-    pub fn has_replica(&self, table: &str) -> bool {
-        self.replicas.contains_key(table)
-    }
-
     /// Apply up to `batch` pending records.  Returns the number applied.
     ///
     /// Records for tables without a registered replica are acknowledged and

@@ -63,11 +63,6 @@ impl Row {
         &self.values
     }
 
-    /// Consume the row and return its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Project the row onto the given column indices (cloning the values).
     pub fn project(&self, indices: &[usize]) -> Row {
         let mut values = Vec::with_capacity(indices.len());

@@ -195,12 +195,6 @@ impl RowTable {
         data.get(pk).and_then(|chain| Self::visible(chain, read_ts))
     }
 
-    /// The newest committed row for a key regardless of snapshot (what a
-    /// read-committed statement sees).
-    pub fn get_latest(&self, pk: &Key) -> Option<Arc<Row>> {
-        self.get(pk, TS_MAX)
-    }
-
     /// Commit timestamp of the newest version (live or tombstone) of `pk`, or
     /// `None` if the key has never existed.  Used by the engine for
     /// snapshot-isolation write-conflict validation ("first committer wins").

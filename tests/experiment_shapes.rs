@@ -297,13 +297,14 @@ fn latency_does_not_improve_with_cluster_size() {
     });
 }
 
-/// Chunk-pruning shape (the `prefilter` experiment): a highly selective
-/// equality scan over an append-ordered column gets far cheaper once zone
-/// maps can skip non-matching chunks, while returning exactly the same rows.
+/// Chunk-pruning shape: a highly selective equality scan over an
+/// append-ordered column gets far cheaper once zone maps can skip
+/// non-matching chunks, while returning exactly the same rows.
 ///
 /// The scan is pure in-process CPU work (no modelled latencies, no agent
 /// threads), so even single-core hosts measure it stably; the directional
-/// 2x bar is far below the order-of-magnitude speedup the experiment shows.
+/// 2x bar is far below the order-of-magnitude speedup `storage_micro`'s
+/// `colstore_prune` group shows.
 #[test]
 fn chunk_pruning_speeds_up_selective_scans() {
     use olxpbench::query::{col, execute_with, lit, ColumnSource, ExecOptions, QueryBuilder};
