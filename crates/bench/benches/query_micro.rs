@@ -145,15 +145,13 @@ fn col_orders_fixture(rows: i64) -> HashMap<String, Arc<ColumnTable>> {
     )));
     for i in 0..rows {
         orders
-            .apply_insert(
+            .apply(
                 &Key::int(i),
-                &Row::new(vec![
+                Some(&Row::new(vec![
                     Value::Int(i),
                     Value::Int(i % 500),
                     Value::Decimal(100 + i % 997),
-                ]),
-                1,
-                i as u64 + 1,
+                ])),
             )
             .unwrap();
     }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use olxpbench::prelude::*;
-use olxpbench::storage::{ColumnTable, MutationOp, ReplicationLog, Replicator};
+use olxpbench::storage::{ColumnTable, ReplicationLog, Replicator};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,13 +31,7 @@ fn item(id: i64) -> Row {
 fn filled_log(records: i64) -> Arc<ReplicationLog> {
     let log = Arc::new(ReplicationLog::new());
     for i in 0..records {
-        log.append(
-            "ITEM",
-            MutationOp::Insert,
-            Key::int(i),
-            Some(item(i)),
-            i as u64 + 1,
-        );
+        log.append("ITEM", Key::int(i), Some(item(i)), i as u64 + 1);
     }
     log
 }
@@ -52,13 +46,7 @@ fn bench_replication(c: &mut Criterion) {
             ReplicationLog::new,
             |log| {
                 for i in 0..RECORDS {
-                    log.append(
-                        "ITEM",
-                        MutationOp::Insert,
-                        Key::int(i),
-                        Some(item(i)),
-                        i as u64 + 1,
-                    );
+                    log.append("ITEM", Key::int(i), Some(item(i)), i as u64 + 1);
                 }
                 log
             },

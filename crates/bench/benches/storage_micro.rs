@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use olxpbench::engine::model::BufferPool;
 use olxpbench::prelude::*;
 use olxpbench::storage::{
-    ColumnPredicate, ColumnTable, MutationOp, PredicateOp, ReplicationLog, Replicator, RowTable,
-    ScanPredicate,
+    ColumnPredicate, ColumnTable, PredicateOp, ReplicationLog, Replicator, RowTable, ScanPredicate,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,9 +76,7 @@ fn wide_table(rows: i64) -> ColumnTable {
                 Value::Int((id * i) % 251)
             });
         }
-        table
-            .apply_insert(&Key::int(id), &Row::new(values), 1, id as u64 + 1)
-            .unwrap();
+        table.apply(&Key::int(id), Some(&Row::new(values))).unwrap();
     }
     table
 }
@@ -158,8 +155,7 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
 
     let col = ColumnTable::new(item_schema());
     for i in 0..10_000i64 {
-        col.apply_insert(&Key::int(i), &item(i), 1, i as u64 + 1)
-            .unwrap();
+        col.apply(&Key::int(i), Some(&item(i))).unwrap();
     }
     group.bench_function("projected_scan_10k", |b| {
         b.iter(|| sum_columns(&col, Some(&[2]), &[0]))
@@ -178,8 +174,7 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
     group.sample_size(10);
     let big = ColumnTable::new(item_schema());
     for i in 0..100_000i64 {
-        big.apply_insert(&Key::int(i), &item(i), 1, i as u64 + 1)
-            .unwrap();
+        big.apply(&Key::int(i), Some(&item(i))).unwrap();
     }
     group.bench_function("batched_scan_100k", |b| {
         b.iter(|| sum_columns(&big, Some(&[2]), &[0]))
@@ -236,9 +231,7 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
     group.sample_size(10);
     let encoded = ColumnTable::new(item_schema());
     for i in 0..100_000i64 {
-        encoded
-            .apply_insert(&Key::int(i), &item(i), 1, i as u64 + 1)
-            .unwrap();
+        encoded.apply(&Key::int(i), Some(&item(i))).unwrap();
     }
     encoded.compact();
     let name_eq = ScanPredicate::new(
@@ -273,7 +266,7 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
                 let mut repl = Replicator::new(Arc::clone(&log));
                 repl.register("ITEM", replica);
                 for i in 0..1_000i64 {
-                    log.append("ITEM", MutationOp::Insert, Key::int(i), Some(item(i)), 1);
+                    log.append("ITEM", Key::int(i), Some(item(i)), 1);
                 }
                 repl
             },

@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use olxpbench::prelude::*;
 use olxpbench::storage::wal::{SyncPolicy, Wal, WalOp};
-use olxpbench::storage::MutationOp;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +24,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn op(id: i64) -> WalOp {
     WalOp {
         table: "ACCOUNT".into(),
-        op: MutationOp::Insert,
         key: Key::int(id),
         row: Some(Row::new(vec![Value::Int(id), Value::Decimal(100 + id)])),
     }

@@ -72,7 +72,7 @@ fn build_table(rows: usize, chunk_size: usize, compacted: bool) -> Arc<ColumnTab
             Value::Int((r % 100) as i64),
         ]);
         table
-            .apply_insert(&Key::int(r as i64), &row, 1, r as u64 + 1)
+            .apply(&Key::int(r as i64), Some(&row))
             .expect("insert succeeds");
     }
     if compacted {

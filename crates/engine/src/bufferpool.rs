@@ -11,18 +11,6 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Aggregate counters for a buffer pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BufferPoolStats {
-    /// Page accesses served from the pool.
-    pub hits: u64,
-    /// Page accesses that required a (modelled) fetch.
-    pub misses: u64,
-    /// Pages of other tables evicted to make room.
-    pub evictions: u64,
-}
 
 #[derive(Debug, Default)]
 struct Residency {
@@ -39,9 +27,6 @@ struct Residency {
 pub struct BufferPool {
     capacity_pages: u64,
     residency: Mutex<Residency>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// Result of one access: how many of the requested pages hit and missed.
@@ -59,9 +44,6 @@ impl BufferPool {
         BufferPool {
             capacity_pages: capacity_pages.max(1),
             residency: Mutex::new(Residency::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -103,7 +85,6 @@ impl BufferPool {
                     }
                     residency.total -= take;
                     need -= take;
-                    self.evictions.fetch_add(take, Ordering::Relaxed);
                 }
                 // If other tables could not absorb the pressure, the
                 // requesting table thrashes against itself: growth is
@@ -115,33 +96,12 @@ impl BufferPool {
             residency.tables.insert(table.to_string(), new_resident);
         }
 
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
         AccessOutcome { hits, misses }
     }
 
-    /// Fraction of accesses that missed, over the pool lifetime.
-    pub fn miss_ratio(&self) -> f64 {
-        let hits = self.hits.load(Ordering::Relaxed) as f64;
-        let misses = self.misses.load(Ordering::Relaxed) as f64;
-        if hits + misses == 0.0 {
-            0.0
-        } else {
-            misses / (hits + misses)
-        }
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> BufferPoolStats {
-        BufferPoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Pages currently resident for a table (for tests and metrics).
-    pub fn resident_pages(&self, table: &str) -> u64 {
+    /// Pages currently resident for a table.
+    #[cfg(test)]
+    fn resident_pages(&self, table: &str) -> u64 {
         self.residency
             .lock()
             .tables
@@ -175,7 +135,6 @@ mod tests {
         // An analytical scan of ORDER_LINE floods the pool.
         pool.access("ORDER_LINE", 450);
         assert!(pool.resident_pages("CUSTOMER") < 300);
-        assert!(pool.stats().evictions > 0);
         // The OLTP table now misses again: interference.
         let outcome = pool.access("CUSTOMER", 300);
         assert!(outcome.misses > 0);
@@ -192,19 +151,23 @@ mod tests {
             forward.access(f, 10);
             backward.access(b, 10);
         }
+        let mut outcomes = Vec::new();
         for pool in [&forward, &backward] {
-            pool.access("SCAN", 40);
+            let mut seen = vec![pool.access("SCAN", 40)];
             for (i, name) in names.iter().enumerate() {
                 let expected = if i < 4 { 0 } else { 10 };
                 assert_eq!(pool.resident_pages(name), expected, "{name}");
             }
             // Re-reading every table misses exactly on the evicted ones.
-            for name in &names {
-                pool.access(name, 10);
+            for (i, name) in names.iter().enumerate() {
+                let outcome = pool.access(name, 10);
+                let misses = if i < 4 { 10 } else { 0 };
+                assert_eq!(outcome.misses, misses, "{name}");
+                seen.push(outcome);
             }
+            outcomes.push(seen);
         }
-        assert_eq!(forward.stats(), backward.stats());
-        assert_eq!(forward.stats().evictions, 80);
+        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]
@@ -224,15 +187,6 @@ mod tests {
         let pool = BufferPool::new(10);
         let outcome = pool.access("T", 0);
         assert_eq!(outcome, AccessOutcome { hits: 0, misses: 0 });
-        assert_eq!(pool.stats(), BufferPoolStats::default());
-    }
-
-    #[test]
-    fn miss_ratio_reflects_history() {
-        let pool = BufferPool::new(1000);
-        pool.access("A", 10);
-        pool.access("A", 10);
-        let ratio = pool.miss_ratio();
-        assert!((ratio - 0.5).abs() < 1e-9);
+        assert_eq!(pool.resident_pages("T"), 0);
     }
 }

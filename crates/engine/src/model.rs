@@ -17,7 +17,7 @@
 //! occupation, so no pool or device lock is taken and `queue_wait_nanos`
 //! stays zero.
 
-pub use crate::bufferpool::{AccessOutcome, BufferPool, BufferPoolStats};
+pub use crate::bufferpool::{AccessOutcome, BufferPool};
 use crate::cluster::{precise_delay, Cluster};
 use crate::config::{EngineArchitecture, EngineConfig};
 pub use crate::cost::{CostParams, StorageMedium};

@@ -11,8 +11,8 @@ use crate::shard::shard_of;
 use olxp_storage::checkpoint::write_checkpoint;
 use olxp_storage::wal::{ReplayedRecord, WalReplay};
 use olxp_storage::{
-    CheckpointData, Key, MutationOp, Row, StorageError, TableCheckpoint, TableSchema, Timestamp,
-    WalOp, WalRecord,
+    CheckpointData, Key, Row, StorageError, TableCheckpoint, TableSchema, Timestamp, WalOp,
+    WalRecord,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -327,7 +327,6 @@ impl HybridDatabase {
                 part.scan(reseed_ts, |key, row| {
                     self.shards[shard].replication.append(
                         schema.name(),
-                        MutationOp::Insert,
                         key.clone(),
                         Some(Row::clone(row)),
                         reseed_ts,
@@ -350,9 +349,9 @@ impl HybridDatabase {
     ///
     /// Idempotent against checkpoint overlap: a key whose newest version is
     /// already at or above the mutation's timestamp is left untouched (the
-    /// checkpoint captured that transaction's effect), an update of a key the
-    /// snapshot never saw becomes an insert, and a delete of an absent key is
-    /// a no-op.
+    /// checkpoint captured that transaction's effect), an image of a key the
+    /// snapshot never saw becomes an insert, and a tombstone of an absent key
+    /// is a no-op.
     fn recover_apply(&self, op: &WalOp, commit_ts: Timestamp) -> EngineResult<()> {
         let row_table = self.row_partition(self.shard_for(&op.table, &op.key), &op.table)?;
         if row_table
@@ -361,19 +360,14 @@ impl HybridDatabase {
         {
             return Ok(());
         }
-        match op.op {
-            MutationOp::Insert | MutationOp::Update => {
-                let row = op.row.clone().ok_or_else(|| {
-                    StorageError::Internal("WAL mutation record without row image".into())
-                })?;
-                match row_table.update(&op.key, row.clone(), commit_ts) {
-                    Err(StorageError::KeyNotFound { .. }) => {
-                        row_table.insert(row, commit_ts)?;
-                    }
-                    other => other?,
+        match &op.row {
+            Some(row) => match row_table.update(&op.key, row.clone(), commit_ts) {
+                Err(StorageError::KeyNotFound { .. }) => {
+                    row_table.insert(row.clone(), commit_ts)?;
                 }
-            }
-            MutationOp::Delete => match row_table.delete(&op.key, commit_ts) {
+                other => other?,
+            },
+            None => match row_table.delete(&op.key, commit_ts) {
                 Err(StorageError::KeyNotFound { .. }) => {}
                 other => other?,
             },

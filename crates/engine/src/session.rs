@@ -24,7 +24,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::metrics::{FreshnessSample, WorkClass};
 use crate::model::{Placement, Work};
 use olxp_query::{execute, ColumnSource, ExecStats, Plan, QueryOutput, ShardedRowSource};
-use olxp_storage::{Key, MutationOp, Row, StorageError, Timestamp, Value, WalOp};
+use olxp_storage::{Key, Row, StorageError, Timestamp, Value, WalOp};
 use olxp_trace::SpanCategory;
 use olxp_txn::{IsolationLevel, Transaction, TxnError, WriteOp};
 use parking_lot::RwLockReadGuard;
@@ -53,15 +53,6 @@ impl TxnHandle {
     /// The underlying transaction (read-only access for tests/metrics).
     pub fn txn(&self) -> &Transaction {
         &self.txn
-    }
-}
-
-/// The replication/WAL name of a buffered write.
-fn mutation_op(op: &WriteOp) -> MutationOp {
-    match op {
-        WriteOp::Insert { .. } => MutationOp::Insert,
-        WriteOp::Update { .. } => MutationOp::Update,
-        WriteOp::Delete { .. } => MutationOp::Delete,
     }
 }
 
@@ -960,7 +951,6 @@ impl<'db> CommitCtx<'db> {
                 .filter(|(_, at)| at.shard == shard)
                 .map(|(op, _)| WalOp {
                     table: op.table().to_string(),
-                    op: mutation_op(op),
                     key: op.key().clone(),
                     row: op.row().cloned(),
                 })
@@ -997,23 +987,23 @@ impl<'db> CommitCtx<'db> {
         let ts = self.commit_ts;
         for (op, at) in ops.into_iter().zip(placements) {
             let row_table = self.db.row_partition(at.shard, op.table())?;
-            let (kind, table, key, row) = match op {
+            let (table, key, row) = match op {
                 WriteOp::Insert { table, key, row } => {
                     row_table.insert(row.clone(), ts)?;
-                    (MutationOp::Insert, table, key, Some(row))
+                    (table, key, Some(row))
                 }
                 WriteOp::Update { table, key, row } => {
                     row_table.update(&key, row.clone(), ts)?;
-                    (MutationOp::Update, table, key, Some(row))
+                    (table, key, Some(row))
                 }
                 WriteOp::Delete { table, key } => {
                     row_table.delete(&key, ts)?;
-                    (MutationOp::Delete, table, key, None)
+                    (table, key, None)
                 }
             };
             self.db
                 .replication_for(at.shard)
-                .append(&table, kind, key, row, ts);
+                .append(&table, key, row, ts);
         }
         // One install span per commit, tagged with the first touched shard.
         self.stage_end(SpanCategory::Install, self.shards[0]);
@@ -1330,9 +1320,10 @@ mod tests {
         if db.shard_count() == 1 {
             assert_eq!(expected, 3, "2148 rows at batch size 1024");
         }
+        let live: usize = partitions.iter().map(|p| p.live_row_count(ts)).sum();
         assert_eq!(
-            out.stats.rows_materialized, out.stats.output_rows,
-            "rows materialize only at the plan root"
+            out.stats.output_rows, live as u64,
+            "every live row reaches the plan root"
         );
         assert!(db.metrics_snapshot().query_batches >= expected as u64);
     }
@@ -1531,13 +1522,12 @@ mod tests {
             .with_freshness_timeout_ms(50);
         let db = test_db(config);
         let session = db.session();
-        // Poison: an insert record without a row image fails to apply and is
-        // retained at the head of the queue.
+        // Poison: a wrong-arity row image fails to apply and is retained at
+        // the head of the queue.
         db.replication_for(0).append(
             "ITEM",
-            olxp_storage::MutationOp::Insert,
             Key::int(42_000),
-            None,
+            Some(Row::new(vec![Value::Int(42_000)])),
             db.txn_manager().oracle().read_ts(),
         );
         let plan = QueryBuilder::scan("ITEM")
@@ -1553,8 +1543,8 @@ mod tests {
 
     #[test]
     fn freshness_timeout_is_counted_in_metrics() {
-        // Background applier running but wedged on a poison record (an
-        // insert without a row image never applies): a Strict reader parks
+        // Background applier running but wedged on a poison record (a
+        // wrong-arity row image never applies): a Strict reader parks
         // on the applied watermark until the deadline, and the timeout must
         // land in the freshness_timeouts SLO counter.
         let config = colstore_only(EngineConfig::dual_engine())
@@ -1564,9 +1554,8 @@ mod tests {
         let session = db.session();
         db.replication_for(0).append(
             "ITEM",
-            olxp_storage::MutationOp::Insert,
             Key::int(43_000),
-            None,
+            Some(Row::new(vec![Value::Int(43_000)])),
             db.txn_manager().oracle().read_ts(),
         );
         let plan = QueryBuilder::scan("ITEM")

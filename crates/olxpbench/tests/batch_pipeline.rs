@@ -92,7 +92,7 @@ fn wide_row(id: i64, grp: i64, val: i64) -> Row {
 }
 
 /// The batched column-store aggregate never materializes a per-row tuple:
-/// on a 100k-row table the executor's `rows_materialized` counter stays at
+/// on a 100k-row table the executor's `output_rows` counter stays at
 /// the single output row, and the reference (pruning off) walks the same
 /// physical slots to the same result.  This is the counter assertion backing
 /// the `colstore_batch`/`vectorized` criterion benches.
@@ -102,15 +102,13 @@ fn batched_column_aggregate_materializes_no_per_row_tuples_on_100k_rows() {
     let table = Arc::new(ColumnTable::new(orders_schema()));
     for i in 0..ROWS {
         table
-            .apply_insert(
+            .apply(
                 &Key::int(i),
-                &Row::new(vec![
+                Some(&Row::new(vec![
                     Value::Int(i),
                     Value::Int(i % 7),
                     Value::Int(i % 1_000),
-                ]),
-                1,
-                i as u64 + 1,
+                ])),
             )
             .unwrap();
     }
@@ -146,7 +144,7 @@ fn batched_column_aggregate_materializes_no_per_row_tuples_on_100k_rows() {
 
     // ...and materialized only the plan root's output row.
     assert_eq!(
-        batched.stats.rows_materialized, 1,
+        batched.stats.output_rows, 1,
         "batched path materializes only the plan root's output row"
     );
     assert_eq!(
@@ -183,7 +181,6 @@ fn build_tables(
 
     let mut row_tables = HashMap::new();
     let mut col_tables = HashMap::new();
-    let mut lsn = 0u64;
     let narrow = |id, grp, val| Row::new(vec![Value::Int(id), Value::Int(grp), Value::Int(val)]);
     let fact_tables: [(&str, Arc<TableSchema>, &dyn Fn(i64, i64, i64) -> Row); 2] = [
         ("T", orders_schema(), &narrow),
@@ -195,16 +192,14 @@ fn build_tables(
         for &(id, grp, val) in &by_id {
             let row = make_row(id, grp, val);
             row_t.insert(row.clone(), 1).unwrap();
-            lsn += 1;
-            col_t.apply_insert(&Key::int(id), &row, 1, lsn).unwrap();
+            col_t.apply(&Key::int(id), Some(&row)).unwrap();
         }
         for &pick in delete_picks {
             let (id, _, _) = by_id[pick % by_id.len()];
             let key = Key::int(id);
             if row_t.get(&key, 5).is_some() {
                 row_t.delete(&key, 5).unwrap();
-                lsn += 1;
-                col_t.apply_delete(&key, 5, lsn).unwrap();
+                col_t.apply(&key, None).unwrap();
             }
         }
         row_tables.insert(name.to_string(), row_t);
@@ -216,8 +211,7 @@ fn build_tables(
     for grp in 0..5i64 {
         let row = Row::new(vec![Value::Int(grp), Value::Str(format!("group-{grp}"))]);
         row_d.insert(row.clone(), 1).unwrap();
-        lsn += 1;
-        col_d.apply_insert(&Key::int(grp), &row, 1, lsn).unwrap();
+        col_d.apply(&Key::int(grp), Some(&row)).unwrap();
     }
     row_tables.insert("D".to_string(), row_d);
     col_tables.insert("D".to_string(), col_d);

@@ -95,46 +95,39 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
 
 fn build(rows: &[(i64, usize)]) -> Arc<ColumnTable> {
     let table = Arc::new(ColumnTable::with_chunk_size(schema(), CHUNK_SIZE));
-    let mut lsn = 0u64;
     for (i, &(a, w)) in rows.iter().enumerate() {
-        lsn += 1;
         table
-            .apply_insert(
+            .apply(
                 &Key::int(i as i64),
-                &Row::new(vec![Value::Int(i as i64), Value::Int(a), word(w)]),
-                1,
-                lsn,
+                Some(&Row::new(vec![
+                    Value::Int(i as i64),
+                    Value::Int(a),
+                    word(w),
+                ])),
             )
             .unwrap();
     }
     table
 }
 
-fn apply(
-    table: &ColumnTable,
-    rows: usize,
-    updates: &[(usize, i64, usize)],
-    deletes: &[usize],
-    mut lsn: u64,
-) {
+fn apply(table: &ColumnTable, rows: usize, updates: &[(usize, i64, usize)], deletes: &[usize]) {
     for &(i, a, w) in updates {
         let id = (i % rows) as i64;
-        lsn += 1;
-        // Updates aimed at a key deleted earlier in the history are no-ops;
-        // both tables reject them identically, so equivalence is unaffected.
-        let _ = table.apply_update(
-            &Key::int(id),
-            &Row::new(vec![Value::Int(id), Value::Int(a), word(w)]),
-            2,
-            lsn,
-        );
+        // An update aimed at a key deleted earlier in the history re-inserts
+        // it; both tables see the identical history, so equivalence is
+        // unaffected.
+        table
+            .apply(
+                &Key::int(id),
+                Some(&Row::new(vec![Value::Int(id), Value::Int(a), word(w)])),
+            )
+            .unwrap();
     }
     for &i in deletes {
         let id = (i % rows) as i64;
-        lsn += 1;
         // A re-delete of an already deleted key is a no-op, which is fine:
         // both tables see the identical history either way.
-        table.apply_delete(&Key::int(id), 3, lsn).unwrap();
+        table.apply(&Key::int(id), None).unwrap();
     }
 }
 
@@ -171,8 +164,8 @@ proptest! {
     ) {
         let plain = build(&rows);
         let encoded = build(&rows);
-        apply(&plain, rows.len(), &pre_updates, &pre_deletes, 1_000);
-        apply(&encoded, rows.len(), &pre_updates, &pre_deletes, 1_000);
+        apply(&plain, rows.len(), &pre_updates, &pre_deletes);
+        apply(&encoded, rows.len(), &pre_updates, &pre_deletes);
         // Seal 0..=all full chunks of one table only.
         for _ in 0..compact_steps {
             if !encoded.compact_chunk() {
@@ -182,8 +175,8 @@ proptest! {
         // Post-compaction mutations hit main-resident rows on the encoded
         // table (delete + re-insert into delta) and delta rows on the plain
         // one; results must still agree.
-        apply(&plain, rows.len(), &post_updates, &post_deletes, 2_000);
-        apply(&encoded, rows.len(), &post_updates, &post_deletes, 2_000);
+        apply(&plain, rows.len(), &post_updates, &post_deletes);
+        apply(&encoded, rows.len(), &post_updates, &post_deletes);
 
         let plan = QueryBuilder::scan_where("T", predicate.expr()).build();
         let baseline = scan(&plain, &plan, false);
@@ -207,7 +200,7 @@ proptest! {
         predicate in predicate_strategy(),
     ) {
         let table = build(&rows);
-        apply(&table, rows.len(), &[], &deletes, 1_000);
+        apply(&table, rows.len(), &[], &deletes);
         let filtered = QueryBuilder::scan_where("T", predicate.expr()).build();
         let full = QueryBuilder::scan("T").build();
         let filtered_baseline = scan(&table, &filtered, false);

@@ -577,7 +577,7 @@ fn in_doubt_cross_shard_transaction_commits_on_all_shards_or_none() {
     // global decision and commits the writes on every shard; no marker
     // anywhere means presumed abort on every shard.  We craft both crash
     // states directly in the per-shard WAL streams.
-    use olxpbench::storage::{MutationOp, Wal, WalOp};
+    use olxpbench::storage::{Wal, WalOp};
 
     const SHARDS: usize = 4;
     const SEGMENT: u64 = 8 * 1024 * 1024;
@@ -614,7 +614,6 @@ fn in_doubt_cross_shard_transaction_commits_on_all_shards_or_none() {
 
     let wal_op = |key: i64| WalOp {
         table: "ACCOUNT".to_string(),
-        op: MutationOp::Insert,
         key: Key::int(key),
         row: Some(account_row(key, 7)),
     };

@@ -7,9 +7,7 @@ use olxpbench::framework::stats::LatencyRecorder;
 use olxpbench::framework::WeightedChoice;
 use olxpbench::prelude::*;
 use olxpbench::query::expr::like_match;
-use olxpbench::storage::{
-    ColumnTable, MutationOp, ReplicationLog, Replicator, RowTable, DEFAULT_BATCH_SIZE,
-};
+use olxpbench::storage::{ColumnTable, ReplicationLog, Replicator, RowTable, DEFAULT_BATCH_SIZE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,19 +111,19 @@ proptest! {
                     if row_table.get(&key, ts).is_none()
                         && row_table.insert(row.clone(), ts).is_ok()
                     {
-                        log.append("T", MutationOp::Insert, key, Some(row), ts);
+                        log.append("T", key, Some(row), ts);
                     }
                 }
                 1 => {
                     if row_table.get(&key, ts).is_some()
                         && row_table.update(&key, row.clone(), ts).is_ok()
                     {
-                        log.append("T", MutationOp::Update, key, Some(row), ts);
+                        log.append("T", key, Some(row), ts);
                     }
                 }
                 _ => {
                     if row_table.get(&key, ts).is_some() && row_table.delete(&key, ts).is_ok() {
-                        log.append("T", MutationOp::Delete, key, None, ts);
+                        log.append("T", key, None, ts);
                     }
                 }
             }

@@ -88,34 +88,34 @@ fn build(
     deletes: &[usize],
 ) -> Arc<ColumnTable> {
     let table = Arc::new(ColumnTable::with_chunk_size(schema(), CHUNK_SIZE));
-    let mut lsn = 0u64;
     for (i, &(a, b)) in rows.iter().enumerate() {
-        lsn += 1;
         table
-            .apply_insert(
+            .apply(
                 &Key::int(i as i64),
-                &Row::new(vec![Value::Int(i as i64), Value::Int(a), Value::Int(b)]),
-                1,
-                lsn,
+                Some(&Row::new(vec![
+                    Value::Int(i as i64),
+                    Value::Int(a),
+                    Value::Int(b),
+                ])),
             )
             .unwrap();
     }
     for &(i, a, b) in updates {
         let id = (i % rows.len()) as i64;
-        lsn += 1;
         table
-            .apply_update(
+            .apply(
                 &Key::int(id),
-                &Row::new(vec![Value::Int(id), Value::Int(a), Value::Int(b)]),
-                2,
-                lsn,
+                Some(&Row::new(vec![
+                    Value::Int(id),
+                    Value::Int(a),
+                    Value::Int(b),
+                ])),
             )
             .unwrap();
     }
     for &i in deletes {
         let id = (i % rows.len()) as i64;
-        lsn += 1;
-        table.apply_delete(&Key::int(id), 3, lsn).unwrap();
+        table.apply(&Key::int(id), None).unwrap();
     }
     table
 }

@@ -6,7 +6,7 @@
 //! projections and joins emit new owned batches, aggregates fold batch
 //! columns into group states, and sort orders `(batch, slot)` locators before
 //! gathering them into fresh batches.  Full [`Row`] tuples are materialized
-//! once, at the plan root; [`ExecStats::rows_materialized`] counts them.
+//! once, at the plan root; [`ExecStats::output_rows`] counts them.
 //!
 //! [`ExecOptions::pruning`] is the one switch between the pruned path (the
 //! default, and what the engine runs) and the reference: off runs the plan
@@ -76,10 +76,6 @@ pub struct ExecStats {
     pub full_scans: u64,
     /// Column batches streamed out of table scans.
     pub batches_scanned: u64,
-    /// `Row` tuples the executor materialized.  Operators exchange batches
-    /// only, so this is the late materialization at the plan root: tests use
-    /// it to assert that no operator re-rowifies a scan.
-    pub rows_materialized: u64,
     /// Hash-join probe operations (probes plus emitted matches).
     pub join_probes: u64,
     /// Rows used to build join hash tables.
@@ -88,7 +84,8 @@ pub struct ExecStats {
     pub agg_input_rows: u64,
     /// Rows fed into sort operators.
     pub sort_rows: u64,
-    /// Rows produced by the plan root.
+    /// Rows produced by the plan root.  Operators exchange batches only, so
+    /// these are the only `Row` tuples the executor materializes.
     pub output_rows: u64,
     /// Replication lag, in committed mutation records, of the store this
     /// query read from at the moment the read started (0 for reads of the
@@ -122,7 +119,6 @@ impl ExecStats {
         self.rows_scanned += other.rows_scanned;
         self.full_scans += other.full_scans;
         self.batches_scanned += other.batches_scanned;
-        self.rows_materialized += other.rows_materialized;
         self.join_probes += other.join_probes;
         self.join_build_rows += other.join_build_rows;
         self.agg_input_rows += other.agg_input_rows;
@@ -170,7 +166,7 @@ pub fn execute_with(
     };
     let pruned = opts.pruning.then(|| prune_columns(plan, source)).flatten();
     let batches = run(pruned.as_ref().unwrap_or(plan), source, &mut stats, &opts)?;
-    let rows = batches.into_rows(&mut stats);
+    let rows = batches.into_rows();
     stats.output_rows = rows.len() as u64;
     Ok(QueryOutput { rows, stats })
 }
@@ -220,12 +216,11 @@ impl Batches {
         Ok(())
     }
 
-    /// Late materialization: turn the result into `Row` tuples, counting the
-    /// newly materialized rows.
-    fn into_rows(self, stats: &mut ExecStats) -> Vec<Row> {
+    /// Late materialization: turn the result into `Row` tuples.
+    fn into_rows(self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.selected_len());
         for batch in &self.0 {
-            stats.rows_materialized += batch.materialize_into(&mut rows) as u64;
+            batch.materialize_into(&mut rows);
         }
         rows
     }
@@ -955,7 +950,7 @@ mod tests {
                 let want: Vec<Value> = ids.into_iter().map(Value::Int).collect();
                 assert_eq!(got, want.iter().collect::<Vec<_>>(), "{key:?}");
                 assert_eq!(out.stats.sort_rows, 4);
-                assert_eq!(out.stats.rows_materialized, 4, "only the root materializes");
+                assert_eq!(out.stats.output_rows, 4, "only the root materializes");
                 let expected =
                     execute_with(&plan, source, ExecOptions::batched(2).with_pruning(false));
                 assert_eq!(out.rows, expected.unwrap().rows, "{key:?}");
@@ -995,11 +990,13 @@ mod tests {
         )));
         for (o, c, amount) in [(1, 10, 500), (2, 10, 300), (3, 20, 800), (4, 30, 100)] {
             orders
-                .apply_insert(
+                .apply(
                     &Key::int(o),
-                    &Row::new(vec![Value::Int(o), Value::Int(c), Value::Decimal(amount)]),
-                    5,
-                    o as u64,
+                    Some(&Row::new(vec![
+                        Value::Int(o),
+                        Value::Int(c),
+                        Value::Decimal(amount),
+                    ])),
                 )
                 .unwrap();
         }
@@ -1014,13 +1011,11 @@ mod tests {
             )
             .unwrap(),
         )));
-        for (lsn, (c, name)) in [(10, "alice"), (20, "bob")].into_iter().enumerate() {
+        for (c, name) in [(10, "alice"), (20, "bob")] {
             customers
-                .apply_insert(
+                .apply(
                     &Key::int(c),
-                    &Row::new(vec![Value::Int(c), Value::Str(name.into())]),
-                    5,
-                    lsn as u64 + 1,
+                    Some(&Row::new(vec![Value::Int(c), Value::Str(name.into())])),
                 )
                 .unwrap();
         }
@@ -1220,7 +1215,7 @@ mod tests {
         assert_eq!(batched.rows.len(), 1);
         assert_eq!(batched.stats.batches_scanned, 2, "4 rows / batch_size 2");
         assert_eq!(
-            batched.stats.rows_materialized, 1,
+            batched.stats.output_rows, 1,
             "only the root row is materialized on the batched path"
         );
 
@@ -1300,11 +1295,9 @@ mod tests {
         let table = Arc::new(ColumnTable::with_chunk_size(Arc::clone(&schema), 4));
         for i in 0..16i64 {
             table
-                .apply_insert(
+                .apply(
                     &Key::int(i),
-                    &Row::new(vec![Value::Int(i), Value::Decimal(i * 100)]),
-                    5,
-                    i as u64 + 1,
+                    Some(&Row::new(vec![Value::Int(i), Value::Decimal(i * 100)])),
                 )
                 .unwrap();
         }

@@ -13,10 +13,9 @@
 //! absorbs replicated writes, and an immutable **main** prefix of sealed
 //! [`MainChunk`]s whose columns are compressed ([`crate::encode`]).  Global
 //! slot indices are stable across compaction: sealing the oldest full delta
-//! chunk moves its data, never its position.  Writes that would mutate a main
-//! slot in place (updates, idempotent insert replays) instead delete the main
-//! version and re-insert into delta, so main chunks never change after
-//! sealing.
+//! chunk moves its data, never its position.  A new image of a main-resident
+//! row instead deletes the main version and re-inserts into delta, so main
+//! chunks never change after sealing.
 //!
 //! One pruning structure is consulted before touching column data:
 //! per-column **zone maps** ([`ChunkZone`]: min/max + null and live counts;
@@ -31,12 +30,11 @@
 use crate::batch::ColumnBatch;
 use crate::delta::{seal_chunk, MainChunk};
 use crate::encode::{plain_slice_bytes, Encoding};
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageResult;
 use crate::key::Key;
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::zonemap::{ChunkZone, ScanOutcome, ScanPredicate, DEFAULT_CHUNK_SIZE};
-use crate::Timestamp;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -85,10 +83,6 @@ struct ColumnData {
     pk_slots: HashMap<Key, usize>,
     /// Per-chunk zone maps, one entry per started chunk (global indexing).
     zones: Vec<ChunkZone>,
-    /// Commit timestamp of the newest applied mutation (freshness watermark).
-    applied_ts: Timestamp,
-    /// Log sequence number of the newest applied mutation.
-    applied_lsn: u64,
 }
 
 impl ColumnData {
@@ -124,8 +118,6 @@ impl ColumnTable {
                 deleted: Vec::new(),
                 pk_slots: HashMap::new(),
                 zones: Vec::new(),
-                applied_ts: 0,
-                applied_lsn: 0,
             }),
         }
     }
@@ -159,16 +151,6 @@ impl ColumnTable {
     pub fn delta_slot_count(&self) -> usize {
         let data = self.data.read();
         data.deleted.len() - data.main_slots(self.chunk_size)
-    }
-
-    /// Commit timestamp of the newest applied mutation.
-    pub fn applied_ts(&self) -> Timestamp {
-        self.data.read().applied_ts
-    }
-
-    /// Log sequence number of the newest applied mutation.
-    pub fn applied_lsn(&self) -> u64 {
-        self.data.read().applied_lsn
     }
 
     /// Approximate resident memory, split by tier.  Main-chunk sizes were
@@ -222,7 +204,7 @@ impl ColumnTable {
         &mut zones[chunk]
     }
 
-    /// Append one row to the delta tail.  Caller updates `applied_ts` / LSN.
+    /// Append one row to the delta tail.
     fn append_row(&self, data: &mut ColumnData, pk: &Key, row: &Row) {
         let columns = self.schema.column_count();
         for (col_idx, value) in row.values().iter().enumerate() {
@@ -249,104 +231,49 @@ impl ColumnTable {
         self.append_row(data, pk, row);
     }
 
-    /// Apply an insert arriving from the replication log.
-    pub fn apply_insert(
-        &self,
-        pk: &Key,
-        row: &Row,
-        commit_ts: Timestamp,
-        lsn: u64,
-    ) -> StorageResult<()> {
-        self.schema.validate_row(row)?;
+    /// Apply one replicated write: `Some` is the row's new image, `None` a
+    /// tombstone.
+    ///
+    /// An image of a key still in delta overwrites its slot, and the chunk's
+    /// zone map *widens* to include the new values (the old values'
+    /// contribution is never removed, keeping the zone a conservative
+    /// superset).  An image of a key in the immutable main tier becomes
+    /// delete + re-insert into delta, leaving the sealed chunk — and its
+    /// tight zone map — untouched.  An image of an unknown key appends.
+    ///
+    /// A tombstone only decrements the chunk's live count; the zone map keeps
+    /// the deleted values' contributions (a superset stays a superset).  A
+    /// chunk whose live count reaches zero is pruned outright by the scan
+    /// path.  Tombstones work identically for both tiers, and one for an
+    /// unknown key is a no-op.
+    pub fn apply(&self, pk: &Key, image: Option<&Row>) -> StorageResult<()> {
         let columns = self.schema.column_count();
+        let Some(row) = image else {
+            let mut data = self.data.write();
+            if let Some(slot) = data.pk_slots.remove(pk) {
+                data.deleted[slot] = true;
+                let zone = Self::zone_for_slot(&mut data.zones, columns, self.chunk_size, slot);
+                zone.live_count = zone.live_count.saturating_sub(1);
+            }
+            return Ok(());
+        };
+        self.schema.validate_row(row)?;
         let mut data = self.data.write();
         let main_slots = data.main_slots(self.chunk_size);
-        if let Some(&slot) = data.pk_slots.get(pk) {
-            if slot < main_slots {
-                // Idempotent re-apply against a sealed slot: delete +
-                // re-insert, since main chunks are immutable.
-                self.supersede_main_row(&mut data, pk, row, slot);
-            } else {
-                // Idempotent re-apply (e.g. replay after restart): overwrite.
+        match data.pk_slots.get(pk) {
+            None => self.append_row(&mut data, pk, row),
+            Some(&slot) if slot < main_slots => self.supersede_main_row(&mut data, pk, row, slot),
+            Some(&slot) => {
                 let delta_slot = slot - main_slots;
                 for (col_idx, value) in row.values().iter().enumerate() {
                     data.columns[col_idx][delta_slot] = value.clone();
                 }
-                let was_deleted = std::mem::replace(&mut data.deleted[slot], false);
                 let zone = Self::zone_for_slot(&mut data.zones, columns, self.chunk_size, slot);
                 for (col_idx, value) in row.values().iter().enumerate() {
                     zone.zones[col_idx].include(value);
                 }
-                if was_deleted {
-                    zone.live_count += 1;
-                }
-            }
-        } else {
-            self.append_row(&mut data, pk, row);
-        }
-        data.applied_ts = data.applied_ts.max(commit_ts);
-        data.applied_lsn = data.applied_lsn.max(lsn);
-        Ok(())
-    }
-
-    /// Apply an update arriving from the replication log.
-    ///
-    /// For a row still in delta, the chunk's zone map *widens* to include the
-    /// new values (the old values' contribution is never removed, keeping
-    /// the zone a conservative superset).  For a row in the immutable main
-    /// tier, the update becomes delete + re-insert into delta, leaving the
-    /// sealed chunk — and its tight zone map — untouched.
-    pub fn apply_update(
-        &self,
-        pk: &Key,
-        row: &Row,
-        commit_ts: Timestamp,
-        lsn: u64,
-    ) -> StorageResult<()> {
-        self.schema.validate_row(row)?;
-        let columns = self.schema.column_count();
-        let mut data = self.data.write();
-        let main_slots = data.main_slots(self.chunk_size);
-        let slot = *data
-            .pk_slots
-            .get(pk)
-            .ok_or_else(|| StorageError::KeyNotFound {
-                table: self.schema.name().to_string(),
-                key: pk.to_string(),
-            })?;
-        if slot < main_slots {
-            self.supersede_main_row(&mut data, pk, row, slot);
-        } else {
-            let delta_slot = slot - main_slots;
-            for (col_idx, value) in row.values().iter().enumerate() {
-                data.columns[col_idx][delta_slot] = value.clone();
-            }
-            let zone = Self::zone_for_slot(&mut data.zones, columns, self.chunk_size, slot);
-            for (col_idx, value) in row.values().iter().enumerate() {
-                zone.zones[col_idx].include(value);
             }
         }
-        data.applied_ts = data.applied_ts.max(commit_ts);
-        data.applied_lsn = data.applied_lsn.max(lsn);
-        Ok(())
-    }
-
-    /// Apply a delete arriving from the replication log.
-    ///
-    /// Deletes only decrement the chunk's live count; the zone map keeps the
-    /// deleted values' contributions (a superset stays a superset).  A chunk
-    /// whose live count reaches zero is pruned outright by the scan path.
-    /// Works identically for both tiers.
-    pub fn apply_delete(&self, pk: &Key, commit_ts: Timestamp, lsn: u64) -> StorageResult<()> {
-        let columns = self.schema.column_count();
-        let mut data = self.data.write();
-        if let Some(slot) = data.pk_slots.remove(pk) {
-            data.deleted[slot] = true;
-            let zone = Self::zone_for_slot(&mut data.zones, columns, self.chunk_size, slot);
-            zone.live_count = zone.live_count.saturating_sub(1);
-        }
-        data.applied_ts = data.applied_ts.max(commit_ts);
-        data.applied_lsn = data.applied_lsn.max(lsn);
         Ok(())
     }
 
@@ -642,18 +569,13 @@ mod tests {
     #[test]
     fn insert_update_delete_roundtrip() {
         let t = table();
-        t.apply_insert(&Key::int(1), &order(1, 500, "new"), 10, 1)
-            .unwrap();
-        t.apply_insert(&Key::int(2), &order(2, 700, "new"), 11, 2)
-            .unwrap();
+        t.apply(&Key::int(1), Some(&order(1, 500, "new"))).unwrap();
+        t.apply(&Key::int(2), Some(&order(2, 700, "new"))).unwrap();
         assert_eq!(t.live_row_count(), 2);
-        t.apply_update(&Key::int(1), &order(1, 900, "paid"), 12, 3)
-            .unwrap();
-        t.apply_delete(&Key::int(2), 13, 4).unwrap();
+        t.apply(&Key::int(1), Some(&order(1, 900, "paid"))).unwrap();
+        t.apply(&Key::int(2), None).unwrap();
         assert_eq!(t.live_row_count(), 1);
         assert_eq!(t.slot_count(), 2, "deleted slots remain physically present");
-        assert_eq!(t.applied_ts(), 13);
-        assert_eq!(t.applied_lsn(), 4);
 
         let mut rows = Vec::new();
         t.scan_batches(None, 64, |batch| {
@@ -664,21 +586,10 @@ mod tests {
     }
 
     #[test]
-    fn update_of_unknown_key_errors() {
-        let t = table();
-        assert!(matches!(
-            t.apply_update(&Key::int(9), &order(9, 1, "x"), 1, 1),
-            Err(StorageError::KeyNotFound { .. })
-        ));
-    }
-
-    #[test]
     fn reapplied_insert_is_idempotent() {
         let t = table();
-        t.apply_insert(&Key::int(1), &order(1, 500, "new"), 10, 1)
-            .unwrap();
-        t.apply_insert(&Key::int(1), &order(1, 650, "new"), 10, 1)
-            .unwrap();
+        t.apply(&Key::int(1), Some(&order(1, 500, "new"))).unwrap();
+        t.apply(&Key::int(1), Some(&order(1, 650, "new"))).unwrap();
         assert_eq!(t.live_row_count(), 1);
         let mut amounts = Vec::new();
         t.scan_batches(Some(&[1]), 64, |batch| {
@@ -695,7 +606,7 @@ mod tests {
     fn projected_scan_only_returns_requested_columns() {
         let t = small_chunk_table();
         for i in 0..4 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
         for compacted in [false, true] {
@@ -733,11 +644,11 @@ mod tests {
     fn deleted_slots_count_as_examined_but_not_scanned() {
         let t = table();
         for i in 0..6i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
-        t.apply_delete(&Key::int(2), 6, 7).unwrap();
-        t.apply_delete(&Key::int(4), 6, 8).unwrap();
+        t.apply(&Key::int(2), None).unwrap();
+        t.apply(&Key::int(4), None).unwrap();
         let mut seen = 0;
         let examined = t.scan_batches(None, 64, |batch| seen += batch.selected_count());
         assert_eq!(examined, 6, "deleted slots are still walked");
@@ -748,8 +659,7 @@ mod tests {
     fn empty_projection_still_visits_every_live_row() {
         let t = table();
         for i in 0..3i64 {
-            t.apply_insert(&Key::int(i), &order(i, i, "new"), 5, i as u64 + 1)
-                .unwrap();
+            t.apply(&Key::int(i), Some(&order(i, i, "new"))).unwrap();
         }
         let mut visits = 0;
         let examined = t.scan_batches(Some(&[]), 64, |batch| {
@@ -764,10 +674,9 @@ mod tests {
     fn scan_batches_chunks_with_selection_and_partial_tail() {
         let t = table();
         for i in 0..10i64 {
-            t.apply_insert(&Key::int(i), &order(i, i, "new"), 5, i as u64 + 1)
-                .unwrap();
+            t.apply(&Key::int(i), Some(&order(i, i, "new"))).unwrap();
         }
-        t.apply_delete(&Key::int(1), 6, 11).unwrap();
+        t.apply(&Key::int(1), None).unwrap();
         let mut batch_sizes = Vec::new();
         let mut selected = 0usize;
         let mut amounts = Vec::new();
@@ -793,7 +702,7 @@ mod tests {
         // [0..4), [4..8), [8..12) on o_id.
         let t = small_chunk_table();
         for i in 0..12i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
         let pred = eq(0, Value::Int(9));
@@ -828,10 +737,10 @@ mod tests {
         // Satellite regression: pinned counters for a pruned scan.
         let t = small_chunk_table();
         for i in 0..12i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
-        t.apply_delete(&Key::int(5), 6, 20).unwrap();
+        t.apply(&Key::int(5), None).unwrap();
         let pred = eq(0, Value::Int(6));
         let mut seen = 0usize;
         let outcome = t.scan_batches_pruned(None, 64, Some(&pred), |batch| {
@@ -847,12 +756,12 @@ mod tests {
     fn updates_widen_zones_conservatively() {
         let t = small_chunk_table();
         for i in 0..8i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
         // Move row 1's amount far outside its chunk's original [0, 300]
         // amount range.
-        t.apply_update(&Key::int(1), &order(1, 99_000, "paid"), 6, 9)
+        t.apply(&Key::int(1), Some(&order(1, 99_000, "paid")))
             .unwrap();
         // The widened zone must admit the new value...
         assert_eq!(
@@ -875,11 +784,10 @@ mod tests {
     fn fully_deleted_chunks_prune_even_without_predicate() {
         let t = small_chunk_table();
         for i in 0..8i64 {
-            t.apply_insert(&Key::int(i), &order(i, i, "new"), 5, i as u64 + 1)
-                .unwrap();
+            t.apply(&Key::int(i), Some(&order(i, i, "new"))).unwrap();
         }
         for i in 0..4i64 {
-            t.apply_delete(&Key::int(i), 6, 10 + i as u64).unwrap();
+            t.apply(&Key::int(i), None).unwrap();
         }
         let unfiltered = ScanPredicate::default();
         let outcome = t.scan_batches_pruned(None, 64, Some(&unfiltered), |_| {});
@@ -898,13 +806,8 @@ mod tests {
         let t = small_chunk_table();
         let amounts = [10i64, 30, 50, 70, 20, 40, 60, 80];
         for (i, amount) in amounts.iter().enumerate() {
-            t.apply_insert(
-                &Key::int(i as i64),
-                &order(i as i64, *amount, "new"),
-                5,
-                i as u64 + 1,
-            )
-            .unwrap();
+            t.apply(&Key::int(i as i64), Some(&order(i as i64, *amount, "new")))
+                .unwrap();
         }
         for compacted in [false, true] {
             for (amount, ids) in [(45, vec![]), (40, vec![5])] {
@@ -924,7 +827,7 @@ mod tests {
     fn filter_invalidated_by_update_never_loses_rows() {
         let t = small_chunk_table();
         for i in 0..8i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 10, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 10, "new")))
                 .unwrap();
         }
         let probe = eq(1, Value::Decimal(555));
@@ -932,12 +835,10 @@ mod tests {
         let outcome = t.scan_batches_pruned(None, 64, Some(&probe), |_| {});
         assert_eq!(outcome.chunks_pruned_zonemap, 2);
         // Update writes 555 into a full chunk; its zone must widen.
-        t.apply_update(&Key::int(2), &order(2, 555, "paid"), 6, 9)
-            .unwrap();
+        t.apply(&Key::int(2), Some(&order(2, 555, "paid"))).unwrap();
         assert_eq!(collect_ids(&t, Some(&probe), true), vec![2]);
-        // Same for the idempotent-insert overwrite path.
-        t.apply_insert(&Key::int(3), &order(3, 777, "new"), 7, 10)
-            .unwrap();
+        // A second overwrite widens the same way.
+        t.apply(&Key::int(3), Some(&order(3, 777, "new"))).unwrap();
         assert_eq!(
             collect_ids(&t, Some(&eq(1, Value::Decimal(777))), true),
             vec![3]
@@ -948,16 +849,11 @@ mod tests {
     fn all_pruning_modes_agree_on_results() {
         let t = small_chunk_table();
         for i in 0..20i64 {
-            t.apply_insert(
-                &Key::int(i),
-                &order(i, (i * 37) % 11 * 100, "new"),
-                5,
-                i as u64 + 1,
-            )
-            .unwrap();
+            t.apply(&Key::int(i), Some(&order(i, (i * 37) % 11 * 100, "new")))
+                .unwrap();
         }
-        t.apply_delete(&Key::int(7), 6, 30).unwrap();
-        t.apply_update(&Key::int(3), &order(3, 4_200, "paid"), 7, 31)
+        t.apply(&Key::int(7), None).unwrap();
+        t.apply(&Key::int(3), Some(&order(3, 4_200, "paid")))
             .unwrap();
         for pred in [
             eq(1, Value::Decimal(300)),
@@ -980,11 +876,11 @@ mod tests {
     fn compaction_preserves_slots_rows_and_results() {
         let t = small_chunk_table();
         for i in 0..10i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
-        t.apply_delete(&Key::int(2), 6, 20).unwrap();
-        t.apply_update(&Key::int(5), &order(5, 9_999, "paid"), 7, 21)
+        t.apply(&Key::int(2), None).unwrap();
+        t.apply(&Key::int(5), Some(&order(5, 9_999, "paid")))
             .unwrap();
         let before = collect_ids(&t, None, false);
 
@@ -1021,17 +917,17 @@ mod tests {
         // (deletes left stale contributions); the rewrite must shed them.
         let t = small_chunk_table();
         for i in 0..4i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
         for i in 4..8i64 {
-            t.apply_insert(&Key::int(i), &order(i, 10_000 + i, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, 10_000 + i, "new")))
                 .unwrap();
         }
         // Kill the chunk-0 maximum.  Deletes keep their contributions (a
         // superset stays correct), so the zone is now a stale superset.
         let pred = eq(1, Value::Decimal(300));
-        t.apply_delete(&Key::int(3), 6, 20).unwrap();
+        t.apply(&Key::int(3), None).unwrap();
 
         // Before compaction the stale superset admits the dead value: the
         // zone still covers 300.
@@ -1056,11 +952,11 @@ mod tests {
     fn updates_to_main_rows_become_delete_plus_reinsert() {
         let t = small_chunk_table();
         for i in 0..8i64 {
-            t.apply_insert(&Key::int(i), &order(i, i * 100, "new"), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i * 100, "new")))
                 .unwrap();
         }
         assert_eq!(t.compact(), 2);
-        t.apply_update(&Key::int(1), &order(1, 7_777, "paid"), 6, 9)
+        t.apply(&Key::int(1), Some(&order(1, 7_777, "paid")))
             .unwrap();
         assert_eq!(t.live_row_count(), 8, "logical row count is unchanged");
         assert_eq!(t.slot_count(), 9, "the new version appends to delta");
@@ -1074,8 +970,8 @@ mod tests {
             Vec::<i64>::new(),
             "the superseded main version is invisible"
         );
-        // The idempotent-insert overwrite path takes the same route.
-        t.apply_insert(&Key::int(2), &order(2, 8_888, "new"), 7, 10)
+        // A second main-resident row takes the same route.
+        t.apply(&Key::int(2), Some(&order(2, 8_888, "new")))
             .unwrap();
         assert_eq!(t.live_row_count(), 8);
         assert_eq!(
@@ -1083,7 +979,7 @@ mod tests {
             vec![2]
         );
         // Deleting a main-resident row works unchanged.
-        t.apply_delete(&Key::int(0), 8, 11).unwrap();
+        t.apply(&Key::int(0), None).unwrap();
         assert_eq!(t.live_row_count(), 7);
         assert_eq!(collect_ids(&t, None, false), vec![1, 2, 3, 4, 5, 6, 7]);
     }
@@ -1095,8 +991,7 @@ mod tests {
         let t = small_chunk_table();
         for i in 0..8i64 {
             let status = if i % 4 == 0 { "paid" } else { "new" };
-            t.apply_insert(&Key::int(i), &order(i, i, status), 5, i as u64 + 1)
-                .unwrap();
+            t.apply(&Key::int(i), Some(&order(i, i, status))).unwrap();
         }
         assert_eq!(t.compact(), 2);
         let pred = eq(2, Value::Str("paid".into()));
@@ -1118,7 +1013,7 @@ mod tests {
         for i in 0..256i64 {
             // Low-cardinality status + clustered amounts: both compress.
             let status = format!("status-{}", i % 3);
-            t.apply_insert(&Key::int(i), &order(i, i / 64, &status), 5, i as u64 + 1)
+            t.apply(&Key::int(i), Some(&order(i, i / 64, &status)))
                 .unwrap();
         }
         let before = t.memory_footprint();
@@ -1148,15 +1043,10 @@ mod tests {
         // main and delta must return the same rows.
         let t = small_chunk_table();
         for i in 0..16i64 {
-            t.apply_insert(
-                &Key::int(i),
-                &order(i, (i * 31) % 5 * 100, "new"),
-                5,
-                i as u64 + 1,
-            )
-            .unwrap();
+            t.apply(&Key::int(i), Some(&order(i, (i * 31) % 5 * 100, "new")))
+                .unwrap();
         }
-        t.apply_delete(&Key::int(6), 6, 30).unwrap();
+        t.apply(&Key::int(6), None).unwrap();
         let baseline = collect_ids(&t, None, false);
         let pred = eq(1, Value::Decimal(300));
         let pred_baseline = collect_ids(&t, Some(&pred), false);

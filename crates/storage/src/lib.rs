@@ -54,7 +54,7 @@ pub use delta::MainChunk;
 pub use encode::{EncodedColumn, Encoding};
 pub use error::{StorageError, StorageResult};
 pub use key::Key;
-pub use replication::{LogRecord, MutationOp, ReplicationLog, Replicator};
+pub use replication::{LogRecord, ReplicationLog, Replicator};
 pub use row::Row;
 pub use rowstore::{RowTable, ScanDirection};
 pub use schema::{ColumnDef, DataType, IndexDef, TableSchema};

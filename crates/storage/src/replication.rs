@@ -4,7 +4,9 @@
 //! against the row store and a background process ships the committed
 //! mutations to the columnar replica ("asynchronous log replication", §III-A).
 //! [`ReplicationLog`] is the committed-mutation queue and [`Replicator`]
-//! applies queued records to the registered [`ColumnTable`]s.  The gap between
+//! applies queued records to the registered [`ColumnTable`]s.  A record is
+//! one committed write in one shape: a table, a primary key and either the
+//! row's new image (an upsert) or `None` (a tombstone).  The gap between
 //! the newest appended LSN and the newest applied LSN is the replication lag —
 //! the data-freshness dimension the paper's real-time queries care about.
 //!
@@ -24,7 +26,7 @@
 //! bounded readers park on the applied watermark until it advances.
 
 use crate::colstore::ColumnTable;
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageResult;
 use crate::key::Key;
 use crate::row::Row;
 use crate::Timestamp;
@@ -34,17 +36,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Kind of a replicated mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutationOp {
-    /// A newly inserted row.
-    Insert,
-    /// A new image of an existing row.
-    Update,
-    /// A deletion.
-    Delete,
-}
-
 /// One committed mutation shipped to the analytical replica.
 #[derive(Debug, Clone)]
 pub struct LogRecord {
@@ -52,11 +43,9 @@ pub struct LogRecord {
     pub lsn: u64,
     /// Target table name.
     pub table: String,
-    /// Mutation kind.
-    pub op: MutationOp,
     /// Primary key of the affected row.
     pub key: Key,
-    /// New row image (absent for deletes).
+    /// The row's new image, or `None` for a tombstone.
     pub row: Option<Row>,
     /// Commit timestamp of the producing transaction.
     pub commit_ts: Timestamp,
@@ -75,7 +64,9 @@ pub struct ReplicationLog {
     queue: Mutex<VecDeque<LogRecord>>,
     /// Signalled whenever records are appended (appliers park on this).
     pending_cv: Condvar,
-    next_lsn: AtomicU64,
+    /// Highest LSN appended; the next append takes `appended + 1`.  Written
+    /// only under the queue lock, which orders the writers; the `Release`
+    /// store pairs with the `Acquire` loads of lock-free watermark readers.
     appended: AtomicU64,
     applied: AtomicU64,
     appended_commit_ts: AtomicU64,
@@ -98,7 +89,6 @@ impl ReplicationLog {
         ReplicationLog {
             queue: Mutex::new(VecDeque::new()),
             pending_cv: Condvar::new(),
-            next_lsn: AtomicU64::new(1),
             appended: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             appended_commit_ts: AtomicU64::new(0),
@@ -110,30 +100,22 @@ impl ReplicationLog {
 
     /// Append a committed mutation and return its LSN.
     ///
-    /// The LSN is assigned while holding the queue lock, so concurrent
-    /// committers cannot enqueue records out of LSN order, and the appended
-    /// high-water mark is advanced with `fetch_max` so it never moves
-    /// backwards.
-    pub fn append(
-        &self,
-        table: &str,
-        op: MutationOp,
-        key: Key,
-        row: Option<Row>,
-        commit_ts: Timestamp,
-    ) -> u64 {
+    /// `row` is the row's new image, or `None` for a tombstone.  The LSN is
+    /// assigned while holding the queue lock, so concurrent committers cannot
+    /// enqueue records out of LSN order, and the appended high-water mark
+    /// only ever moves forward.
+    pub fn append(&self, table: &str, key: Key, row: Option<Row>, commit_ts: Timestamp) -> u64 {
         let mut queue = self.queue.lock();
-        let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
+        let lsn = self.appended.load(Ordering::Relaxed) + 1;
         queue.push_back(LogRecord {
             lsn,
             table: table.to_string(),
-            op,
             key,
             row,
             commit_ts,
             appended_at: Instant::now(),
         });
-        self.appended.fetch_max(lsn, Ordering::Release);
+        self.appended.store(lsn, Ordering::Release);
         self.appended_commit_ts
             .fetch_max(commit_ts, Ordering::Release);
         self.pending_cv.notify_one();
@@ -333,37 +315,10 @@ impl Replicator {
     }
 
     fn apply_one(&self, record: &LogRecord) -> StorageResult<()> {
-        let Some(replica) = self.replicas.get(&record.table) else {
-            return Ok(());
-        };
-        match record.op {
-            MutationOp::Insert => {
-                let row = record.row.as_ref().ok_or_else(|| {
-                    StorageError::Internal("insert log record without row".into())
-                })?;
-                replica.apply_insert(&record.key, row, record.commit_ts, record.lsn)?;
-            }
-            MutationOp::Update => {
-                let row = record.row.as_ref().ok_or_else(|| {
-                    StorageError::Internal("update log record without row".into())
-                })?;
-                // An update for a key the replica has never seen can happen
-                // when replication started after the row was inserted; treat
-                // exactly that case as an upsert.  Every other failure (schema
-                // mismatch, internal errors) must propagate, not be masked by
-                // a second insert attempt.
-                match replica.apply_update(&record.key, row, record.commit_ts, record.lsn) {
-                    Err(StorageError::KeyNotFound { .. }) => {
-                        replica.apply_insert(&record.key, row, record.commit_ts, record.lsn)?;
-                    }
-                    other => other?,
-                }
-            }
-            MutationOp::Delete => {
-                replica.apply_delete(&record.key, record.commit_ts, record.lsn)?;
-            }
+        match self.replicas.get(&record.table) {
+            Some(replica) => replica.apply(&record.key, record.row.as_ref()),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Apply everything currently pending.
@@ -387,6 +342,7 @@ impl Replicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use crate::schema::{ColumnDef, DataType, TableSchema};
     use crate::value::Value;
     use std::thread;
@@ -412,20 +368,8 @@ mod tests {
     #[test]
     fn lsns_are_monotonic_and_lag_is_tracked() {
         let log = ReplicationLog::new();
-        let a = log.append(
-            "ORDERS",
-            MutationOp::Insert,
-            Key::int(1),
-            Some(order(1, 10)),
-            5,
-        );
-        let b = log.append(
-            "ORDERS",
-            MutationOp::Insert,
-            Key::int(2),
-            Some(order(2, 20)),
-            6,
-        );
+        let a = log.append("ORDERS", Key::int(1), Some(order(1, 10)), 5);
+        let b = log.append("ORDERS", Key::int(2), Some(order(2, 20)), 6);
         assert!(b > a);
         assert_eq!(log.pending(), 2);
         assert_eq!(log.lag_records(), 2);
@@ -447,7 +391,6 @@ mod tests {
                         let id = (t * PER_THREAD + i) as i64;
                         log.append(
                             "ORDERS",
-                            MutationOp::Insert,
                             Key::int(id),
                             Some(order(id, 1)),
                             id as Timestamp + 1,
@@ -488,13 +431,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let id = (t * 200 + i) as i64;
-                        log.append(
-                            "ORDERS",
-                            MutationOp::Insert,
-                            Key::int(id),
-                            Some(order(id, 1)),
-                            1,
-                        );
+                        log.append("ORDERS", Key::int(id), Some(order(id, 1)), 1);
                     }
                 });
             }
@@ -517,28 +454,10 @@ mod tests {
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
 
-        log.append(
-            "ORDERS",
-            MutationOp::Insert,
-            Key::int(1),
-            Some(order(1, 10)),
-            5,
-        );
-        log.append(
-            "ORDERS",
-            MutationOp::Update,
-            Key::int(1),
-            Some(order(1, 99)),
-            6,
-        );
-        log.append(
-            "ORDERS",
-            MutationOp::Insert,
-            Key::int(2),
-            Some(order(2, 20)),
-            7,
-        );
-        log.append("ORDERS", MutationOp::Delete, Key::int(2), None, 8);
+        log.append("ORDERS", Key::int(1), Some(order(1, 10)), 5);
+        log.append("ORDERS", Key::int(1), Some(order(1, 99)), 6);
+        log.append("ORDERS", Key::int(2), Some(order(2, 20)), 7);
+        log.append("ORDERS", Key::int(2), None, 8);
 
         let applied = repl.catch_up().unwrap();
         assert_eq!(applied, 4);
@@ -546,7 +465,6 @@ mod tests {
         assert_eq!(log.lag_commit_ts(), 0);
         assert_eq!(log.last_applied_commit_ts(), 8);
         assert_eq!(replica.live_row_count(), 1);
-        assert_eq!(replica.applied_ts(), 8);
 
         let mut amounts = Vec::new();
         replica.scan_batches(Some(&[1]), 64, |batch| {
@@ -566,25 +484,18 @@ mod tests {
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
 
+        log.append("ORDERS", Key::int(1), Some(order(1, 10)), 5);
+        // Poison record: a wrong-arity row image fails to apply.
         log.append(
             "ORDERS",
-            MutationOp::Insert,
-            Key::int(1),
-            Some(order(1, 10)),
-            5,
+            Key::int(2),
+            Some(Row::new(vec![Value::Int(2)])),
+            6,
         );
-        // Poison record: an insert with no row image fails to apply.
-        log.append("ORDERS", MutationOp::Insert, Key::int(2), None, 6);
-        log.append(
-            "ORDERS",
-            MutationOp::Insert,
-            Key::int(3),
-            Some(order(3, 30)),
-            7,
-        );
+        log.append("ORDERS", Key::int(3), Some(order(3, 30)), 7);
 
         let err = repl.apply_pending(16);
-        assert!(matches!(err, Err(StorageError::Internal(_))));
+        assert!(matches!(err, Err(StorageError::ArityMismatch { .. })));
         // The good record before the failure was applied and acknowledged...
         assert_eq!(log.last_applied_lsn(), 1);
         assert_eq!(replica.live_row_count(), 1);
@@ -593,7 +504,7 @@ mod tests {
 
         // Retrying hits the same poison record (still at the head, in order).
         let err = repl.apply_pending(16);
-        assert!(matches!(err, Err(StorageError::Internal(_))));
+        assert!(matches!(err, Err(StorageError::ArityMismatch { .. })));
         assert_eq!(log.pending(), 2);
 
         // Operator intervention: discard the poison record, then catch up.
@@ -611,28 +522,21 @@ mod tests {
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
-        log.append(
-            "ORDERS",
-            MutationOp::Update,
-            Key::int(7),
-            Some(order(7, 70)),
-            3,
-        );
+        log.append("ORDERS", Key::int(7), Some(order(7, 70)), 3);
         repl.catch_up().unwrap();
         assert_eq!(replica.live_row_count(), 1);
     }
 
     #[test]
-    fn upsert_fallback_does_not_mask_schema_errors() {
+    fn malformed_image_surfaces_its_schema_error() {
         let log = Arc::new(ReplicationLog::new());
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
         // A malformed row image (wrong arity) must surface the schema error
-        // instead of being retried as an insert.
+        // and leave the replica untouched.
         log.append(
             "ORDERS",
-            MutationOp::Update,
             Key::int(1),
             Some(Row::new(vec![Value::Int(1)])),
             3,
@@ -651,13 +555,7 @@ mod tests {
     fn unregistered_tables_are_skipped_but_acknowledged() {
         let log = Arc::new(ReplicationLog::new());
         let repl = Replicator::new(Arc::clone(&log));
-        log.append(
-            "HISTORY",
-            MutationOp::Insert,
-            Key::int(1),
-            Some(order(1, 1)),
-            2,
-        );
+        log.append("HISTORY", Key::int(1), Some(order(1, 1)), 2);
         assert_eq!(repl.catch_up().unwrap(), 1);
         assert_eq!(log.lag_records(), 0);
     }
@@ -666,13 +564,7 @@ mod tests {
     fn drain_respects_batch_size() {
         let log = ReplicationLog::new();
         for i in 0..10 {
-            log.append(
-                "ORDERS",
-                MutationOp::Insert,
-                Key::int(i),
-                Some(order(i, 1)),
-                1,
-            );
+            log.append("ORDERS", Key::int(i), Some(order(i, 1)), 1);
         }
         assert_eq!(log.drain(3).len(), 3);
         assert_eq!(log.pending(), 7);
@@ -682,13 +574,7 @@ mod tests {
     fn requeue_front_preserves_order() {
         let log = ReplicationLog::new();
         for i in 0..5 {
-            log.append(
-                "ORDERS",
-                MutationOp::Insert,
-                Key::int(i),
-                Some(order(i, 1)),
-                1,
-            );
+            log.append("ORDERS", Key::int(i), Some(order(i, 1)), 1);
         }
         let drained = log.drain(3);
         log.requeue_front(drained);
@@ -703,13 +589,7 @@ mod tests {
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
-        log.append(
-            "ORDERS",
-            MutationOp::Insert,
-            Key::int(1),
-            Some(order(1, 1)),
-            2,
-        );
+        log.append("ORDERS", Key::int(1), Some(order(1, 1)), 2);
 
         assert!(
             !log.wait_for_applied(1, Duration::from_millis(5)),
@@ -734,13 +614,7 @@ mod tests {
         thread::scope(|scope| {
             let waiter_log = Arc::clone(&log);
             let waiter = scope.spawn(move || waiter_log.wait_for_pending(Duration::from_secs(5)));
-            log.append(
-                "ORDERS",
-                MutationOp::Insert,
-                Key::int(1),
-                Some(order(1, 1)),
-                2,
-            );
+            log.append("ORDERS", Key::int(1), Some(order(1, 1)), 2);
             assert!(waiter.join().unwrap());
         });
     }

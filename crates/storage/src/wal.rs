@@ -47,7 +47,6 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::key::Key;
-use crate::replication::MutationOp;
 use crate::row::Row;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::Value;
@@ -116,11 +115,9 @@ impl SyncPolicy {
 pub struct WalOp {
     /// Target table.
     pub table: String,
-    /// Mutation kind.
-    pub op: MutationOp,
     /// Primary key of the affected row.
     pub key: Key,
-    /// New row image (absent for deletes).
+    /// The row's new image, or `None` for a tombstone.
     pub row: Option<Row>,
 }
 
@@ -1164,22 +1161,11 @@ pub(crate) mod codec {
     }
 }
 
-fn mutation_op_tag(op: MutationOp) -> u8 {
-    match op {
-        MutationOp::Insert => 0,
-        MutationOp::Update => 1,
-        MutationOp::Delete => 2,
-    }
-}
-
-fn mutation_op_from_tag(tag: u8) -> StorageResult<MutationOp> {
-    Ok(match tag {
-        0 => MutationOp::Insert,
-        1 => MutationOp::Update,
-        2 => MutationOp::Delete,
-        _ => return Err(StorageError::Codec(format!("unknown mutation tag {tag}"))),
-    })
-}
+/// Mutation kind bytes.  Earlier builds also wrote `MUTATION_IMAGE_V0` for
+/// an update's image; the decoder still reads it as an image.
+const MUTATION_IMAGE: u8 = 0;
+const MUTATION_IMAGE_V0: u8 = 1;
+const MUTATION_TOMBSTONE: u8 = 2;
 
 /// Encode one record payload (LSN + kind + fields).
 fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
@@ -1203,7 +1189,10 @@ fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
             out.push(3);
             out.extend_from_slice(&txn_id.to_le_bytes());
             out.extend_from_slice(&commit_ts.to_le_bytes());
-            out.push(mutation_op_tag(op.op));
+            out.push(match op.row {
+                Some(_) => MUTATION_IMAGE,
+                None => MUTATION_TOMBSTONE,
+            });
             put_str(&mut out, &op.table);
             put_key(&mut out, &op.key);
             match &op.row {
@@ -1241,22 +1230,22 @@ fn decode_record(payload: &[u8]) -> StorageResult<(u64, WalRecord)> {
         3 => {
             let txn_id = r.u64()?;
             let commit_ts = r.u64()?;
-            let op = mutation_op_from_tag(r.u8()?)?;
+            let mutation = r.u8()?;
             let table = r.str()?;
             let key = read_key(&mut r)?;
-            let row = if r.u8()? != 0 {
-                Some(read_row(&mut r)?)
-            } else {
-                None
+            let row = match (mutation, r.u8()? != 0) {
+                (MUTATION_IMAGE | MUTATION_IMAGE_V0, true) => Some(read_row(&mut r)?),
+                (MUTATION_TOMBSTONE, false) => None,
+                (mutation, image) => {
+                    let with = if image { "with" } else { "without" };
+                    return Err(StorageError::Codec(format!(
+                        "mutation kind {mutation} {with} a row image"
+                    )));
+                }
             };
             WalRecord::Mutation {
                 txn_id,
-                op: WalOp {
-                    table,
-                    op,
-                    key,
-                    row,
-                },
+                op: WalOp { table, key, row },
                 commit_ts,
             }
         }
@@ -1299,7 +1288,6 @@ mod tests {
     fn op(id: i64) -> WalOp {
         WalOp {
             table: "ORDERS".into(),
-            op: MutationOp::Insert,
             key: Key::int(id),
             row: Some(Row::new(vec![Value::Int(id), Value::Str(format!("n{id}"))])),
         }
@@ -1334,7 +1322,6 @@ mod tests {
                 txn_id: 7,
                 op: WalOp {
                     table: "ORDERS".into(),
-                    op: MutationOp::Update,
                     key: Key::ints(&[1, 2]),
                     row: Some(Row::new(vec![
                         Value::Null,
@@ -1350,7 +1337,6 @@ mod tests {
                 txn_id: 7,
                 op: WalOp {
                     table: "ORDERS".into(),
-                    op: MutationOp::Delete,
                     key: Key::int(3),
                     row: None,
                 },
@@ -1368,6 +1354,81 @@ mod tests {
             assert_eq!(lsn, i as u64 + 1);
             assert_eq!(&decoded, record);
         }
+    }
+
+    #[test]
+    fn mutation_kind_and_row_image_are_checked_at_decode() {
+        use codec::{put_key, put_row, put_str};
+        let row = Row::new(vec![Value::Int(1), Value::Str("n1".into())]);
+        // A raw Mutation payload: LSN, record kind, txn id, commit ts, then
+        // the mutation kind byte, table, key and the optional row image.
+        let payload = |mutation: u8, image: Option<&Row>| {
+            let mut out = 3u64.to_le_bytes().to_vec();
+            out.push(3);
+            out.extend_from_slice(&7u64.to_le_bytes());
+            out.extend_from_slice(&41u64.to_le_bytes());
+            out.push(mutation);
+            put_str(&mut out, "ORDERS");
+            put_key(&mut out, &Key::int(1));
+            match image {
+                Some(row) => {
+                    out.push(1);
+                    put_row(&mut out, row);
+                }
+                None => out.push(0),
+            }
+            out
+        };
+        for (mutation, image) in [(2, Some(&row)), (0, None), (1, None), (9, Some(&row))] {
+            assert!(
+                matches!(
+                    decode_record(&payload(mutation, image)),
+                    Err(StorageError::Codec(_))
+                ),
+                "kind {mutation} with image {}",
+                image.is_some()
+            );
+        }
+        // Kind 1 is what earlier builds wrote for an update: still an image.
+        let mutation = |key: i64, row: Option<Row>| WalRecord::Mutation {
+            txn_id: 7,
+            op: WalOp {
+                table: "ORDERS".into(),
+                key: Key::int(key),
+                row,
+            },
+            commit_ts: 41,
+        };
+        assert_eq!(
+            decode_record(&payload(1, Some(&row))).unwrap(),
+            (3, mutation(1, Some(row.clone())))
+        );
+
+        // The on-disk layout, byte for byte as earlier builds encoded an
+        // insert and a delete.
+        let image: &[u8] = &[
+            3, 0, 0, 0, 0, 0, 0, 0, // LSN
+            3, // record kind: Mutation
+            7, 0, 0, 0, 0, 0, 0, 0, // txn id
+            41, 0, 0, 0, 0, 0, 0, 0, // commit ts
+            0, // mutation kind: image
+            6, 0, 0, 0, b'O', b'R', b'D', b'E', b'R', b'S', // table
+            1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, // key
+            1, // row image present
+            2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 4, 2, 0, 0, 0, b'n', b'1', // row
+        ];
+        let tombstone: &[u8] = &[
+            4, 0, 0, 0, 0, 0, 0, 0, // LSN
+            3, // record kind: Mutation
+            7, 0, 0, 0, 0, 0, 0, 0, // txn id
+            41, 0, 0, 0, 0, 0, 0, 0, // commit ts
+            2, // mutation kind: tombstone
+            6, 0, 0, 0, b'O', b'R', b'D', b'E', b'R', b'S', // table
+            1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, // key
+            0, // no row image
+        ];
+        assert_eq!(encode_record(3, &mutation(1, Some(row))), image);
+        assert_eq!(encode_record(4, &mutation(2, None)), tombstone);
     }
 
     #[test]

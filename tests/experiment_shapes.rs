@@ -330,9 +330,7 @@ fn chunk_pruning_speeds_up_selective_scans() {
         for r in 0..ROWS {
             // Monotone in r: each group occupies one contiguous run of rows.
             let row = Row::new(vec![Value::Int(r), Value::Int(r * GROUPS / ROWS)]);
-            table
-                .apply_insert(&Key::int(r), &row, 1, r as u64 + 1)
-                .unwrap();
+            table.apply(&Key::int(r), Some(&row)).unwrap();
         }
         let mut tables = HashMap::new();
         tables.insert("PRUNE".to_string(), Arc::clone(&table));
