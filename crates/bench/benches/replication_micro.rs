@@ -31,7 +31,7 @@ fn item(id: i64) -> Row {
 fn filled_log(records: i64) -> Arc<ReplicationLog> {
     let log = Arc::new(ReplicationLog::new());
     for i in 0..records {
-        log.append("ITEM", Key::int(i), Some(item(i)), i as u64 + 1);
+        log.append("ITEM", Key::int(i), Some(item(i)));
     }
     log
 }
@@ -46,7 +46,7 @@ fn bench_replication(c: &mut Criterion) {
             ReplicationLog::new,
             |log| {
                 for i in 0..RECORDS {
-                    log.append("ITEM", Key::int(i), Some(item(i)), i as u64 + 1);
+                    log.append("ITEM", Key::int(i), Some(item(i)));
                 }
                 log
             },

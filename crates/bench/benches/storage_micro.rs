@@ -266,7 +266,7 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
                 let mut repl = Replicator::new(Arc::clone(&log));
                 repl.register("ITEM", replica);
                 for i in 0..1_000i64 {
-                    log.append("ITEM", Key::int(i), Some(item(i)), 1);
+                    log.append("ITEM", Key::int(i), Some(item(i)));
                 }
                 repl
             },

@@ -244,12 +244,7 @@ impl BenchmarkDriver {
         let measured_samples = db.metrics().take_freshness_samples();
         let freshness = if self.config.olap.is_enabled() {
             let lag_records: Vec<u64> = measured_samples.iter().map(|s| s.lag_records).collect();
-            let lag_commit_ts: Vec<u64> =
-                measured_samples.iter().map(|s| s.lag_commit_ts).collect();
-            Some(FreshnessSummary::from_observations(
-                &lag_records,
-                &lag_commit_ts,
-            ))
+            Some(FreshnessSummary::from_observations(&lag_records))
         } else {
             None
         };

@@ -78,10 +78,9 @@ impl fmt::Display for LatencySummary {
 /// Percentiles of the replication staleness analytical reads actually
 /// observed during a run — the paper's "real-time analytics" dimension made
 /// measurable.  `lag_records_*` count committed mutations the columnar
-/// replica trailed the row store by at the moment each read started;
-/// `lag_commit_ts_*` measure the same gap as a commit-timestamp delta
-/// (logical time).  Row-store-routed analytical reads observe zero lag and
-/// are included, so the distribution covers every analytical read.
+/// replica trailed the row store by at the moment each read started.
+/// Row-store-routed analytical reads observe zero lag and are included, so
+/// the distribution covers every analytical read.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct FreshnessSummary {
     /// Number of analytical reads that recorded a freshness observation.
@@ -94,34 +93,19 @@ pub struct FreshnessSummary {
     pub lag_records_p99: u64,
     /// Maximum observed lag in records.
     pub lag_records_max: u64,
-    /// Median observed commit-timestamp delta.
-    pub lag_commit_ts_p50: u64,
-    /// 95th percentile observed commit-timestamp delta.
-    pub lag_commit_ts_p95: u64,
-    /// 99th percentile observed commit-timestamp delta.
-    pub lag_commit_ts_p99: u64,
-    /// Maximum observed commit-timestamp delta.
-    pub lag_commit_ts_max: u64,
 }
 
 impl FreshnessSummary {
-    /// Build a summary from paired per-read observations (lag in records and
-    /// lag as a commit-timestamp delta).
-    pub fn from_observations(lag_records: &[u64], lag_commit_ts: &[u64]) -> FreshnessSummary {
+    /// Build a summary from per-read observations of the lag in records.
+    pub fn from_observations(lag_records: &[u64]) -> FreshnessSummary {
         let mut records = lag_records.to_vec();
-        let mut ts = lag_commit_ts.to_vec();
         records.sort_unstable();
-        ts.sort_unstable();
         FreshnessSummary {
             observations: records.len() as u64,
             lag_records_p50: nearest_rank(&records, 0.50),
             lag_records_p95: nearest_rank(&records, 0.95),
             lag_records_p99: nearest_rank(&records, 0.99),
             lag_records_max: records.last().copied().unwrap_or(0),
-            lag_commit_ts_p50: nearest_rank(&ts, 0.50),
-            lag_commit_ts_p95: nearest_rank(&ts, 0.95),
-            lag_commit_ts_p99: nearest_rank(&ts, 0.99),
-            lag_commit_ts_max: ts.last().copied().unwrap_or(0),
         }
     }
 }
@@ -141,16 +125,12 @@ impl fmt::Display for FreshnessSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "n={} lag_records p50={} p95={} p99={} max={} lag_ts p50={} p95={} p99={} max={}",
+            "n={} lag_records p50={} p95={} p99={} max={}",
             self.observations,
             self.lag_records_p50,
             self.lag_records_p95,
             self.lag_records_p99,
-            self.lag_records_max,
-            self.lag_commit_ts_p50,
-            self.lag_commit_ts_p95,
-            self.lag_commit_ts_p99,
-            self.lag_commit_ts_max
+            self.lag_records_max
         )
     }
 }
@@ -391,19 +371,16 @@ mod tests {
     #[test]
     fn freshness_summary_percentiles() {
         let records: Vec<u64> = (1..=100).collect();
-        let ts: Vec<u64> = (1..=100).map(|v| v * 10).collect();
-        let s = FreshnessSummary::from_observations(&records, &ts);
+        let s = FreshnessSummary::from_observations(&records);
         assert_eq!(s.observations, 100);
         assert_eq!(s.lag_records_p50, 50);
         assert_eq!(s.lag_records_p95, 95);
         assert_eq!(s.lag_records_p99, 99);
         assert_eq!(s.lag_records_max, 100);
-        assert_eq!(s.lag_commit_ts_p50, 500);
-        assert_eq!(s.lag_commit_ts_max, 1000);
         let text = s.to_string();
         assert!(text.contains("p95=95"));
 
-        let empty = FreshnessSummary::from_observations(&[], &[]);
+        let empty = FreshnessSummary::from_observations(&[]);
         assert_eq!(empty.observations, 0);
         assert_eq!(empty.lag_records_max, 0);
     }

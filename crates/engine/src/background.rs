@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 /// the delay when a wake-up races the park.
 pub(crate) const IDLE_PARK: Duration = Duration::from_millis(10);
 
-/// Replication records applied per step, by an applier or by an
-/// opportunistic catch-up.
+/// Replication records an applier applies per step.
 pub(crate) const REPLICATION_BATCH: usize = 512;
 
 /// A worker's stop flag and its park/notify signal.
@@ -177,8 +176,8 @@ pub(crate) fn apply(
 /// tables installed later are picked up) and seals every full delta chunk
 /// into the compressed main tier.  A sweep that sealed nothing parks until
 /// an applier applies more mutations, or for [`IDLE_PARK`] — the self-poll
-/// that bounds staleness when writes bypass the appliers (opportunistic
-/// catch-up with the background applier off).
+/// that bounds staleness when writes bypass the appliers (the synchronous
+/// catch-up of `finish_load` and recovery).
 pub(crate) fn compact(signal: &Signal, col_tables: &SharedColumnTables, metrics: &EngineMetrics) {
     while !signal.stopping() {
         let tables: Vec<_> = col_tables.read().values().cloned().collect();

@@ -40,8 +40,8 @@ impl EngineArchitecture {
 /// The paper's central claim is that HTAP systems must answer analytical
 /// queries over *freshly committed* transactional data; the freshness policy
 /// makes that requirement explicit and enforceable.  Before a column-store
-/// read executes, the session waits (or synchronously catches the replica up)
-/// until the bound holds, and the freshness actually observed is recorded in
+/// read executes, the session waits on the shard appliers until the bound
+/// holds, and the freshness actually observed is recorded in
 /// the query's [`olxp_query::ExecStats`] and in [`crate::EngineMetrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FreshnessPolicy {
@@ -209,11 +209,6 @@ pub struct EngineConfig {
     /// ("the scan tables operations can occur in the row store of TiKV or the
     /// column store of TiFlash", §V-B1).
     pub analytical_rowstore_percent: u64,
-    /// Run a dedicated background applier thread that continuously drains the
-    /// replication log into the columnar replicas.  When disabled, replication
-    /// is applied opportunistically by sessions (the seed behaviour), and
-    /// freshness-bounded reads catch the replica up synchronously.
-    pub background_applier: bool,
     /// Freshness bound enforced on column-store analytical reads.
     pub freshness: FreshnessPolicy,
     /// Upper bound (milliseconds) a freshness-bounded read waits for the
@@ -336,7 +331,6 @@ impl EngineConfig {
             cost: CostParams::default(),
             time_scale: 1.0,
             analytical_rowstore_percent: 100,
-            background_applier: true,
             freshness: FreshnessPolicy::Eventual,
             freshness_timeout_ms: 2_000,
             durability: DurabilityConfig::disabled(),
@@ -389,12 +383,6 @@ impl EngineConfig {
     /// Override the freshness policy for analytical reads (builder style).
     pub fn with_freshness(mut self, freshness: FreshnessPolicy) -> EngineConfig {
         self.freshness = freshness;
-        self
-    }
-
-    /// Enable or disable the background replication applier (builder style).
-    pub fn with_background_applier(mut self, enabled: bool) -> EngineConfig {
-        self.background_applier = enabled;
         self
     }
 
@@ -579,7 +567,6 @@ mod tests {
     fn freshness_defaults_and_validation() {
         let cfg = EngineConfig::dual_engine();
         assert_eq!(cfg.freshness, FreshnessPolicy::Eventual);
-        assert!(cfg.background_applier);
         let bounded = cfg.with_freshness(FreshnessPolicy::BoundedRecords(64));
         assert!(bounded.validate().is_ok());
         assert!(bounded.freshness.is_bounded());

@@ -12,7 +12,7 @@
 //! Checkpoints and crash recovery live in `recovery.rs`, and the applier,
 //! compactor and sampler threads share one lifecycle in `background.rs`.
 
-use crate::background::{self, Worker, REPLICATION_BATCH};
+use crate::background::{self, Worker};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics};
@@ -24,6 +24,7 @@ use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetryState};
 use olxp_storage::checkpoint::load_latest_checkpoint;
 use olxp_storage::{
     Catalog, ColumnTable, MemoryFootprint, Row, RowTable, StorageError, TableSchema,
+    WalStatsSnapshot,
 };
 use olxp_trace::TelemetryServer;
 use olxp_txn::{TransactionManager, WriteOp};
@@ -62,12 +63,12 @@ pub(crate) type SharedColumnTables = Arc<RwLock<Arc<HashMap<String, Arc<ColumnTa
 /// the performance model and the engine metrics.  Benchmark threads interact
 /// with it through [`Session`]s obtained from [`HybridDatabase::session`].
 ///
-/// When [`EngineConfig::background_applier`] is set (the default), opening the
-/// database spawns one dedicated applier thread per shard that continuously
-/// drains the shard's replication log into the columnar replicas — the
-/// "background process" behind TiDB's asynchronous log replication.  Each
-/// thread parks when its log is empty, wakes on append, and is joined when
-/// the last reference to the database is dropped.
+/// Opening the database spawns one dedicated applier thread per shard that
+/// continuously drains the shard's replication log into the columnar
+/// replicas — the "background process" behind TiDB's asynchronous log
+/// replication, and the only thing that applies replication while the engine
+/// runs.  Each thread parks when its log is empty, wakes on append, and is
+/// joined when the last reference to the database is dropped.
 pub struct HybridDatabase {
     config: EngineConfig,
     catalog: Catalog,
@@ -81,7 +82,6 @@ pub struct HybridDatabase {
     model: Model,
     metrics: Arc<EngineMetrics>,
     olap_route_counter: AtomicU64,
-    commit_counter: AtomicU64,
     /// What recovery rebuilt when this database was opened (durable engines).
     recovery: Mutex<Option<RecoveryReport>>,
     /// WAL records logged since the last checkpoint (drives auto-checkpoints).
@@ -91,8 +91,8 @@ pub struct HybridDatabase {
     pub(crate) checkpoints_taken: AtomicU64,
     pub(crate) checkpoint_failures: AtomicU64,
     /// The delta compactor (started when [`EngineConfig::compression`] is
-    /// on).  Its signal is what appliers and catch-up steps notify when they
-    /// grow a delta tail.
+    /// on).  Its signal is what the appliers notify when they grow a delta
+    /// tail.
     compactor: Worker,
     /// Commits slower than [`EngineConfig::slow_txn_threshold_ms`], retained
     /// with their per-stage breakdown while tracing is enabled.
@@ -177,7 +177,6 @@ impl HybridDatabase {
             model,
             metrics,
             olap_route_counter: AtomicU64::new(0),
-            commit_counter: AtomicU64::new(0),
             recovery: Mutex::new(None),
             wal_records_since_ckpt: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
@@ -194,16 +193,14 @@ impl HybridDatabase {
             let report = db.recover(checkpoint, replays)?;
             *db.recovery.lock() = Some(report);
         }
-        if db.config.background_applier {
-            for (index, shard) in db.shards.iter().enumerate() {
-                let log = Arc::clone(&shard.replication);
-                let replicator = Arc::clone(&shard.replicator);
-                let (metrics, compactor) = (Arc::clone(&db.metrics), db.compactor.signal());
-                let name = format!("olxp-replication-applier-{index}");
-                shard.applier.start(name, move |signal| {
-                    background::apply(signal, index, &log, &replicator, &metrics, &compactor)
-                });
-            }
+        for (index, shard) in db.shards.iter().enumerate() {
+            let log = Arc::clone(&shard.replication);
+            let replicator = Arc::clone(&shard.replicator);
+            let (metrics, compactor) = (Arc::clone(&db.metrics), db.compactor.signal());
+            let name = format!("olxp-replication-applier-{index}");
+            shard.applier.start(name, move |signal| {
+                background::apply(signal, index, &log, &replicator, &metrics, &compactor)
+            });
         }
         if db.config.compression {
             let (tables, metrics) = (Arc::clone(&db.col_tables), Arc::clone(&db.metrics));
@@ -324,14 +321,11 @@ impl HybridDatabase {
     /// aggregated across every shard's stream).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = self.metrics.snapshot();
-        snapshot.wal = self.wal_metrics();
+        let wal_stats = self.wal_stats();
+        snapshot.wal = self.merge_wal_stats(&wal_stats);
         snapshot.shards = self.shards.len() as u64;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let Some(wal) = &shard.wal else { continue };
-            let Some(entry) = snapshot.per_shard.get_mut(i) else {
-                continue;
-            };
-            let stats = wal.stats();
+        for (entry, stats) in snapshot.per_shard.iter_mut().zip(&wal_stats) {
+            let Some(stats) = stats else { continue };
             entry.wal_appends = stats.appends;
             entry.wal_fsyncs = stats.fsyncs;
         }
@@ -354,6 +348,20 @@ impl HybridDatabase {
     /// summed across the per-shard WAL streams; group-commit batch
     /// percentiles report the largest observed on any shard.
     pub fn wal_metrics(&self) -> WalMetrics {
+        self.merge_wal_stats(&self.wal_stats())
+    }
+
+    /// Each shard's WAL counters, read once (`None` for a shard without a
+    /// WAL stream).
+    fn wal_stats(&self) -> Vec<Option<WalStatsSnapshot>> {
+        self.shards
+            .iter()
+            .map(|shard| shard.wal.as_ref().map(|wal| wal.stats()))
+            .collect()
+    }
+
+    /// The cross-shard merge behind [`Self::wal_metrics`].
+    fn merge_wal_stats(&self, wal_stats: &[Option<WalStatsSnapshot>]) -> WalMetrics {
         if !self.is_durable() {
             return WalMetrics::default();
         }
@@ -362,9 +370,7 @@ impl HybridDatabase {
             checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
             ..WalMetrics::default()
         };
-        for shard in &self.shards {
-            let Some(wal) = &shard.wal else { continue };
-            let stats = wal.stats();
+        for stats in wal_stats.iter().flatten() {
             m.appends += stats.appends;
             m.fsyncs += stats.fsyncs;
             m.bytes_written += stats.bytes_written;
@@ -525,32 +531,6 @@ impl HybridDatabase {
     // Replication and background workers
     // ------------------------------------------------------------------
 
-    /// Apply one batch of pending replication records on every shard
-    /// (asynchronous log replication step).  Called opportunistically by
-    /// sessions when no background applier is running; failures are counted
-    /// in the engine metrics and surfaced to the caller.
-    pub fn replicate_step(&self) -> EngineResult<usize> {
-        let mut total = 0;
-        for shard in &self.shards {
-            let result = shard.replicator.lock().apply_pending(REPLICATION_BATCH);
-            match result {
-                Ok(applied) => total += applied,
-                Err(e) => {
-                    if total > 0 {
-                        self.metrics.add_replication_applied(total as u64);
-                    }
-                    self.metrics.add_replication_error();
-                    return Err(e.into());
-                }
-            }
-        }
-        if total > 0 {
-            self.metrics.add_replication_applied(total as u64);
-            self.compactor.signal().notify();
-        }
-        Ok(total)
-    }
-
     /// True while every shard's dedicated background applier thread is
     /// running: a thread that exited or panicked on any shard reads false.
     pub fn has_background_applier(&self) -> bool {
@@ -558,8 +538,9 @@ impl HybridDatabase {
     }
 
     /// Stop every shard's background applier thread and wait for it to exit.
-    /// Further replication is applied opportunistically (or via
-    /// [`Self::finish_load`]).  Idempotent; also invoked on drop.
+    /// Nothing applies replication afterwards: eventual reads serve the
+    /// replica as of the stop and bounded reads time out.  Idempotent; also
+    /// invoked on drop.
     pub fn shutdown_applier(&self) {
         for shard in &self.shards {
             // The applier parks on its log, which appends wake; wake it too.
@@ -640,18 +621,9 @@ impl HybridDatabase {
         }
     }
 
-    /// Record a commit.  Without a background applier, trigger an
-    /// opportunistic replication step every few commits so the columnar
-    /// replicas keep up; with the appliers running, the append itself already
-    /// woke the owning shard's applier thread.
+    /// Record a commit.  The append already woke the owning shard's applier.
     pub fn note_commit(&self) {
         self.metrics.add_commit();
-        let n = self.commit_counter.fetch_add(1, Ordering::Relaxed);
-        if n % 32 == 0 && !self.has_background_applier() {
-            // A failure is counted in the metrics by replicate_step and the
-            // records stay queued; the next analytical read surfaces it.
-            let _ = self.replicate_step();
-        }
     }
 
     /// Record an abort.
@@ -715,10 +687,10 @@ mod tests {
 
     #[test]
     fn load_rows_replicate_to_column_store() {
-        // Disable the background applier so the pre-finish_load lag is
+        // Stop the background applier so the pre-finish_load lag is
         // deterministic.
-        let db = HybridDatabase::new(EngineConfig::dual_engine().with_background_applier(false))
-            .unwrap();
+        let db = HybridDatabase::dual_engine();
+        db.shutdown_applier();
         db.create_table(item_schema()).unwrap();
         for i in 0..100 {
             db.load_row(
@@ -739,12 +711,7 @@ mod tests {
 
     #[test]
     fn sharded_engine_partitions_rows_and_merges_scans() {
-        let db = HybridDatabase::new(
-            EngineConfig::dual_engine()
-                .with_shards(4)
-                .with_background_applier(false),
-        )
-        .unwrap();
+        let db = HybridDatabase::new(EngineConfig::dual_engine().with_shards(4)).unwrap();
         assert_eq!(db.shard_count(), 4);
         db.create_table(item_schema()).unwrap();
         for i in 0..200 {

@@ -14,9 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct FreshnessSample {
     /// Committed mutation records the replica trailed the row store by.
     pub lag_records: u64,
-    /// Commit-timestamp delta between the newest committed mutation and the
-    /// newest applied one (logical staleness).
-    pub lag_commit_ts: u64,
 }
 
 /// Cap on retained freshness samples; beyond it only the counter advances so
@@ -731,17 +728,11 @@ mod tests {
     #[test]
     fn freshness_samples_are_recorded_and_drained() {
         let m = EngineMetrics::new();
-        m.record_freshness(FreshnessSample {
-            lag_records: 3,
-            lag_commit_ts: 9,
-        });
+        m.record_freshness(FreshnessSample { lag_records: 3 });
         let first = m.take_freshness_samples();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].lag_records, 3);
-        m.record_freshness(FreshnessSample {
-            lag_records: 7,
-            lag_commit_ts: 21,
-        });
+        m.record_freshness(FreshnessSample { lag_records: 7 });
         let second = m.take_freshness_samples();
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].lag_records, 7);

@@ -329,7 +329,6 @@ impl HybridDatabase {
                         schema.name(),
                         key.clone(),
                         Some(Row::clone(row)),
-                        reseed_ts,
                     );
                 });
             }

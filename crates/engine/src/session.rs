@@ -484,7 +484,6 @@ impl Session {
                 let source = ColumnSource::new(&tables);
                 let mut output = execute(plan, &source)?;
                 output.stats.freshness_lag_records = freshness.lag_records;
-                output.stats.freshness_lag_ts = freshness.lag_commit_ts;
                 self.db.metrics().record_freshness(freshness);
                 self.note_query_batches(&output.stats);
                 self.db
@@ -521,55 +520,37 @@ impl Session {
     // Internals
     // ------------------------------------------------------------------
 
-    /// One consistent snapshot of the replication lag across every shard's
-    /// pipeline: record lag sums, timestamp lag is the worst shard's.
+    /// The replication lag in records, summed across every shard's pipeline.
     ///
-    /// Per shard, the appended watermarks are read *before* the applied
-    /// watermarks, and applied watermarks only grow, so the computed lag
-    /// never exceeds the true lag at the moment the appended side was
-    /// sampled.  A sample that satisfies a bound therefore proves the bound
-    /// held.
+    /// Per shard, the appended watermark is read *before* the applied
+    /// watermark, and applied watermarks only grow, so the computed lag never
+    /// exceeds the true lag at the moment the appended side was sampled.  A
+    /// sample that satisfies a bound therefore proves the bound held.
     fn freshness_now(&self) -> FreshnessSample {
-        let mut lag_records = 0;
-        let mut lag_commit_ts = 0;
-        for log in self.db.replication_logs() {
-            let appended = log.last_appended_lsn();
-            let appended_ts = log.last_appended_commit_ts();
-            let applied = log.last_applied_lsn();
-            let applied_ts = log.last_applied_commit_ts();
-            lag_records += appended.saturating_sub(applied);
-            lag_commit_ts = lag_commit_ts.max(appended_ts.saturating_sub(applied_ts));
-        }
         FreshnessSample {
-            lag_records,
-            lag_commit_ts,
+            lag_records: self
+                .db
+                .replication_logs()
+                .iter()
+                .map(|log| log.lag_records())
+                .sum(),
         }
     }
 
-    /// Wait (or synchronously catch up) until the configured freshness bound
-    /// holds, then return the freshness observed at that moment.
+    /// Wait until the configured freshness bound holds, then return the
+    /// freshness observed at that moment.
     ///
-    /// With the background applier running the read parks on the log's
-    /// applied watermark; without it, the read drives replication itself via
-    /// [`HybridDatabase::replicate_step`].  Either way a replication failure
-    /// or an unsatisfiable bound surfaces as an error — a broken replica no
-    /// longer degrades silently to stale answers.
+    /// The read only parks on the shards' applied watermarks: the per-shard
+    /// appliers are the one thing that applies replication.  A bound that
+    /// does not hold within the timeout — a stalled, broken or stopped
+    /// applier — surfaces as [`EngineError::FreshnessTimeout`], so a broken
+    /// replica never degrades silently to stale answers.
     fn ensure_freshness(&self) -> EngineResult<FreshnessSample> {
         let policy = self.db.config().freshness;
-        let logs = self.db.replication_logs();
-        let lag_of = |log: &Arc<olxp_storage::ReplicationLog>| {
-            log.last_appended_lsn()
-                .saturating_sub(log.last_applied_lsn())
-        };
-
         if let FreshnessPolicy::Eventual = policy {
-            // No bound to wait for; still drive replication forward when
-            // nobody else does, and surface failures.
-            if !self.db.has_background_applier() {
-                self.db.replicate_step()?;
-            }
             return Ok(self.freshness_now());
         }
+        let logs = self.db.replication_logs();
 
         // Strict pins every shard's watermark at entry: everything committed
         // before the read started must be visible, later commits need not be.
@@ -596,7 +577,7 @@ impl Session {
                     // so an in-flight old record can only make the check
                     // fail, not pass.
                     let (pending, age) = log.queue_snapshot();
-                    let lag = lag_of(log);
+                    let lag = log.lag_records();
                     match age {
                         Some(age) => pending as u64 >= lag && age.as_nanos() as u64 <= bound,
                         None => lag == 0,
@@ -627,62 +608,50 @@ impl Session {
                     waited_ms: now.duration_since(started).as_millis() as u64,
                 });
             }
-            // Re-checked every iteration: the applier can be shut down while
-            // a reader waits, in which case the reader must start driving
-            // replication itself instead of parking on a watermark no thread
-            // will ever advance.
-            if self.db.has_background_applier() {
-                // Park until an applied watermark reaches the LSN that
-                // satisfies the bound (re-sampled each iteration: writers may
-                // keep appending).  Record- and LSN-based bounds only change
-                // when a watermark moves, so they can sleep until the
-                // deadline; time-based bounds also change with wall time and
-                // re-check every millisecond.
-                let budget = deadline - now;
-                match policy {
-                    FreshnessPolicy::BoundedNanos(_) => {
-                        let log = logs
-                            .iter()
-                            .max_by_key(|l| lag_of(l))
-                            .expect("at least one shard");
-                        log.wait_for_applied(
-                            log.last_applied_lsn() + 1,
-                            Duration::from_millis(1).min(budget),
-                        );
-                    }
-                    FreshnessPolicy::BoundedRecords(n) => {
-                        // The other shards' lag eats into the laggiest
-                        // shard's allowance: the total stays within the
-                        // bound only once this shard's lag shrinks to
-                        // whatever the rest leaves over.
-                        // (One sample per shard: lag moves under the
-                        // writers, and a second look could exceed the sum.)
-                        let lags: Vec<u64> = logs.iter().map(&lag_of).collect();
-                        let (laggiest, worst) = lags
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|&(_, &lag)| lag)
-                            .expect("at least one shard");
-                        let others = lags.iter().sum::<u64>() - worst;
-                        let allowance = n.saturating_sub(others);
-                        let log = &logs[laggiest];
-                        log.wait_for_applied(
-                            log.last_appended_lsn().saturating_sub(allowance),
-                            budget,
-                        );
-                    }
-                    _ => {
-                        if let Some((i, log)) = logs
-                            .iter()
-                            .enumerate()
-                            .find(|(i, l)| l.last_applied_lsn() < strict_targets[*i])
-                        {
-                            log.wait_for_applied(strict_targets[i], budget);
-                        }
+            // Park until an applied watermark reaches the LSN that satisfies
+            // the bound (re-sampled each iteration: writers may keep
+            // appending).  Record- and LSN-based bounds only change when a
+            // watermark moves, so they can sleep until the deadline;
+            // time-based bounds also change with wall time and re-check
+            // every millisecond.
+            let budget = deadline - now;
+            match policy {
+                FreshnessPolicy::BoundedNanos(_) => {
+                    let log = logs
+                        .iter()
+                        .max_by_key(|l| l.lag_records())
+                        .expect("at least one shard");
+                    log.wait_for_applied(
+                        log.last_applied_lsn() + 1,
+                        Duration::from_millis(1).min(budget),
+                    );
+                }
+                FreshnessPolicy::BoundedRecords(n) => {
+                    // The other shards' lag eats into the laggiest shard's
+                    // allowance: the total stays within the bound only once
+                    // this shard's lag shrinks to whatever the rest leaves
+                    // over.  (One sample per shard: lag moves under the
+                    // writers, and a second look could exceed the sum.)
+                    let lags: Vec<u64> = logs.iter().map(|l| l.lag_records()).collect();
+                    let (laggiest, worst) = lags
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|&(_, &lag)| lag)
+                        .expect("at least one shard");
+                    let others = lags.iter().sum::<u64>() - worst;
+                    let allowance = n.saturating_sub(others);
+                    let log = &logs[laggiest];
+                    log.wait_for_applied(log.last_appended_lsn().saturating_sub(allowance), budget);
+                }
+                _ => {
+                    if let Some((i, log)) = logs
+                        .iter()
+                        .enumerate()
+                        .find(|(i, l)| l.last_applied_lsn() < strict_targets[*i])
+                    {
+                        log.wait_for_applied(strict_targets[i], budget);
                     }
                 }
-            } else {
-                self.db.replicate_step()?;
             }
         }
     }
@@ -1001,9 +970,7 @@ impl<'db> CommitCtx<'db> {
                     (table, key, None)
                 }
             };
-            self.db
-                .replication_for(at.shard)
-                .append(&table, key, row, ts);
+            self.db.replication_for(at.shard).append(&table, key, row);
         }
         // One install span per commit, tagged with the first touched shard.
         self.stage_end(SpanCategory::Install, self.shards[0]);
@@ -1445,10 +1412,9 @@ mod tests {
     }
 
     #[test]
-    fn strict_freshness_sees_every_prior_commit_without_an_applier() {
-        let config = colstore_only(EngineConfig::dual_engine())
-            .with_background_applier(false)
-            .with_freshness(FreshnessPolicy::Strict);
+    fn strict_freshness_sees_every_prior_commit() {
+        let config =
+            colstore_only(EngineConfig::dual_engine()).with_freshness(FreshnessPolicy::Strict);
         let db = test_db(config);
         let session = db.session();
         let mut txn = session.begin(WorkClass::Oltp);
@@ -1472,14 +1438,12 @@ mod tests {
         let out = session.analytical_query(&plan).unwrap();
         assert_eq!(out.rows[0][0].as_f64(), Some(0.01), "strict read is fresh");
         assert_eq!(out.stats.freshness_lag_records, 0);
-        assert_eq!(out.stats.freshness_lag_ts, 0);
         assert!(db.metrics_snapshot().freshness_observations >= 1);
     }
 
     #[test]
     fn bounded_records_freshness_is_enforced_and_observed() {
         let config = colstore_only(EngineConfig::dual_engine())
-            .with_background_applier(false)
             .with_freshness(FreshnessPolicy::BoundedRecords(5));
         let db = test_db(config);
         let session = db.session();
@@ -1511,42 +1475,12 @@ mod tests {
     }
 
     #[test]
-    fn freshness_timeout_surfaces_instead_of_serving_stale() {
-        // No applier and a bound the (empty-stepped) pipeline cannot satisfy:
-        // simulate a stalled pipeline by appending a record for a table with
-        // no replica-side progress possible — here we shut the applier down
-        // and jam the log with a poison record that every step fails on.
-        let config = colstore_only(EngineConfig::dual_engine())
-            .with_background_applier(false)
-            .with_freshness(FreshnessPolicy::Strict)
-            .with_freshness_timeout_ms(50);
-        let db = test_db(config);
-        let session = db.session();
-        // Poison: a wrong-arity row image fails to apply and is retained at
-        // the head of the queue.
-        db.replication_for(0).append(
-            "ITEM",
-            Key::int(42_000),
-            Some(Row::new(vec![Value::Int(42_000)])),
-            db.txn_manager().oracle().read_ts(),
-        );
-        let plan = QueryBuilder::scan("ITEM")
-            .aggregate(vec![], vec![AggSpec::new(AggFunc::Count, 0)])
-            .build();
-        let err = session.analytical_query(&plan);
-        assert!(
-            err.is_err(),
-            "a broken replica must not serve stale answers"
-        );
-        assert!(db.metrics_snapshot().replication_errors >= 1);
-    }
-
-    #[test]
     fn freshness_timeout_is_counted_in_metrics() {
         // Background applier running but wedged on a poison record (a
         // wrong-arity row image never applies): a Strict reader parks
-        // on the applied watermark until the deadline, and the timeout must
-        // land in the freshness_timeouts SLO counter.
+        // on the applied watermark until the deadline instead of serving
+        // stale answers, and the timeout must land in the
+        // freshness_timeouts SLO counter.
         let config = colstore_only(EngineConfig::dual_engine())
             .with_freshness(FreshnessPolicy::Strict)
             .with_freshness_timeout_ms(50);
@@ -1556,7 +1490,6 @@ mod tests {
             "ITEM",
             Key::int(43_000),
             Some(Row::new(vec![Value::Int(43_000)])),
-            db.txn_manager().oracle().read_ts(),
         );
         let plan = QueryBuilder::scan("ITEM")
             .aggregate(vec![], vec![AggSpec::new(AggFunc::Count, 0)])
@@ -1566,7 +1499,49 @@ mod tests {
             matches!(err, Err(EngineError::FreshnessTimeout { .. })),
             "expected a freshness timeout, got {err:?}"
         );
+        let snapshot = db.metrics_snapshot();
+        assert_eq!(snapshot.freshness_timeouts, 1);
+        assert!(snapshot.replication_errors >= 1);
+    }
+
+    #[test]
+    fn a_stopped_applier_times_out_a_strict_read() {
+        // Readers only wait: with the applier stopped nothing applies the
+        // log, so a Strict read of a newer commit times out and leaves the
+        // lag exactly where it was.
+        let config = colstore_only(EngineConfig::dual_engine())
+            .with_freshness(FreshnessPolicy::Strict)
+            .with_freshness_timeout_ms(50);
+        let db = test_db(config);
+        db.shutdown_applier();
+        let session = db.session();
+        let mut txn = session.begin(WorkClass::Oltp);
+        session
+            .update(
+                &mut txn,
+                "ITEM",
+                &Key::int(3),
+                Row::new(vec![
+                    Value::Int(3),
+                    Value::Str("item-3".into()),
+                    Value::Decimal(1),
+                ]),
+            )
+            .unwrap();
+        session.commit(txn).unwrap();
+        let lag = db.replication_lag();
+        assert!(lag >= 1, "the commit is still unapplied");
+
+        let plan = QueryBuilder::scan("ITEM")
+            .aggregate(vec![], vec![AggSpec::new(AggFunc::Min, 2)])
+            .build();
+        let err = session.analytical_query(&plan);
+        assert!(
+            matches!(err, Err(EngineError::FreshnessTimeout { .. })),
+            "expected a freshness timeout, got {err:?}"
+        );
         assert_eq!(db.metrics_snapshot().freshness_timeouts, 1);
+        assert_eq!(db.replication_lag(), lag, "the read applied nothing");
     }
 
     #[test]
@@ -1861,7 +1836,10 @@ mod tests {
     /// to two nodes; ids 0, 9 and 1003 to two of the single engine's four
     /// nodes, and to one of the dual engine's two but to two of four shards.
     fn modelled_script(config: EngineConfig) -> Arc<HybridDatabase> {
-        let db = test_db(config.with_background_applier(false));
+        let db = test_db(config);
+        // The replica catches up only at `finish_load` below, as it did
+        // when the model numbers were captured.
+        db.shutdown_applier();
         let s = db.session();
         let item = |id: i64, price: i64| {
             Row::new(vec![

@@ -375,11 +375,7 @@ pub fn health_report(db: &HybridDatabase) -> HealthReport {
     let snapshot = db.metrics_snapshot();
     let config = db.config();
     let mut checks = vec![
-        thread_check(
-            "replication_applier",
-            config.background_applier,
-            db.has_background_applier(),
-        ),
+        thread_check("replication_applier", true, db.has_background_applier()),
         thread_check(
             "delta_compactor",
             config.compression,

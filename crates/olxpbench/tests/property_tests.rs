@@ -111,19 +111,19 @@ proptest! {
                     if row_table.get(&key, ts).is_none()
                         && row_table.insert(row.clone(), ts).is_ok()
                     {
-                        log.append("T", key, Some(row), ts);
+                        log.append("T", key, Some(row));
                     }
                 }
                 1 => {
                     if row_table.get(&key, ts).is_some()
                         && row_table.update(&key, row.clone(), ts).is_ok()
                     {
-                        log.append("T", key, Some(row), ts);
+                        log.append("T", key, Some(row));
                     }
                 }
                 _ => {
                     if row_table.get(&key, ts).is_some() && row_table.delete(&key, ts).is_ok() {
-                        log.append("T", key, None, ts);
+                        log.append("T", key, None);
                     }
                 }
             }

@@ -91,9 +91,6 @@ pub struct ExecStats {
     /// query read from at the moment the read started (0 for reads of the
     /// authoritative row store).  Filled in by the engine session.
     pub freshness_lag_records: u64,
-    /// Replication lag as a commit-timestamp delta at the moment the read
-    /// started (0 for row-store reads).  Filled in by the engine session.
-    pub freshness_lag_ts: u64,
     /// Column-store chunks whose data was actually read by table scans.
     pub chunks_scanned: u64,
     /// Column-store chunks skipped by zone maps (min/max or live count).
@@ -131,7 +128,6 @@ impl ExecStats {
         // Freshness is a point-in-time observation, not additive work: keep
         // the worst (stalest) observation across merged statements.
         self.freshness_lag_records = self.freshness_lag_records.max(other.freshness_lag_records);
-        self.freshness_lag_ts = self.freshness_lag_ts.max(other.freshness_lag_ts);
     }
 }
 

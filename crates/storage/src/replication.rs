@@ -10,26 +10,22 @@
 //! the newest appended LSN and the newest applied LSN is the replication lag —
 //! the data-freshness dimension the paper's real-time queries care about.
 //!
-//! The log tracks freshness along three axes:
+//! The log tracks freshness along two axes:
 //!
 //! * **records** — appended LSN minus applied LSN ([`ReplicationLog::lag_records`]);
-//! * **commit timestamps** — newest appended commit timestamp minus newest
-//!   applied commit timestamp ([`ReplicationLog::lag_commit_ts`]), the logical
-//!   "how far behind the transactional history" measure;
 //! * **wall-clock age** — how long the oldest still-pending record has been
 //!   waiting ([`ReplicationLog::oldest_pending_age`]), the bound enforced by
 //!   time-based freshness policies.
 //!
-//! Appenders (committing transactions) and appliers (the background applier
-//! thread or an opportunistic session step) synchronise through two condition
-//! variables: appliers park on the queue until work arrives, and freshness-
-//! bounded readers park on the applied watermark until it advances.
+//! Appenders (committing transactions) and the shard's background applier
+//! thread synchronise through two condition variables: the applier parks on
+//! the queue until work arrives, and freshness-bounded readers park on the
+//! applied watermark until it advances.
 
 use crate::colstore::ColumnTable;
 use crate::error::StorageResult;
 use crate::key::Key;
 use crate::row::Row;
-use crate::Timestamp;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +43,6 @@ pub struct LogRecord {
     pub key: Key,
     /// The row's new image, or `None` for a tombstone.
     pub row: Option<Row>,
-    /// Commit timestamp of the producing transaction.
-    pub commit_ts: Timestamp,
     /// Wall-clock instant the record entered the log (drives time-based
     /// freshness bounds).
     pub appended_at: Instant,
@@ -69,8 +63,6 @@ pub struct ReplicationLog {
     /// store pairs with the `Acquire` loads of lock-free watermark readers.
     appended: AtomicU64,
     applied: AtomicU64,
-    appended_commit_ts: AtomicU64,
-    applied_commit_ts: AtomicU64,
     /// Guards [`Self::applied_cv`]; freshness-bounded readers park on it until
     /// the applied watermark advances.
     applied_mutex: Mutex<()>,
@@ -91,8 +83,6 @@ impl ReplicationLog {
             pending_cv: Condvar::new(),
             appended: AtomicU64::new(0),
             applied: AtomicU64::new(0),
-            appended_commit_ts: AtomicU64::new(0),
-            applied_commit_ts: AtomicU64::new(0),
             applied_mutex: Mutex::new(()),
             applied_cv: Condvar::new(),
         }
@@ -104,7 +94,7 @@ impl ReplicationLog {
     /// assigned while holding the queue lock, so concurrent committers cannot
     /// enqueue records out of LSN order, and the appended high-water mark
     /// only ever moves forward.
-    pub fn append(&self, table: &str, key: Key, row: Option<Row>, commit_ts: Timestamp) -> u64 {
+    pub fn append(&self, table: &str, key: Key, row: Option<Row>) -> u64 {
         let mut queue = self.queue.lock();
         let lsn = self.appended.load(Ordering::Relaxed) + 1;
         queue.push_back(LogRecord {
@@ -112,12 +102,9 @@ impl ReplicationLog {
             table: table.to_string(),
             key,
             row,
-            commit_ts,
             appended_at: Instant::now(),
         });
         self.appended.store(lsn, Ordering::Release);
-        self.appended_commit_ts
-            .fetch_max(commit_ts, Ordering::Release);
         self.pending_cv.notify_one();
         lsn
     }
@@ -159,27 +146,10 @@ impl ReplicationLog {
         self.applied.load(Ordering::Acquire)
     }
 
-    /// Newest commit timestamp ever appended.
-    pub fn last_appended_commit_ts(&self) -> Timestamp {
-        self.appended_commit_ts.load(Ordering::Acquire)
-    }
-
-    /// Newest commit timestamp acknowledged as applied.
-    pub fn last_applied_commit_ts(&self) -> Timestamp {
-        self.applied_commit_ts.load(Ordering::Acquire)
-    }
-
     /// Replication lag in records.
     pub fn lag_records(&self) -> u64 {
         self.last_appended_lsn()
             .saturating_sub(self.last_applied_lsn())
-    }
-
-    /// Replication lag as a commit-timestamp delta (how far the analytical
-    /// view trails the transactional history in logical time).
-    pub fn lag_commit_ts(&self) -> Timestamp {
-        self.last_appended_commit_ts()
-            .saturating_sub(self.last_applied_commit_ts())
     }
 
     /// Wall-clock age of the oldest record still waiting to be applied, or
@@ -230,9 +200,8 @@ impl ReplicationLog {
     /// Like [`Self::wait_for_pending`], this performs a *single* wait rather
     /// than re-waiting on wakeups that have not reached the target yet:
     /// wakeups can be administrative (applier shutdown), and the caller's
-    /// retry loop must get the chance to re-evaluate its strategy (e.g. fall
-    /// back to stepping replication itself) instead of sleeping out the full
-    /// timeout here.
+    /// retry loop must get the chance to re-check its bound and deadline
+    /// instead of sleeping out the full timeout here.
     pub fn wait_for_applied(&self, target_lsn: u64, timeout: Duration) -> bool {
         if self.last_applied_lsn() >= target_lsn {
             return true;
@@ -245,13 +214,11 @@ impl ReplicationLog {
         self.last_applied_lsn() >= target_lsn
     }
 
-    /// Advance the applied watermarks for one successfully applied record.
+    /// Advance the applied watermark for one successfully applied record.
     /// Waiters are notified per *batch* (see [`Self::notify_applied`]), not
     /// per record, to keep the hot apply path free of lock traffic.
-    fn mark_applied(&self, lsn: u64, commit_ts: Timestamp) {
+    fn mark_applied(&self, lsn: u64) {
         self.applied.fetch_max(lsn, Ordering::Release);
-        self.applied_commit_ts
-            .fetch_max(commit_ts, Ordering::Release);
     }
 
     /// Wake readers parked on the applied watermark.  Called by the
@@ -305,7 +272,7 @@ impl Replicator {
                 }
                 return Err(e);
             }
-            self.log.mark_applied(record.lsn, record.commit_ts);
+            self.log.mark_applied(record.lsn);
             applied += 1;
         }
         if applied > 0 {
@@ -331,11 +298,6 @@ impl Replicator {
             }
             total += applied;
         }
-    }
-
-    /// The underlying log.
-    pub fn log(&self) -> &Arc<ReplicationLog> {
-        &self.log
     }
 }
 
@@ -368,13 +330,11 @@ mod tests {
     #[test]
     fn lsns_are_monotonic_and_lag_is_tracked() {
         let log = ReplicationLog::new();
-        let a = log.append("ORDERS", Key::int(1), Some(order(1, 10)), 5);
-        let b = log.append("ORDERS", Key::int(2), Some(order(2, 20)), 6);
+        let a = log.append("ORDERS", Key::int(1), Some(order(1, 10)));
+        let b = log.append("ORDERS", Key::int(2), Some(order(2, 20)));
         assert!(b > a);
         assert_eq!(log.pending(), 2);
         assert_eq!(log.lag_records(), 2);
-        assert_eq!(log.last_appended_commit_ts(), 6);
-        assert_eq!(log.lag_commit_ts(), 6);
         assert!(log.oldest_pending_age().is_some());
     }
 
@@ -389,12 +349,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         let id = (t * PER_THREAD + i) as i64;
-                        log.append(
-                            "ORDERS",
-                            Key::int(id),
-                            Some(order(id, 1)),
-                            id as Timestamp + 1,
-                        );
+                        log.append("ORDERS", Key::int(id), Some(order(id, 1)));
                     }
                 });
             }
@@ -431,7 +386,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let id = (t * 200 + i) as i64;
-                        log.append("ORDERS", Key::int(id), Some(order(id, 1)), 1);
+                        log.append("ORDERS", Key::int(id), Some(order(id, 1)));
                     }
                 });
             }
@@ -454,16 +409,14 @@ mod tests {
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
 
-        log.append("ORDERS", Key::int(1), Some(order(1, 10)), 5);
-        log.append("ORDERS", Key::int(1), Some(order(1, 99)), 6);
-        log.append("ORDERS", Key::int(2), Some(order(2, 20)), 7);
-        log.append("ORDERS", Key::int(2), None, 8);
+        log.append("ORDERS", Key::int(1), Some(order(1, 10)));
+        log.append("ORDERS", Key::int(1), Some(order(1, 99)));
+        log.append("ORDERS", Key::int(2), Some(order(2, 20)));
+        log.append("ORDERS", Key::int(2), None);
 
         let applied = repl.catch_up().unwrap();
         assert_eq!(applied, 4);
         assert_eq!(log.lag_records(), 0);
-        assert_eq!(log.lag_commit_ts(), 0);
-        assert_eq!(log.last_applied_commit_ts(), 8);
         assert_eq!(replica.live_row_count(), 1);
 
         let mut amounts = Vec::new();
@@ -484,15 +437,10 @@ mod tests {
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
 
-        log.append("ORDERS", Key::int(1), Some(order(1, 10)), 5);
+        log.append("ORDERS", Key::int(1), Some(order(1, 10)));
         // Poison record: a wrong-arity row image fails to apply.
-        log.append(
-            "ORDERS",
-            Key::int(2),
-            Some(Row::new(vec![Value::Int(2)])),
-            6,
-        );
-        log.append("ORDERS", Key::int(3), Some(order(3, 30)), 7);
+        log.append("ORDERS", Key::int(2), Some(Row::new(vec![Value::Int(2)])));
+        log.append("ORDERS", Key::int(3), Some(order(3, 30)));
 
         let err = repl.apply_pending(16);
         assert!(matches!(err, Err(StorageError::ArityMismatch { .. })));
@@ -522,7 +470,7 @@ mod tests {
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
-        log.append("ORDERS", Key::int(7), Some(order(7, 70)), 3);
+        log.append("ORDERS", Key::int(7), Some(order(7, 70)));
         repl.catch_up().unwrap();
         assert_eq!(replica.live_row_count(), 1);
     }
@@ -535,12 +483,7 @@ mod tests {
         repl.register("ORDERS", Arc::clone(&replica));
         // A malformed row image (wrong arity) must surface the schema error
         // and leave the replica untouched.
-        log.append(
-            "ORDERS",
-            Key::int(1),
-            Some(Row::new(vec![Value::Int(1)])),
-            3,
-        );
+        log.append("ORDERS", Key::int(1), Some(Row::new(vec![Value::Int(1)])));
         let err = repl.apply_pending(4);
         assert!(err.is_err(), "schema mismatch must propagate");
         assert!(
@@ -555,7 +498,7 @@ mod tests {
     fn unregistered_tables_are_skipped_but_acknowledged() {
         let log = Arc::new(ReplicationLog::new());
         let repl = Replicator::new(Arc::clone(&log));
-        log.append("HISTORY", Key::int(1), Some(order(1, 1)), 2);
+        log.append("HISTORY", Key::int(1), Some(order(1, 1)));
         assert_eq!(repl.catch_up().unwrap(), 1);
         assert_eq!(log.lag_records(), 0);
     }
@@ -564,7 +507,7 @@ mod tests {
     fn drain_respects_batch_size() {
         let log = ReplicationLog::new();
         for i in 0..10 {
-            log.append("ORDERS", Key::int(i), Some(order(i, 1)), 1);
+            log.append("ORDERS", Key::int(i), Some(order(i, 1)));
         }
         assert_eq!(log.drain(3).len(), 3);
         assert_eq!(log.pending(), 7);
@@ -574,7 +517,7 @@ mod tests {
     fn requeue_front_preserves_order() {
         let log = ReplicationLog::new();
         for i in 0..5 {
-            log.append("ORDERS", Key::int(i), Some(order(i, 1)), 1);
+            log.append("ORDERS", Key::int(i), Some(order(i, 1)));
         }
         let drained = log.drain(3);
         log.requeue_front(drained);
@@ -589,7 +532,7 @@ mod tests {
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
-        log.append("ORDERS", Key::int(1), Some(order(1, 1)), 2);
+        log.append("ORDERS", Key::int(1), Some(order(1, 1)));
 
         assert!(
             !log.wait_for_applied(1, Duration::from_millis(5)),
@@ -614,7 +557,7 @@ mod tests {
         thread::scope(|scope| {
             let waiter_log = Arc::clone(&log);
             let waiter = scope.spawn(move || waiter_log.wait_for_pending(Duration::from_secs(5)));
-            log.append("ORDERS", Key::int(1), Some(order(1, 1)), 2);
+            log.append("ORDERS", Key::int(1), Some(order(1, 1)));
             assert!(waiter.join().unwrap());
         });
     }

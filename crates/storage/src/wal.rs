@@ -51,6 +51,7 @@ use crate::row::Row;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::Value;
 use crate::Timestamp;
+use olxp_trace::LogHistogram;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -66,9 +67,6 @@ const FLUSH_THRESHOLD: usize = 128 * 1024;
 /// Upper bound on one encoded record; larger length prefixes are treated as
 /// corruption rather than attempted allocations.
 const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
-
-/// Cap on retained group-commit batch-size samples.
-const BATCH_SAMPLE_CAP: usize = 1 << 20;
 
 /// How commits are made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -196,7 +194,8 @@ pub struct WalStatsSnapshot {
     pub bytes_written: u64,
     /// Commits acknowledged through [`Wal::sync_to`].
     pub synced_commits: u64,
-    /// Group-commit batch size percentiles (committers per fsync).
+    /// Group-commit batch size percentiles (committers per fsync) over
+    /// every fsync since open: exact below 64, within 1/32 above.
     pub batch_p50: u64,
     /// 90th percentile batch size.
     pub batch_p90: u64,
@@ -266,7 +265,8 @@ struct WalCounters {
     fsyncs: AtomicU64,
     bytes_written: AtomicU64,
     synced_commits: AtomicU64,
-    batch_samples: Mutex<Vec<u64>>,
+    /// Committers per fsync; exact below 64, within 1/32 above.
+    batch_sizes: Mutex<LogHistogram>,
 }
 
 /// The write-ahead log.
@@ -599,24 +599,16 @@ impl Wal {
             (inner.last_lsn, inner.closed.len() as u64 + 1)
         };
         let durable_lsn = self.sync.lock().durable_lsn;
-        let mut samples = self.stats.batch_samples.lock().clone();
-        samples.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            if samples.is_empty() {
-                return 0;
-            }
-            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-            samples[rank - 1]
-        };
+        let batches = self.stats.batch_sizes.lock();
         WalStatsSnapshot {
             appends: self.stats.appends.load(Ordering::Relaxed),
             fsyncs: self.stats.fsyncs.load(Ordering::Relaxed),
             bytes_written: self.stats.bytes_written.load(Ordering::Relaxed),
             synced_commits: self.stats.synced_commits.load(Ordering::Relaxed),
-            batch_p50: pct(0.50),
-            batch_p90: pct(0.90),
-            batch_p99: pct(0.99),
-            batch_max: samples.last().copied().unwrap_or(0),
+            batch_p50: batches.value_at_quantile(0.50),
+            batch_p90: batches.value_at_quantile(0.90),
+            batch_p99: batches.value_at_quantile(0.99),
+            batch_max: batches.max(),
             last_lsn,
             durable_lsn,
             segments,
@@ -700,10 +692,7 @@ impl Wal {
     }
 
     fn record_batch(&self, covered: u64) {
-        let mut samples = self.stats.batch_samples.lock();
-        if samples.len() < BATCH_SAMPLE_CAP {
-            samples.push(covered.max(1));
-        }
+        self.stats.batch_sizes.lock().record(covered.max(1));
     }
 }
 
@@ -1596,6 +1585,25 @@ mod tests {
             stats.fsyncs
         );
         assert!(stats.batch_max >= 2);
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn batch_percentiles_cover_every_fsync_of_a_long_run() {
+        // Past 2^20 fsyncs the later batches must still move the
+        // percentiles: half the batches come after the first million.
+        let dir = temp_dir("batch-hist");
+        let (wal, _) = Wal::open(&dir, SyncPolicy::group_commit(), 1 << 20).unwrap();
+        for size in [1, 8] {
+            for _ in 0..1 << 20 {
+                wal.record_batch(size);
+            }
+        }
+        let stats = wal.stats();
+        assert_eq!(stats.batch_p50, 1);
+        assert_eq!(stats.batch_p90, 8);
+        assert_eq!(stats.batch_max, 8);
         drop(wal);
         std::fs::remove_dir_all(&dir).unwrap();
     }
