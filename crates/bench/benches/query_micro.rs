@@ -36,24 +36,25 @@ fn orders_fixture(rows: i64) -> HashMap<String, Arc<RowTable>> {
         .unwrap(),
     )));
     for i in 0..rows {
-        orders
-            .insert(
-                Row::new(vec![
-                    Value::Int(i),
-                    Value::Int(i % 500),
-                    Value::Decimal(100 + i % 997),
-                ]),
-                1,
-            )
-            .unwrap();
+        orders.install(
+            Key::int(i),
+            Some(Row::new(vec![
+                Value::Int(i),
+                Value::Int(i % 500),
+                Value::Decimal(100 + i % 997),
+            ])),
+            1,
+        );
     }
     for c in 0..500 {
-        customers
-            .insert(
-                Row::new(vec![Value::Int(c), Value::Str(format!("customer-{c}"))]),
-                1,
-            )
-            .unwrap();
+        customers.install(
+            Key::int(c),
+            Some(Row::new(vec![
+                Value::Int(c),
+                Value::Str(format!("customer-{c}")),
+            ])),
+            1,
+        );
     }
     let mut tables = HashMap::new();
     tables.insert("ORDERS".to_string(), orders);

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use olxpbench::prelude::*;
-use olxpbench::storage::{ColumnTable, ReplicationLog, Replicator};
+use olxpbench::storage::{ColumnTable, ReplicationLog, Replicator, WalOp};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,10 +28,18 @@ fn item(id: i64) -> Row {
     Row::new(vec![Value::Int(id), Value::Decimal(100 + id)])
 }
 
+fn write(id: i64) -> WalOp {
+    WalOp {
+        table: "ITEM".into(),
+        key: Key::int(id),
+        row: Some(item(id)),
+    }
+}
+
 fn filled_log(records: i64) -> Arc<ReplicationLog> {
     let log = Arc::new(ReplicationLog::new());
     for i in 0..records {
-        log.append("ITEM", Key::int(i), Some(item(i)));
+        log.append(write(i));
     }
     log
 }
@@ -46,7 +54,7 @@ fn bench_replication(c: &mut Criterion) {
             ReplicationLog::new,
             |log| {
                 for i in 0..RECORDS {
-                    log.append("ITEM", Key::int(i), Some(item(i)));
+                    log.append(write(i));
                 }
                 log
             },

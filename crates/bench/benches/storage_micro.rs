@@ -6,6 +6,7 @@ use olxpbench::engine::model::BufferPool;
 use olxpbench::prelude::*;
 use olxpbench::storage::{
     ColumnPredicate, ColumnTable, PredicateOp, ReplicationLog, Replicator, RowTable, ScanPredicate,
+    WalOp,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,7 +85,7 @@ fn wide_table(rows: i64) -> ColumnTable {
 fn loaded_row_table(rows: i64) -> RowTable {
     let table = RowTable::new(item_schema());
     for i in 0..rows {
-        table.insert(item(i), 1).unwrap();
+        table.install(Key::int(i), Some(item(i)), 1);
     }
     table
 }
@@ -99,7 +100,7 @@ fn bench_rowstore(c: &mut Criterion) {
             || (RowTable::new(item_schema()), 0i64),
             |(table, _)| {
                 for i in 0..256 {
-                    table.insert(item(i), 1).unwrap();
+                    table.install(Key::int(i), Some(item(i)), 1);
                 }
                 table
             },
@@ -266,7 +267,11 @@ fn bench_colstore_and_replication(c: &mut Criterion) {
                 let mut repl = Replicator::new(Arc::clone(&log));
                 repl.register("ITEM", replica);
                 for i in 0..1_000i64 {
-                    log.append("ITEM", Key::int(i), Some(item(i)));
+                    log.append(WalOp {
+                        table: "ITEM".into(),
+                        key: Key::int(i),
+                        row: Some(item(i)),
+                    });
                 }
                 repl
             },

@@ -23,11 +23,11 @@ use crate::slowlog::{SlowQueryLog, SlowTxnLog};
 use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetryState};
 use olxp_storage::checkpoint::load_latest_checkpoint;
 use olxp_storage::{
-    Catalog, ColumnTable, MemoryFootprint, Row, RowTable, StorageError, TableSchema,
+    Catalog, ColumnTable, MemoryFootprint, Row, RowTable, StorageError, TableSchema, WalOp,
     WalStatsSnapshot,
 };
 use olxp_trace::TelemetryServer;
-use olxp_txn::{TransactionManager, WriteOp};
+use olxp_txn::TransactionManager;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -490,14 +490,17 @@ impl HybridDatabase {
     /// timestamp), log, install (row store and replication feed), markers —
     /// as a one-mutation transaction under an id from the transaction
     /// manager.  The sync is deferred to [`Self::finish_load`] so bulk loading
-    /// is not throttled to one fsync per row.
+    /// is not throttled to one fsync per row.  The row is checked against its
+    /// schema; a second row under the same key replaces the first.
     pub fn load_row(&self, table: &str, row: Row) -> EngineResult<()> {
-        let key = self.catalog.table(table)?.primary_key_of(&row);
+        let schema = self.catalog.table(table)?;
+        schema.validate_row(&row)?;
+        let key = schema.primary_key_of(&row);
         let at = [self.model.place(table, &key)];
-        let op = [WriteOp::Insert {
+        let op = [WalOp {
             table: table.to_string(),
             key,
-            row,
+            row: Some(row),
         }];
         let mut ctx = CommitCtx::new(self, &at, self.txn_mgr.load_txn_id(), false);
         ctx.open(|| Ok(self.txn_mgr.oracle().load_ts()))?;

@@ -11,8 +11,7 @@ use crate::shard::shard_of;
 use olxp_storage::checkpoint::write_checkpoint;
 use olxp_storage::wal::{ReplayedRecord, WalReplay};
 use olxp_storage::{
-    CheckpointData, Key, Row, StorageError, TableCheckpoint, TableSchema, Timestamp, WalOp,
-    WalRecord,
+    CheckpointData, Key, Row, TableCheckpoint, TableSchema, Timestamp, WalOp, WalRecord,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -208,10 +207,11 @@ impl HybridDatabase {
                 self.install_table(table.schema.clone())?;
                 let schema = catalog.table(table.schema.name())?;
                 for row in table.rows {
+                    schema.validate_row(&row)?;
                     let key = schema.primary_key_of(&row);
                     let shard = shard_of(schema.name(), &key, shard_count);
                     self.row_partition(shard, schema.name())?
-                        .insert(row, load_ts)?;
+                        .install(key, Some(row), load_ts);
                     report.checkpoint_rows += 1;
                 }
             }
@@ -325,11 +325,11 @@ impl HybridDatabase {
         for schema in catalog.tables() {
             for (shard, part) in self.row_partitions(schema.name())?.iter().enumerate() {
                 part.scan(reseed_ts, |key, row| {
-                    self.shards[shard].replication.append(
-                        schema.name(),
-                        key.clone(),
-                        Some(Row::clone(row)),
-                    );
+                    self.shards[shard].replication.append(WalOp {
+                        table: schema.name().to_string(),
+                        key: key.clone(),
+                        row: Some(Row::clone(row)),
+                    });
                 });
             }
         }
@@ -348,29 +348,21 @@ impl HybridDatabase {
     ///
     /// Idempotent against checkpoint overlap: a key whose newest version is
     /// already at or above the mutation's timestamp is left untouched (the
-    /// checkpoint captured that transaction's effect), an image of a key the
-    /// snapshot never saw becomes an insert, and a tombstone of an absent key
-    /// is a no-op.
+    /// checkpoint captured that transaction's effect), and a tombstone of a
+    /// key with no version is a no-op.  An image read back from disk is
+    /// checked against its schema and key before it is installed.
     fn recover_apply(&self, op: &WalOp, commit_ts: Timestamp) -> EngineResult<()> {
         let row_table = self.row_partition(self.shard_for(&op.table, &op.key), &op.table)?;
-        if row_table
-            .latest_commit_ts(&op.key)
-            .is_some_and(|latest| latest >= commit_ts)
-        {
+        let latest = row_table.latest_commit_ts(&op.key);
+        if latest.is_some_and(|latest| latest >= commit_ts) {
             return Ok(());
         }
         match &op.row {
-            Some(row) => match row_table.update(&op.key, row.clone(), commit_ts) {
-                Err(StorageError::KeyNotFound { .. }) => {
-                    row_table.insert(row.clone(), commit_ts)?;
-                }
-                other => other?,
-            },
-            None => match row_table.delete(&op.key, commit_ts) {
-                Err(StorageError::KeyNotFound { .. }) => {}
-                other => other?,
-            },
+            Some(row) => row_table.schema().validate_image(&op.key, row)?,
+            None if latest.is_none() => return Ok(()),
+            None => {}
         }
+        row_table.install(op.key.clone(), op.row.clone(), commit_ts);
         Ok(())
     }
 }

@@ -26,7 +26,7 @@ use crate::model::{Placement, Work};
 use olxp_query::{execute, ColumnSource, ExecStats, Plan, QueryOutput, ShardedRowSource};
 use olxp_storage::{Key, Row, StorageError, Timestamp, Value, WalOp};
 use olxp_trace::SpanCategory;
-use olxp_txn::{IsolationLevel, Transaction, TxnError, WriteOp};
+use olxp_txn::{IsolationLevel, Transaction, TxnError};
 use parking_lot::RwLockReadGuard;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -381,8 +381,7 @@ impl Session {
         let schema = self.db.catalog().table(table)?;
         schema.validate_row(&row)?;
         let key = schema.primary_key_of(&row);
-        let table = table.to_string();
-        self.write(handle, WriteOp::Insert { table, key, row })
+        self.write(handle, table, key, Some(row), true)
     }
 
     /// Buffer an update of an existing row.
@@ -394,15 +393,13 @@ impl Session {
         row: Row,
     ) -> EngineResult<()> {
         self.note_statement(handle);
-        let (table, key) = (table.to_string(), key.clone());
-        self.write(handle, WriteOp::Update { table, key, row })
+        self.write(handle, table, key.clone(), Some(row), false)
     }
 
     /// Buffer a delete of an existing row.
     pub fn delete(&self, handle: &mut TxnHandle, table: &str, key: &Key) -> EngineResult<()> {
         self.note_statement(handle);
-        let (table, key) = (table.to_string(), key.clone());
-        self.write(handle, WriteOp::Delete { table, key })
+        self.write(handle, table, key.clone(), None, false)
     }
 
     // ------------------------------------------------------------------
@@ -706,28 +703,35 @@ impl Session {
     }
 
     /// Every write statement: place the key (the statement's one hash), check
-    /// an update's image against the schema (an insert's already was, to
-    /// derive its key), take the write lock on the owning shard, require that
-    /// the transaction currently sees a row there — its own latest write if
-    /// it has one, else the row visible at its statement snapshot — or, for
-    /// an insert, that it sees none, and buffer the op beside its placement.
-    /// The write itself is charged at commit; the statement is charged here.
-    fn write(&self, handle: &mut TxnHandle, op: WriteOp) -> EngineResult<()> {
-        let (table, key) = (op.table(), op.key());
-        let at = self.db.model().place(table, key);
+    /// an update's image against the schema and `key` (an insert's image was
+    /// checked to derive its key), take the write lock on the owning shard,
+    /// require that the transaction currently sees a row there — its own
+    /// latest write if it has one, else the row visible at its statement
+    /// snapshot — or, for an insert, that it sees none, and buffer the write
+    /// beside its placement.  These are the write's only checks: the commit
+    /// installs it as is.  The write itself is charged at commit; the
+    /// statement is charged here.
+    fn write(
+        &self,
+        handle: &mut TxnHandle,
+        table: &str,
+        key: Key,
+        row: Option<Row>,
+        inserting: bool,
+    ) -> EngineResult<()> {
+        let at = self.db.model().place(table, &key);
         let row_table = self.db.row_partition(at.shard, table)?;
-        if let WriteOp::Update { row, .. } = &op {
-            row_table.schema().validate_row(row)?;
+        if let (Some(row), false) = (&row, inserting) {
+            row_table.schema().validate_image(&key, row)?;
         }
-        self.lock(handle, table, key, at.shard)?;
-        let exists = match handle.txn.write_set().effective_row(table, key) {
+        self.lock(handle, table, &key, at.shard)?;
+        let exists = match handle.txn.write_set().effective_row(table, &key) {
             Some(effect) => effect.is_some(),
             None => {
                 let read_ts = self.db.txn_manager().statement_read_ts(&handle.txn);
-                row_table.get(key, read_ts).is_some()
+                row_table.get(&key, read_ts).is_some()
             }
         };
-        let inserting = matches!(op, WriteOp::Insert { .. });
         if exists == inserting {
             let (table, key) = (table.to_string(), key.to_string());
             return Err(EngineError::Storage(if inserting {
@@ -740,7 +744,8 @@ impl Session {
         self.db
             .model()
             .charge(handle.class, Work::WriteStatement { table, txn });
-        handle.txn.write_set_mut().push(op);
+        let table = table.to_string();
+        handle.txn.write_set_mut().push(WalOp { table, key, row });
         handle.placements.push(at);
         Ok(())
     }
@@ -863,7 +868,7 @@ impl<'db> CommitCtx<'db> {
     fn validate(
         &self,
         txn: &Transaction,
-        ops: &[WriteOp],
+        ops: &[WalOp],
         placements: &[Placement],
     ) -> EngineResult<()> {
         if !txn.isolation().validates_write_conflicts() {
@@ -872,10 +877,10 @@ impl<'db> CommitCtx<'db> {
         for (op, at) in ops.iter().zip(placements) {
             let latest = self
                 .db
-                .row_partition(at.shard, op.table())?
-                .latest_commit_ts(op.key());
+                .row_partition(at.shard, &op.table)?
+                .latest_commit_ts(&op.key);
             if latest.is_some_and(|ts| ts > txn.begin_read_ts()) {
-                let (table, key) = (op.table().to_string(), op.key().to_string());
+                let (table, key) = (op.table.clone(), op.key.to_string());
                 return Err(TxnError::WriteConflict { table, key }.into());
             }
         }
@@ -906,7 +911,7 @@ impl<'db> CommitCtx<'db> {
     /// shard's Mutations in statement order, then a Prepare when the commit
     /// crosses shards.  Single-shard commits skip the Prepare and its forced
     /// sync, so their flow is the unsharded engine's.
-    pub(crate) fn log(&mut self, ops: &[WriteOp], placements: &[Placement]) -> EngineResult<()> {
+    pub(crate) fn log(&mut self, ops: &[WalOp], placements: &[Placement]) -> EngineResult<()> {
         if !self.durable {
             return Ok(());
         }
@@ -914,19 +919,13 @@ impl<'db> CommitCtx<'db> {
         for i in 0..self.shards.len() {
             let shard = self.shards[i];
             self.stage_start();
-            let slice: Vec<WalOp> = ops
+            let mine = ops
                 .iter()
                 .zip(placements)
                 .filter(|(_, at)| at.shard == shard)
-                .map(|(op, _)| WalOp {
-                    table: op.table().to_string(),
-                    key: op.key().clone(),
-                    row: op.row().cloned(),
-                })
-                .collect();
+                .map(|(op, _)| op);
             let wal = self.db.wal_for_shard(shard);
-            wal.log_mutations(self.txn_id, &slice, self.commit_ts)?;
-            self.wal_records += slice.len() as u64 + 1;
+            self.wal_records += wal.log_mutations(self.txn_id, mine, self.commit_ts)? + 1;
             if cross_shard {
                 self.lsns.push(wal.log_prepare(self.txn_id)?);
                 self.wal_records += 1;
@@ -945,32 +944,21 @@ impl<'db> CommitCtx<'db> {
     }
 
     /// Install each write into its shard's row-table partition at the commit
-    /// timestamp and queue it on that shard's replication log: one row image
-    /// copy, for the row store; the replication record takes the original.
+    /// timestamp and queue it on that shard's replication log: one key and
+    /// row image copy, for the row store; the replication record takes the
+    /// op itself.
     pub(crate) fn install(
         &mut self,
-        ops: impl IntoIterator<Item = WriteOp>,
+        ops: impl IntoIterator<Item = WalOp>,
         placements: &[Placement],
     ) -> EngineResult<()> {
         self.stage_start();
         let ts = self.commit_ts;
         for (op, at) in ops.into_iter().zip(placements) {
-            let row_table = self.db.row_partition(at.shard, op.table())?;
-            let (table, key, row) = match op {
-                WriteOp::Insert { table, key, row } => {
-                    row_table.insert(row.clone(), ts)?;
-                    (table, key, Some(row))
-                }
-                WriteOp::Update { table, key, row } => {
-                    row_table.update(&key, row.clone(), ts)?;
-                    (table, key, Some(row))
-                }
-                WriteOp::Delete { table, key } => {
-                    row_table.delete(&key, ts)?;
-                    (table, key, None)
-                }
-            };
-            self.db.replication_for(at.shard).append(&table, key, row);
+            self.db
+                .row_partition(at.shard, &op.table)?
+                .install(op.key.clone(), op.row.clone(), ts);
+            self.db.replication_for(at.shard).append(op);
         }
         // One install span per commit, tagged with the first touched shard.
         self.stage_end(SpanCategory::Install, self.shards[0]);
@@ -1486,11 +1474,11 @@ mod tests {
             .with_freshness_timeout_ms(50);
         let db = test_db(config);
         let session = db.session();
-        db.replication_for(0).append(
-            "ITEM",
-            Key::int(43_000),
-            Some(Row::new(vec![Value::Int(43_000)])),
-        );
+        db.replication_for(0).append(WalOp {
+            table: "ITEM".into(),
+            key: Key::int(43_000),
+            row: Some(Row::new(vec![Value::Int(43_000)])),
+        });
         let plan = QueryBuilder::scan("ITEM")
             .aggregate(vec![], vec![AggSpec::new(AggFunc::Count, 0)])
             .build();
@@ -1629,6 +1617,33 @@ mod tests {
             Err(EngineError::Storage(StorageError::KeyNotFound { .. }))
         ));
         session.abort(txn);
+    }
+
+    #[test]
+    fn an_update_that_changes_the_primary_key_fails_at_the_statement() {
+        let db = test_db(EngineConfig::dual_engine());
+        let session = db.session();
+        let mut txn = session.begin(WorkClass::Oltp);
+        let err = session.update(
+            &mut txn,
+            "ITEM",
+            &Key::int(5),
+            Row::new(vec![
+                Value::Int(6),
+                Value::Str("moved".into()),
+                Value::Decimal(1),
+            ]),
+        );
+        assert!(
+            matches!(err, Err(EngineError::Storage(StorageError::Internal(_)))),
+            "expected the primary-key change to fail the statement, got {err:?}"
+        );
+        session.abort(txn);
+
+        let mut txn = session.begin(WorkClass::Oltp);
+        let row = session.read(&mut txn, "ITEM", &Key::int(5)).unwrap();
+        assert_eq!(row.unwrap()[1], Value::Str("item-5".into()));
+        session.commit(txn).unwrap();
     }
 
     // --- tracing integration ---------------------------------------------

@@ -191,14 +191,14 @@ fn build_tables(
         let col_t = Arc::new(ColumnTable::with_chunk_size(schema, 8));
         for &(id, grp, val) in &by_id {
             let row = make_row(id, grp, val);
-            row_t.insert(row.clone(), 1).unwrap();
+            row_t.install(Key::int(id), Some(row.clone()), 1);
             col_t.apply(&Key::int(id), Some(&row)).unwrap();
         }
         for &pick in delete_picks {
             let (id, _, _) = by_id[pick % by_id.len()];
             let key = Key::int(id);
             if row_t.get(&key, 5).is_some() {
-                row_t.delete(&key, 5).unwrap();
+                row_t.install(key.clone(), None, 5);
                 col_t.apply(&key, None).unwrap();
             }
         }
@@ -210,7 +210,7 @@ fn build_tables(
     let col_d = Arc::new(ColumnTable::with_chunk_size(dim_schema(), 2));
     for grp in 0..5i64 {
         let row = Row::new(vec![Value::Int(grp), Value::Str(format!("group-{grp}"))]);
-        row_d.insert(row.clone(), 1).unwrap();
+        row_d.install(Key::int(grp), Some(row.clone()), 1);
         col_d.apply(&Key::int(grp), Some(&row)).unwrap();
     }
     row_tables.insert("D".to_string(), row_d);

@@ -249,6 +249,50 @@ fn key_written_twice_in_one_transaction_recovers_its_last_image() {
     }
 }
 
+#[test]
+fn insert_and_delete_of_one_key_in_one_transaction_leaves_no_version_after_recovery() {
+    // Replay applies only the key's last write, a tombstone for a key the
+    // recovered store never held: it must be a no-op, not a tombstone-only
+    // version chain.
+    for shards in [1usize, 4] {
+        let dir = temp_dir(&format!("insert-then-delete-{shards}"));
+        let config = || durable_config(&dir, SyncPolicy::Always).with_shards(shards);
+        let keys_before;
+        {
+            let db = HybridDatabase::open(config()).unwrap();
+            db.create_table(account_schema()).unwrap();
+            let session = db.session();
+            for i in 0..4 {
+                commit_insert(&session, i, 10 * i);
+            }
+            keys_before = db.table_key_count("ACCOUNT");
+            let mut txn = session.begin(WorkClass::Oltp);
+            session
+                .insert(&mut txn, "ACCOUNT", account_row(99, 1))
+                .unwrap();
+            session.delete(&mut txn, "ACCOUNT", &Key::int(99)).unwrap();
+            session.commit(txn).unwrap();
+            db.simulate_crash();
+        }
+        let db = HybridDatabase::open(config()).unwrap();
+        assert_eq!(
+            db.table_key_count("ACCOUNT"),
+            keys_before,
+            "no version of the key at {shards} shards"
+        );
+        let session = db.session();
+        let mut txn = session.begin(WorkClass::Oltp);
+        assert!(session
+            .read(&mut txn, "ACCOUNT", &Key::int(99))
+            .unwrap()
+            .is_none());
+        session.commit(txn).unwrap();
+        drop(session);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// The newest WAL segment in `dir` (highest sequence number).
 fn newest_segment(dir: &str) -> PathBuf {
     let mut segments: Vec<PathBuf> = std::fs::read_dir(Path::new(dir))

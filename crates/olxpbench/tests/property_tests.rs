@@ -7,7 +7,9 @@ use olxpbench::framework::stats::LatencyRecorder;
 use olxpbench::framework::WeightedChoice;
 use olxpbench::prelude::*;
 use olxpbench::query::expr::like_match;
-use olxpbench::storage::{ColumnTable, ReplicationLog, Replicator, RowTable, DEFAULT_BATCH_SIZE};
+use olxpbench::storage::{
+    ColumnTable, ReplicationLog, Replicator, RowTable, WalOp, DEFAULT_BATCH_SIZE,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,18 +63,14 @@ proptest! {
     fn mvcc_visibility_selects_newest_committed_version(updates in proptest::collection::vec(1i64..1000, 1..12),
                                                         probe in 0u64..40) {
         let table = RowTable::new(simple_schema());
-        table
-            .insert(Row::new(vec![Value::Int(1), Value::Int(0)]), 1)
-            .unwrap();
+        table.install(Key::int(1), Some(Row::new(vec![Value::Int(1), Value::Int(0)])), 1);
         // Version k is committed at timestamp 2*(k+1).
         for (k, value) in updates.iter().enumerate() {
-            table
-                .update(
-                    &Key::int(1),
-                    Row::new(vec![Value::Int(1), Value::Int(*value)]),
-                    2 * (k as u64 + 1),
-                )
-                .unwrap();
+            table.install(
+                Key::int(1),
+                Some(Row::new(vec![Value::Int(1), Value::Int(*value)])),
+                2 * (k as u64 + 1),
+            );
         }
         let visible = table.get(&Key::int(1), probe);
         if probe == 0 {
@@ -106,26 +104,14 @@ proptest! {
             ts += 1;
             let key = Key::int(id);
             let row = Row::new(vec![Value::Int(id), Value::Int(val)]);
-            match op {
-                0 => {
-                    if row_table.get(&key, ts).is_none()
-                        && row_table.insert(row.clone(), ts).is_ok()
-                    {
-                        log.append("T", key, Some(row));
-                    }
-                }
-                1 => {
-                    if row_table.get(&key, ts).is_some()
-                        && row_table.update(&key, row.clone(), ts).is_ok()
-                    {
-                        log.append("T", key, Some(row));
-                    }
-                }
-                _ => {
-                    if row_table.get(&key, ts).is_some() && row_table.delete(&key, ts).is_ok() {
-                        log.append("T", key, None);
-                    }
-                }
+            let write = match op {
+                0 => row_table.get(&key, ts).is_none().then_some(Some(row)),
+                1 => row_table.get(&key, ts).is_some().then_some(Some(row)),
+                _ => row_table.get(&key, ts).is_some().then_some(None),
+            };
+            if let Some(row) = write {
+                row_table.install(key.clone(), row.clone(), ts);
+                log.append(WalOp { table: "T".into(), key, row });
             }
         }
         replicator.catch_up().unwrap();
@@ -373,8 +359,8 @@ proptest! {
         for (i, &(grp, val)) in vals.iter().enumerate() {
             let id = i as i64;
             let row = Row::new(vec![Value::Int(id), Value::Int(grp), Value::Int(val)]);
-            unsharded.insert(row.clone(), 1).unwrap();
-            parts[shard_of("T", &Key::int(id), n_shards)].insert(row, 1).unwrap();
+            unsharded.install(Key::int(id), Some(row.clone()), 1);
+            parts[shard_of("T", &Key::int(id), n_shards)].install(Key::int(id), Some(row), 1);
         }
         // Disjoint partitioning: each key is visible in exactly one shard.
         for i in 0..vals.len() {

@@ -798,17 +798,22 @@ mod tests {
             .unwrap(),
         )));
         for (o, c, amount) in [(1, 10, 500), (2, 10, 300), (3, 20, 800), (4, 30, 100)] {
-            orders
-                .insert(
-                    Row::new(vec![Value::Int(o), Value::Int(c), Value::Decimal(amount)]),
-                    5,
-                )
-                .unwrap();
+            orders.install(
+                Key::int(o),
+                Some(Row::new(vec![
+                    Value::Int(o),
+                    Value::Int(c),
+                    Value::Decimal(amount),
+                ])),
+                5,
+            );
         }
         for (c, name) in [(10, "alice"), (20, "bob")] {
-            customers
-                .insert(Row::new(vec![Value::Int(c), Value::Str(name.into())]), 5)
-                .unwrap();
+            customers.install(
+                Key::int(c),
+                Some(Row::new(vec![Value::Int(c), Value::Str(name.into())])),
+                5,
+            );
         }
         let mut tables = StdHashMap::new();
         tables.insert("ORDERS".to_string(), orders);

@@ -88,9 +88,9 @@ pub enum Plan {
     },
     /// Hash join on column equality.
     Join {
-        /// Left (build) side.
+        /// Left (probe) side.
         left: Box<Plan>,
-        /// Right (probe) side.
+        /// Right (build) side.
         right: Box<Plan>,
         /// Join key columns of the left input.
         left_keys: Vec<usize>,

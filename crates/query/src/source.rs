@@ -178,7 +178,7 @@ impl DataSource for ColumnSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olxp_storage::{ColumnDef, DataType, Row, Value};
+    use olxp_storage::{ColumnDef, DataType, Key, Row, Value};
 
     /// Selected rows a full-width scan of `table` hands out.
     fn count(source: &dyn DataSource, table: &str) -> QueryResult<usize> {
@@ -205,13 +205,17 @@ mod tests {
     fn row_source_scans_at_snapshot() {
         let table = Arc::new(RowTable::new(schema()));
         for i in 0..5 {
-            table
-                .insert(Row::new(vec![Value::Int(i), Value::Decimal(i * 10)]), 10)
-                .unwrap();
+            table.install(
+                Key::int(i),
+                Some(Row::new(vec![Value::Int(i), Value::Decimal(i * 10)])),
+                10,
+            );
         }
-        table
-            .insert(Row::new(vec![Value::Int(99), Value::Decimal(1)]), 20)
-            .unwrap();
+        table.install(
+            Key::int(99),
+            Some(Row::new(vec![Value::Int(99), Value::Decimal(1)])),
+            20,
+        );
         let tables = HashMap::from([("ITEM".to_string(), table)]);
         let source = ShardedRowSource::new(vec![Arc::new(tables)], 15);
         assert_eq!(
@@ -229,9 +233,11 @@ mod tests {
             let table = Arc::new(RowTable::new(schema()));
             for i in 0..3u64 {
                 let id = (shard * 100 + i) as i64;
-                table
-                    .insert(Row::new(vec![Value::Int(id), Value::Decimal(id)]), 10)
-                    .unwrap();
+                table.install(
+                    Key::int(id),
+                    Some(Row::new(vec![Value::Int(id), Value::Decimal(id)])),
+                    10,
+                );
             }
             let mut tables = HashMap::new();
             tables.insert("ITEM".to_string(), table);

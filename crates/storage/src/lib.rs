@@ -56,7 +56,7 @@ pub use error::{StorageError, StorageResult};
 pub use key::Key;
 pub use replication::{LogRecord, ReplicationLog, Replicator};
 pub use row::Row;
-pub use rowstore::{RowTable, ScanDirection};
+pub use rowstore::RowTable;
 pub use schema::{ColumnDef, DataType, IndexDef, TableSchema};
 pub use value::Value;
 pub use wal::{SyncPolicy, Wal, WalOp, WalRecord, WalReplay, WalStatsSnapshot};

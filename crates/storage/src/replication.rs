@@ -4,9 +4,10 @@
 //! against the row store and a background process ships the committed
 //! mutations to the columnar replica ("asynchronous log replication", §III-A).
 //! [`ReplicationLog`] is the committed-mutation queue and [`Replicator`]
-//! applies queued records to the registered [`ColumnTable`]s.  A record is
-//! one committed write in one shape: a table, a primary key and either the
-//! row's new image (an upsert) or `None` (a tombstone).  The gap between
+//! applies queued records to the registered [`ColumnTable`]s.  A record
+//! carries one committed write as the transaction buffered it, a [`WalOp`]:
+//! a table, a primary key and either the row's new image (an upsert) or
+//! `None` (a tombstone).  The gap between
 //! the newest appended LSN and the newest applied LSN is the replication lag —
 //! the data-freshness dimension the paper's real-time queries care about.
 //!
@@ -24,8 +25,7 @@
 
 use crate::colstore::ColumnTable;
 use crate::error::StorageResult;
-use crate::key::Key;
-use crate::row::Row;
+use crate::wal::WalOp;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,12 +37,8 @@ use std::time::{Duration, Instant};
 pub struct LogRecord {
     /// Log sequence number (monotonic, dense, starting at 1).
     pub lsn: u64,
-    /// Target table name.
-    pub table: String,
-    /// Primary key of the affected row.
-    pub key: Key,
-    /// The row's new image, or `None` for a tombstone.
-    pub row: Option<Row>,
+    /// The committed write, exactly as the transaction buffered it.
+    pub op: WalOp,
     /// Wall-clock instant the record entered the log (drives time-based
     /// freshness bounds).
     pub appended_at: Instant,
@@ -88,20 +84,17 @@ impl ReplicationLog {
         }
     }
 
-    /// Append a committed mutation and return its LSN.
+    /// Append a committed write and return its LSN.
     ///
-    /// `row` is the row's new image, or `None` for a tombstone.  The LSN is
-    /// assigned while holding the queue lock, so concurrent committers cannot
-    /// enqueue records out of LSN order, and the appended high-water mark
-    /// only ever moves forward.
-    pub fn append(&self, table: &str, key: Key, row: Option<Row>) -> u64 {
+    /// The LSN is assigned while holding the queue lock, so concurrent
+    /// committers cannot enqueue records out of LSN order, and the appended
+    /// high-water mark only ever moves forward.
+    pub fn append(&self, op: WalOp) -> u64 {
         let mut queue = self.queue.lock();
         let lsn = self.appended.load(Ordering::Relaxed) + 1;
         queue.push_back(LogRecord {
             lsn,
-            table: table.to_string(),
-            key,
-            row,
+            op,
             appended_at: Instant::now(),
         });
         self.appended.store(lsn, Ordering::Release);
@@ -282,8 +275,9 @@ impl Replicator {
     }
 
     fn apply_one(&self, record: &LogRecord) -> StorageResult<()> {
-        match self.replicas.get(&record.table) {
-            Some(replica) => replica.apply(&record.key, record.row.as_ref()),
+        let op = &record.op;
+        match self.replicas.get(&op.table) {
+            Some(replica) => replica.apply(&op.key, op.row.as_ref()),
             None => Ok(()),
         }
     }
@@ -305,6 +299,8 @@ impl Replicator {
 mod tests {
     use super::*;
     use crate::error::StorageError;
+    use crate::key::Key;
+    use crate::row::Row;
     use crate::schema::{ColumnDef, DataType, TableSchema};
     use crate::value::Value;
     use std::thread;
@@ -327,11 +323,20 @@ mod tests {
         Row::new(vec![Value::Int(id), Value::Decimal(amount)])
     }
 
+    /// A write of `table`'s row `id`: an image, or a tombstone for `None`.
+    fn op(table: &str, id: i64, row: Option<Row>) -> WalOp {
+        WalOp {
+            table: table.into(),
+            key: Key::int(id),
+            row,
+        }
+    }
+
     #[test]
     fn lsns_are_monotonic_and_lag_is_tracked() {
         let log = ReplicationLog::new();
-        let a = log.append("ORDERS", Key::int(1), Some(order(1, 10)));
-        let b = log.append("ORDERS", Key::int(2), Some(order(2, 20)));
+        let a = log.append(op("ORDERS", 1, Some(order(1, 10))));
+        let b = log.append(op("ORDERS", 2, Some(order(2, 20))));
         assert!(b > a);
         assert_eq!(log.pending(), 2);
         assert_eq!(log.lag_records(), 2);
@@ -349,7 +354,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         let id = (t * PER_THREAD + i) as i64;
-                        log.append("ORDERS", Key::int(id), Some(order(id, 1)));
+                        log.append(op("ORDERS", id, Some(order(id, 1))));
                     }
                 });
             }
@@ -386,7 +391,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let id = (t * 200 + i) as i64;
-                        log.append("ORDERS", Key::int(id), Some(order(id, 1)));
+                        log.append(op("ORDERS", id, Some(order(id, 1))));
                     }
                 });
             }
@@ -409,10 +414,10 @@ mod tests {
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
 
-        log.append("ORDERS", Key::int(1), Some(order(1, 10)));
-        log.append("ORDERS", Key::int(1), Some(order(1, 99)));
-        log.append("ORDERS", Key::int(2), Some(order(2, 20)));
-        log.append("ORDERS", Key::int(2), None);
+        log.append(op("ORDERS", 1, Some(order(1, 10))));
+        log.append(op("ORDERS", 1, Some(order(1, 99))));
+        log.append(op("ORDERS", 2, Some(order(2, 20))));
+        log.append(op("ORDERS", 2, None));
 
         let applied = repl.catch_up().unwrap();
         assert_eq!(applied, 4);
@@ -437,10 +442,10 @@ mod tests {
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
 
-        log.append("ORDERS", Key::int(1), Some(order(1, 10)));
+        log.append(op("ORDERS", 1, Some(order(1, 10))));
         // Poison record: a wrong-arity row image fails to apply.
-        log.append("ORDERS", Key::int(2), Some(Row::new(vec![Value::Int(2)])));
-        log.append("ORDERS", Key::int(3), Some(order(3, 30)));
+        log.append(op("ORDERS", 2, Some(Row::new(vec![Value::Int(2)]))));
+        log.append(op("ORDERS", 3, Some(order(3, 30))));
 
         let err = repl.apply_pending(16);
         assert!(matches!(err, Err(StorageError::ArityMismatch { .. })));
@@ -470,7 +475,7 @@ mod tests {
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
-        log.append("ORDERS", Key::int(7), Some(order(7, 70)));
+        log.append(op("ORDERS", 7, Some(order(7, 70))));
         repl.catch_up().unwrap();
         assert_eq!(replica.live_row_count(), 1);
     }
@@ -483,7 +488,7 @@ mod tests {
         repl.register("ORDERS", Arc::clone(&replica));
         // A malformed row image (wrong arity) must surface the schema error
         // and leave the replica untouched.
-        log.append("ORDERS", Key::int(1), Some(Row::new(vec![Value::Int(1)])));
+        log.append(op("ORDERS", 1, Some(Row::new(vec![Value::Int(1)]))));
         let err = repl.apply_pending(4);
         assert!(err.is_err(), "schema mismatch must propagate");
         assert!(
@@ -498,7 +503,7 @@ mod tests {
     fn unregistered_tables_are_skipped_but_acknowledged() {
         let log = Arc::new(ReplicationLog::new());
         let repl = Replicator::new(Arc::clone(&log));
-        log.append("HISTORY", Key::int(1), Some(order(1, 1)));
+        log.append(op("HISTORY", 1, Some(order(1, 1))));
         assert_eq!(repl.catch_up().unwrap(), 1);
         assert_eq!(log.lag_records(), 0);
     }
@@ -507,7 +512,7 @@ mod tests {
     fn drain_respects_batch_size() {
         let log = ReplicationLog::new();
         for i in 0..10 {
-            log.append("ORDERS", Key::int(i), Some(order(i, 1)));
+            log.append(op("ORDERS", i, Some(order(i, 1))));
         }
         assert_eq!(log.drain(3).len(), 3);
         assert_eq!(log.pending(), 7);
@@ -517,7 +522,7 @@ mod tests {
     fn requeue_front_preserves_order() {
         let log = ReplicationLog::new();
         for i in 0..5 {
-            log.append("ORDERS", Key::int(i), Some(order(i, 1)));
+            log.append(op("ORDERS", i, Some(order(i, 1))));
         }
         let drained = log.drain(3);
         log.requeue_front(drained);
@@ -532,7 +537,7 @@ mod tests {
         let replica = Arc::new(ColumnTable::new(orders_schema()));
         let mut repl = Replicator::new(Arc::clone(&log));
         repl.register("ORDERS", Arc::clone(&replica));
-        log.append("ORDERS", Key::int(1), Some(order(1, 1)));
+        log.append(op("ORDERS", 1, Some(order(1, 1))));
 
         assert!(
             !log.wait_for_applied(1, Duration::from_millis(5)),
@@ -557,7 +562,7 @@ mod tests {
         thread::scope(|scope| {
             let waiter_log = Arc::clone(&log);
             let waiter = scope.spawn(move || waiter_log.wait_for_pending(Duration::from_secs(5)));
-            log.append("ORDERS", Key::int(1), Some(order(1, 1)));
+            log.append(op("ORDERS", 1, Some(order(1, 1))));
             assert!(waiter.join().unwrap());
         });
     }

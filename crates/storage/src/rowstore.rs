@@ -28,15 +28,6 @@ use std::sync::Arc;
 /// the number of index entries examined to produce them.
 pub type IndexLookup = (Vec<(Key, Arc<Row>)>, usize);
 
-/// Direction of a range scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanDirection {
-    /// Ascending key order.
-    Forward,
-    /// Descending key order.
-    Reverse,
-}
-
 /// One version of a row.  `row == None` is a tombstone (deleted).
 #[derive(Debug, Clone)]
 struct Version {
@@ -105,77 +96,18 @@ impl RowTable {
             .and_then(|v| v.row.clone())
     }
 
-    /// Insert a new row committed at `commit_ts`.
-    ///
-    /// Fails with [`StorageError::DuplicateKey`] when a row with the same
-    /// primary key is already visible at `commit_ts`.
-    pub fn insert(&self, row: Row, commit_ts: Timestamp) -> StorageResult<Key> {
-        self.schema.validate_row(&row)?;
-        let pk = self.schema.primary_key_of(&row);
-        let row = Arc::new(row);
-        {
-            let mut data = self.data.write();
-            let chain = data.entry(pk.clone()).or_default();
-            if Self::visible(chain, commit_ts).is_some() {
-                return Err(StorageError::DuplicateKey {
-                    table: self.schema.name().to_string(),
-                    key: pk.to_string(),
-                });
-            }
-            chain.push(Version {
-                begin: commit_ts,
-                end: TS_MAX,
-                row: Some(Arc::clone(&row)),
-            });
+    /// Install the write of `pk` committed at `commit_ts`: end the live
+    /// version, if there is one, and push `row`'s image, or a tombstone when
+    /// `row` is `None`.  The caller owns every check (schema, existence,
+    /// primary key); [`crate::ColumnTable::apply`] is the column store's
+    /// counterpart.
+    pub fn install(&self, pk: Key, row: Option<Row>, commit_ts: Timestamp) {
+        let row = row.map(Arc::new);
+        if let Some(row) = &row {
+            self.index_row(&pk, row);
         }
-        self.index_row(&pk, &row);
-        Ok(pk)
-    }
-
-    /// Install a new version of an existing row committed at `commit_ts`.
-    pub fn update(&self, pk: &Key, new_row: Row, commit_ts: Timestamp) -> StorageResult<()> {
-        self.schema.validate_row(&new_row)?;
-        let new_pk = self.schema.primary_key_of(&new_row);
-        if &new_pk != pk {
-            return Err(StorageError::Internal(format!(
-                "update may not change the primary key ({pk} -> {new_pk})"
-            )));
-        }
-        let new_row = Arc::new(new_row);
-        {
-            let mut data = self.data.write();
-            let chain = data
-                .get_mut(pk)
-                .filter(|chain| Self::visible(chain, commit_ts).is_some())
-                .ok_or_else(|| StorageError::KeyNotFound {
-                    table: self.schema.name().to_string(),
-                    key: pk.to_string(),
-                })?;
-            if let Some(last) = chain.last_mut() {
-                if last.end == TS_MAX {
-                    last.end = commit_ts;
-                }
-            }
-            chain.push(Version {
-                begin: commit_ts,
-                end: TS_MAX,
-                row: Some(Arc::clone(&new_row)),
-            });
-        }
-        self.index_row(pk, &new_row);
-        Ok(())
-    }
-
-    /// Install a tombstone for the row committed at `commit_ts`.
-    pub fn delete(&self, pk: &Key, commit_ts: Timestamp) -> StorageResult<()> {
         let mut data = self.data.write();
-        let chain = data
-            .get_mut(pk)
-            .filter(|chain| Self::visible(chain, commit_ts).is_some())
-            .ok_or_else(|| StorageError::KeyNotFound {
-                table: self.schema.name().to_string(),
-                key: pk.to_string(),
-            })?;
+        let chain = data.entry(pk).or_default();
         if let Some(last) = chain.last_mut() {
             if last.end == TS_MAX {
                 last.end = commit_ts;
@@ -184,9 +116,8 @@ impl RowTable {
         chain.push(Version {
             begin: commit_ts,
             end: TS_MAX,
-            row: None,
+            row,
         });
-        Ok(())
     }
 
     /// Point read by primary key at snapshot `read_ts`.
@@ -263,63 +194,23 @@ impl RowTable {
         examined
     }
 
-    /// Range scan over primary keys in `[low, high)` visible at `read_ts`.
-    pub fn range<F>(
-        &self,
-        low: Bound<&Key>,
-        high: Bound<&Key>,
-        read_ts: Timestamp,
-        direction: ScanDirection,
-        mut f: F,
-    ) -> usize
+    /// Prefix scan: all rows whose primary key starts with `prefix`, in key
+    /// order.  Returns the number of keys examined.
+    pub fn prefix_scan<F>(&self, prefix: &Key, read_ts: Timestamp, mut f: F) -> usize
     where
         F: FnMut(&Key, &Arc<Row>),
     {
+        let upper = prefix.prefix_upper_bound();
+        let high = upper.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
         let data = self.data.read();
-        let iter = data.range::<Key, _>((low, high));
         let mut examined = 0usize;
-        let mut visit = |key: &Key, chain: &VersionChain| {
+        for (key, chain) in data.range::<Key, _>((Bound::Included(prefix), high)) {
             examined += 1;
             if let Some(row) = Self::visible(chain, read_ts) {
                 f(key, &row);
             }
-        };
-        match direction {
-            ScanDirection::Forward => {
-                for (key, chain) in iter {
-                    visit(key, chain);
-                }
-            }
-            ScanDirection::Reverse => {
-                for (key, chain) in iter.rev() {
-                    visit(key, chain);
-                }
-            }
         }
         examined
-    }
-
-    /// Prefix scan: all rows whose primary key starts with `prefix`.
-    pub fn prefix_scan<F>(&self, prefix: &Key, read_ts: Timestamp, f: F) -> usize
-    where
-        F: FnMut(&Key, &Arc<Row>),
-    {
-        match prefix.prefix_upper_bound() {
-            Some(upper) => self.range(
-                Bound::Included(prefix),
-                Bound::Excluded(&upper),
-                read_ts,
-                ScanDirection::Forward,
-                f,
-            ),
-            None => self.range(
-                Bound::Included(prefix),
-                Bound::Unbounded,
-                read_ts,
-                ScanDirection::Forward,
-                f,
-            ),
-        }
     }
 
     /// Equality lookup through the secondary index at position `index_pos`
@@ -432,10 +323,15 @@ mod tests {
         ])
     }
 
+    /// Install `row` under the primary key it carries.
+    fn put(t: &RowTable, row: Row, ts: Timestamp) {
+        t.install(t.schema().primary_key_of(&row), Some(row), ts);
+    }
+
     #[test]
     fn insert_and_point_read() {
         let t = item_table();
-        t.insert(item(1, "bolt", 150), 10).unwrap();
+        put(&t, item(1, "bolt", 150), 10);
         assert!(
             t.get(&Key::int(1), 9).is_none(),
             "not visible before commit"
@@ -445,18 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_insert_rejected() {
-        let t = item_table();
-        t.insert(item(1, "bolt", 150), 10).unwrap();
-        let err = t.insert(item(1, "nut", 80), 11);
-        assert!(matches!(err, Err(StorageError::DuplicateKey { .. })));
-    }
-
-    #[test]
     fn update_creates_new_version_and_preserves_old_snapshot() {
         let t = item_table();
-        t.insert(item(1, "bolt", 150), 10).unwrap();
-        t.update(&Key::int(1), item(1, "bolt", 175), 20).unwrap();
+        put(&t, item(1, "bolt", 150), 10);
+        t.install(Key::int(1), Some(item(1, "bolt", 175)), 20);
         assert_eq!(t.get(&Key::int(1), 15).unwrap()[2], Value::Decimal(150));
         assert_eq!(t.get(&Key::int(1), 25).unwrap()[2], Value::Decimal(175));
     }
@@ -464,8 +352,8 @@ mod tests {
     #[test]
     fn delete_hides_row_from_later_snapshots_only() {
         let t = item_table();
-        t.insert(item(1, "bolt", 150), 10).unwrap();
-        t.delete(&Key::int(1), 20).unwrap();
+        put(&t, item(1, "bolt", 150), 10);
+        t.install(Key::int(1), None, 20);
         assert!(t.get(&Key::int(1), 15).is_some());
         assert!(t.get(&Key::int(1), 25).is_none());
         assert_eq!(t.live_row_count(25), 0);
@@ -473,19 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn update_missing_row_errors() {
-        let t = item_table();
-        let err = t.update(&Key::int(42), item(42, "x", 1), 5);
-        assert!(matches!(err, Err(StorageError::KeyNotFound { .. })));
-    }
-
-    #[test]
     fn full_scan_counts_examined_keys() {
         let t = item_table();
         for i in 0..10 {
-            t.insert(item(i, "x", 100 + i), 10).unwrap();
+            put(&t, item(i, "x", 100 + i), 10);
         }
-        t.delete(&Key::int(3), 20).unwrap();
+        t.install(Key::int(3), None, 20);
         let mut seen = 0;
         let examined = t.scan(25, |_, _| seen += 1);
         assert_eq!(examined, 10);
@@ -496,9 +377,9 @@ mod tests {
     fn scan_batches_packs_visible_rows_only() {
         let t = item_table();
         for i in 0..10 {
-            t.insert(item(i, "x", 100 + i), 10).unwrap();
+            put(&t, item(i, "x", 100 + i), 10);
         }
-        t.delete(&Key::int(3), 20).unwrap();
+        t.install(Key::int(3), None, 20);
         let mut sizes = Vec::new();
         let mut total = 0usize;
         let examined = t.scan_batches(25, None, 4, |batch| {
@@ -542,11 +423,11 @@ mod tests {
         let t = RowTable::new(Arc::new(schema));
         for o in 0..3 {
             for l in 0..5 {
-                t.insert(
+                put(
+                    &t,
                     Row::new(vec![Value::Int(o), Value::Int(l), Value::Decimal(100)]),
                     5,
-                )
-                .unwrap();
+                );
             }
         }
         let mut rows = Vec::new();
@@ -558,9 +439,9 @@ mod tests {
     #[test]
     fn index_lookup_respects_visibility_and_staleness() {
         let t = item_table();
-        t.insert(item(1, "bolt", 150), 10).unwrap();
-        t.insert(item(2, "bolt", 90), 10).unwrap();
-        t.update(&Key::int(2), item(2, "nut", 90), 20).unwrap();
+        put(&t, item(1, "bolt", 150), 10);
+        put(&t, item(2, "bolt", 90), 10);
+        t.install(Key::int(2), Some(item(2, "nut", 90)), 20);
 
         // At ts 15 both items are named "bolt".
         let (rows, _) = t
@@ -583,30 +464,11 @@ mod tests {
     }
 
     #[test]
-    fn reverse_range_scan() {
-        let t = item_table();
-        for i in 0..5 {
-            t.insert(item(i, "x", 1), 1).unwrap();
-        }
-        let mut keys = Vec::new();
-        t.range(
-            Bound::Unbounded,
-            Bound::Unbounded,
-            10,
-            ScanDirection::Reverse,
-            |k, _| keys.push(k.clone()),
-        );
-        assert_eq!(keys.first().unwrap(), &Key::int(4));
-        assert_eq!(keys.last().unwrap(), &Key::int(0));
-    }
-
-    #[test]
     fn gc_drops_dead_versions() {
         let t = item_table();
-        t.insert(item(1, "bolt", 150), 10).unwrap();
+        put(&t, item(1, "bolt", 150), 10);
         for ts in 0..5 {
-            t.update(&Key::int(1), item(1, "bolt", 150 + ts), 20 + ts as u64)
-                .unwrap();
+            t.install(Key::int(1), Some(item(1, "bolt", 150 + ts)), 20 + ts as u64);
         }
         let dropped = t.gc(100);
         assert!(dropped >= 5);

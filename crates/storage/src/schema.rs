@@ -223,6 +223,21 @@ impl TableSchema {
         row.validate(self)
     }
 
+    /// Validate a row image written under primary key `key`: the row must
+    /// conform to the schema and carry `key` in its key columns (compared in
+    /// place, without building a second key).
+    pub fn validate_image(&self, key: &Key, row: &Row) -> StorageResult<()> {
+        self.validate_row(row)?;
+        let pk = &self.primary_key;
+        if key.len() != pk.len() || pk.iter().zip(key.parts()).any(|(&i, part)| row[i] != *part) {
+            return Err(StorageError::Internal(format!(
+                "update may not change the primary key ({key} -> {})",
+                self.primary_key_of(row)
+            )));
+        }
+        Ok(())
+    }
+
     /// Column names, in order (useful for reports).
     pub fn column_names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()

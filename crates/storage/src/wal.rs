@@ -108,7 +108,9 @@ impl SyncPolicy {
     }
 }
 
-/// One logical write of a committing transaction, as logged to the WAL.
+/// One write of a transaction, in the one shape it keeps from its statement
+/// on: buffered in the write set, logged to the WAL, installed in the row
+/// store and shipped on the replication log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalOp {
     /// Target table.
@@ -414,35 +416,34 @@ impl Wal {
     }
 
     /// Append the `Begin` record plus one `Mutation` record per write of a
-    /// committing transaction, as a single contiguous batch.  The commit
-    /// marker is appended separately — *after* the caller has installed the
-    /// write set — via [`Wal::log_commit`]; a crash in between leaves an
-    /// unmarked (and therefore never replayed) transaction.
-    pub fn log_mutations(
+    /// committing transaction, as a single contiguous batch, and return the
+    /// number of writes logged.  Each record is encoded straight from the
+    /// borrowed op.  The commit marker is appended separately — *after* the
+    /// caller has installed the write set — via [`Wal::log_commit`]; a crash
+    /// in between leaves an unmarked (and therefore never replayed)
+    /// transaction.
+    pub fn log_mutations<'a>(
         &self,
         txn_id: u64,
-        ops: &[WalOp],
+        ops: impl IntoIterator<Item = &'a WalOp>,
         commit_ts: Timestamp,
-    ) -> StorageResult<()> {
+    ) -> StorageResult<u64> {
         let mut inner = self.inner.lock();
         self.maybe_rotate(&mut inner)?;
         self.append_record(&mut inner, |lsn| {
             encode_record(lsn, &WalRecord::Begin { txn_id })
         })?;
+        let mut logged = 0;
         for op in ops {
             self.append_record(&mut inner, |lsn| {
-                encode_record(
-                    lsn,
-                    &WalRecord::Mutation {
-                        txn_id,
-                        op: op.clone(),
-                        commit_ts,
-                    },
-                )
+                let mut out = record_header(lsn);
+                put_mutation(&mut out, txn_id, op, commit_ts);
+                out
             })?;
+            logged += 1;
         }
         self.write_through(&mut inner)?;
-        Ok(())
+        Ok(logged)
     }
 
     /// Append a two-phase-commit `Prepare` marker, returning its LSN.  The
@@ -1156,11 +1157,38 @@ const MUTATION_IMAGE: u8 = 0;
 const MUTATION_IMAGE_V0: u8 = 1;
 const MUTATION_TOMBSTONE: u8 = 2;
 
+/// A record payload's leading LSN, with room for the rest.
+fn record_header(lsn: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out
+}
+
+/// Encode a `Mutation` record's kind and fields.
+fn put_mutation(out: &mut Vec<u8>, txn_id: u64, op: &WalOp, commit_ts: Timestamp) {
+    use codec::*;
+    out.push(3);
+    out.extend_from_slice(&txn_id.to_le_bytes());
+    out.extend_from_slice(&commit_ts.to_le_bytes());
+    out.push(match op.row {
+        Some(_) => MUTATION_IMAGE,
+        None => MUTATION_TOMBSTONE,
+    });
+    put_str(out, &op.table);
+    put_key(out, &op.key);
+    match &op.row {
+        Some(row) => {
+            out.push(1);
+            put_row(out, row);
+        }
+        None => out.push(0),
+    }
+}
+
 /// Encode one record payload (LSN + kind + fields).
 fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
     use codec::*;
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&lsn.to_le_bytes());
+    let mut out = record_header(lsn);
     match record {
         WalRecord::CreateTable { schema } => {
             out.push(1);
@@ -1174,24 +1202,7 @@ fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
             txn_id,
             op,
             commit_ts,
-        } => {
-            out.push(3);
-            out.extend_from_slice(&txn_id.to_le_bytes());
-            out.extend_from_slice(&commit_ts.to_le_bytes());
-            out.push(match op.row {
-                Some(_) => MUTATION_IMAGE,
-                None => MUTATION_TOMBSTONE,
-            });
-            put_str(&mut out, &op.table);
-            put_key(&mut out, &op.key);
-            match &op.row {
-                Some(row) => {
-                    out.push(1);
-                    put_row(&mut out, row);
-                }
-                None => out.push(0),
-            }
-        }
+        } => put_mutation(&mut out, *txn_id, op, *commit_ts),
         WalRecord::Commit { txn_id, commit_ts } => {
             out.push(4);
             out.extend_from_slice(&txn_id.to_le_bytes());

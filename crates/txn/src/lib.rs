@@ -35,7 +35,7 @@ pub use isolation::IsolationLevel;
 pub use locks::{LockManager, LockStats, LockStatsSnapshot};
 pub use manager::{TransactionManager, TxnManagerStats};
 pub use oracle::TimestampOracle;
-pub use transaction::{Transaction, TxnState, WriteOp, WriteSet};
+pub use transaction::{Transaction, TxnState, WriteSet};
 
 /// Transaction identifier.  Ids are allocated densely by the manager and also
 /// serve as the age ordering used by the wait-die policy.

@@ -2,7 +2,7 @@
 
 use crate::isolation::IsolationLevel;
 use crate::TxnId;
-use olxp_storage::{Key, Row, Timestamp};
+use olxp_storage::{Key, Row, Timestamp, WalOp};
 use std::collections::HashMap;
 
 /// Lifecycle state of a transaction.
@@ -16,69 +16,12 @@ pub enum TxnState {
     Aborted,
 }
 
-/// One buffered mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteOp {
-    /// Insert a new row.
-    Insert {
-        /// Target table.
-        table: String,
-        /// Primary key of the new row.
-        key: Key,
-        /// The row image.
-        row: Row,
-    },
-    /// Replace an existing row.
-    Update {
-        /// Target table.
-        table: String,
-        /// Primary key of the row.
-        key: Key,
-        /// The new row image.
-        row: Row,
-    },
-    /// Delete a row.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Primary key of the row.
-        key: Key,
-    },
-}
-
-impl WriteOp {
-    /// Target table of the operation.
-    pub fn table(&self) -> &str {
-        match self {
-            WriteOp::Insert { table, .. }
-            | WriteOp::Update { table, .. }
-            | WriteOp::Delete { table, .. } => table,
-        }
-    }
-
-    /// Primary key of the affected row.
-    pub fn key(&self) -> &Key {
-        match self {
-            WriteOp::Insert { key, .. }
-            | WriteOp::Update { key, .. }
-            | WriteOp::Delete { key, .. } => key,
-        }
-    }
-
-    /// The new row image, if any (none for deletes).
-    pub fn row(&self) -> Option<&Row> {
-        match self {
-            WriteOp::Insert { row, .. } | WriteOp::Update { row, .. } => Some(row),
-            WriteOp::Delete { .. } => None,
-        }
-    }
-}
-
 /// The ordered list of buffered writes of one transaction, with an index for
-/// read-your-own-writes lookups.
+/// read-your-own-writes lookups.  Each write is a [`WalOp`], the one shape a
+/// write keeps through the WAL, the row store and the replication log.
 #[derive(Debug, Default, Clone)]
 pub struct WriteSet {
-    ops: Vec<WriteOp>,
+    ops: Vec<WalOp>,
     /// (table, key) -> index of the latest op touching that row.
     latest: HashMap<(String, Key), usize>,
 }
@@ -90,19 +33,14 @@ impl WriteSet {
     }
 
     /// Append an operation.
-    pub fn push(&mut self, op: WriteOp) {
-        let entry = (op.table().to_string(), op.key().clone());
+    pub fn push(&mut self, op: WalOp) {
+        let entry = (op.table.clone(), op.key.clone());
         self.ops.push(op);
         self.latest.insert(entry, self.ops.len() - 1);
     }
 
-    /// All operations in execution order.
-    pub fn ops(&self) -> &[WriteOp] {
-        &self.ops
-    }
-
     /// The operations in execution order, by value (a commit installs them).
-    pub fn into_ops(self) -> Vec<WriteOp> {
+    pub fn into_ops(self) -> Vec<WalOp> {
         self.ops
     }
 
@@ -124,12 +62,7 @@ impl WriteSet {
     pub fn effective_row(&self, table: &str, key: &Key) -> Option<Option<&Row>> {
         self.latest
             .get(&(table.to_string(), key.clone()))
-            .map(|&idx| self.ops[idx].row())
-    }
-
-    /// Distinct (table, key) pairs written — the lock footprint.
-    pub fn touched_keys(&self) -> impl Iterator<Item = (&str, &Key)> {
-        self.latest.keys().map(|(t, k)| (t.as_str(), k))
+            .map(|&idx| self.ops[idx].row.as_ref())
     }
 }
 
@@ -219,23 +152,20 @@ mod tests {
     use super::*;
     use olxp_storage::Value;
 
-    fn row(v: i64) -> Row {
-        Row::new(vec![Value::Int(v)])
+    /// A write of row 1 of table `T`: image `v`, or a tombstone for `None`.
+    fn write(v: Option<i64>) -> WalOp {
+        WalOp {
+            table: "T".into(),
+            key: Key::int(1),
+            row: v.map(|v| Row::new(vec![Value::Int(v)])),
+        }
     }
 
     #[test]
     fn write_set_tracks_latest_image_per_key() {
         let mut ws = WriteSet::new();
-        ws.push(WriteOp::Insert {
-            table: "T".into(),
-            key: Key::int(1),
-            row: row(10),
-        });
-        ws.push(WriteOp::Update {
-            table: "T".into(),
-            key: Key::int(1),
-            row: row(20),
-        });
+        ws.push(write(Some(10)));
+        ws.push(write(Some(20)));
         assert_eq!(ws.len(), 2);
         let effective = ws.effective_row("T", &Key::int(1)).unwrap().unwrap();
         assert_eq!(effective[0], Value::Int(20));
@@ -245,29 +175,9 @@ mod tests {
     #[test]
     fn delete_shows_as_some_none() {
         let mut ws = WriteSet::new();
-        ws.push(WriteOp::Insert {
-            table: "T".into(),
-            key: Key::int(1),
-            row: row(10),
-        });
-        ws.push(WriteOp::Delete {
-            table: "T".into(),
-            key: Key::int(1),
-        });
+        ws.push(write(Some(10)));
+        ws.push(write(None));
         assert_eq!(ws.effective_row("T", &Key::int(1)), Some(None));
-    }
-
-    #[test]
-    fn touched_keys_deduplicates() {
-        let mut ws = WriteSet::new();
-        for _ in 0..3 {
-            ws.push(WriteOp::Update {
-                table: "T".into(),
-                key: Key::int(7),
-                row: row(1),
-            });
-        }
-        assert_eq!(ws.touched_keys().count(), 1);
     }
 
     #[test]
