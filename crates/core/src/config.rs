@@ -2,16 +2,13 @@
 //!
 //! The original OLxPBench client is configured through an XML file specifying
 //! "the request rates, transaction types, real-time query types, weights, and
-//! target DB configuration" (§IV-C).  [`BenchConfig`] is the equivalent,
-//! (de)serialisable with serde so experiment harnesses can persist the exact
-//! configuration next to their results.
+//! target DB configuration" (§IV-C).  [`BenchConfig`] is the equivalent.
 
 use crate::error::{BenchError, BenchResult};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Whether agents wait for responses before sending the next request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoopMode {
     /// Open loop: requests are issued on a fixed schedule regardless of
     /// completions; latency is measured from the scheduled send time, so
@@ -23,7 +20,7 @@ pub enum LoopMode {
 }
 
 /// Configuration of one agent group (OLTP, OLAP or hybrid agents).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentConfig {
     /// Number of agent threads.
     pub threads: usize,
@@ -53,7 +50,7 @@ impl AgentConfig {
 }
 
 /// Full benchmark run configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchConfig {
     /// Human-readable label recorded in reports.
     pub label: String,
@@ -259,16 +256,6 @@ mod tests {
             ..BenchConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = BenchConfig::mixed(2, 100.0, 1, 1.0, Duration::from_secs(3))
-            .with_label("fig7")
-            .with_seed(7);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: BenchConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 
     #[test]

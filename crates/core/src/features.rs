@@ -1,14 +1,12 @@
 //! Workload feature descriptions (Table I and Table II of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Quantitative and qualitative features of one benchmark's workloads.
 ///
 /// The quantitative fields reproduce Table II ("Features of the OLxPBench
 /// workloads"); the boolean fields reproduce the columns of Table I
 /// ("Comparison of OLxPBench with state-of-the-art and state-of-the-practice
 /// benchmarks").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadFeatures {
     /// Benchmark name.
     pub name: String,
@@ -83,7 +81,7 @@ impl WorkloadFeatures {
 
 /// The qualitative comparison of Table I: OLxPBench against the five prior
 /// benchmarks discussed in the paper's related work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkComparison {
     /// One feature row per benchmark.
     pub rows: Vec<WorkloadFeatures>,

@@ -2,12 +2,12 @@
 
 use olxp_engine::{ShardBreakdown, TelemetryPoint};
 use olxp_trace::StageBreakdown;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The latency distribution and throughput of one request class, in the units
 /// the paper reports (milliseconds and requests/second).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct LatencySummary {
     /// Number of successful requests measured.
     pub count: u64,
@@ -81,7 +81,7 @@ impl fmt::Display for LatencySummary {
 /// replica trailed the row store by at the moment each read started.
 /// Row-store-routed analytical reads observe zero lag and are included, so
 /// the distribution covers every analytical read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct FreshnessSummary {
     /// Number of analytical reads that recorded a freshness observation.
     pub observations: u64,
@@ -140,7 +140,7 @@ impl fmt::Display for FreshnessSummary {
 /// stage histograms.  Quantiles inherit the histogram's bucket-upper-bound
 /// guarantee: at most [`olxp_trace::HIST_MAX_RELATIVE_ERROR`] above the true
 /// value.  Only collected while tracing is enabled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageSummary {
     /// Stage name (the span category's snake_case label, e.g. `wal_append`).
     pub stage: String,
@@ -289,7 +289,7 @@ pub fn timeline_table(timeline: &[TelemetryPoint]) -> String {
 }
 
 /// A named latency summary (one request class of one run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassReport {
     /// Class name ("oltp", "olap", "olxp").
     pub class: String,

@@ -13,10 +13,9 @@
 //! tables the analytical side never examines (the "discarded valuable data").
 
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Result of the semantic-consistency check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaConsistencyReport {
     /// Benchmark name.
     pub workload: String,

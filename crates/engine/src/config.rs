@@ -4,10 +4,9 @@ use crate::error::{EngineError, EngineResult};
 use crate::model::{CostParams, StorageMedium};
 use olxp_storage::SyncPolicy;
 use olxp_txn::IsolationLevel;
-use serde::{Deserialize, Serialize};
 
 /// The three architectural archetypes evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineArchitecture {
     /// MemSQL-like: a single engine serving OLTP and OLAP from memory-resident
     /// storage, read-committed isolation, vertical partitioning.
@@ -43,7 +42,7 @@ impl EngineArchitecture {
 /// read executes, the session waits on the shard appliers until the bound
 /// holds, and the freshness actually observed is recorded in
 /// the query's [`olxp_query::ExecStats`] and in [`crate::EngineMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreshnessPolicy {
     /// No bound: read whatever the replica currently holds (the seed
     /// behaviour).  Replication still runs, but queries never wait.
@@ -90,7 +89,7 @@ impl FreshnessPolicy {
 /// [`SyncPolicy`], fsynced) before it is acknowledged, and
 /// [`crate::HybridDatabase::open`] replays the newest checkpoint plus the WAL
 /// tail to rebuild the stores after a crash.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
     /// Directory holding WAL segments and checkpoints.  `None` (the default)
     /// disables durability entirely.
@@ -186,7 +185,7 @@ impl Default for DurabilityConfig {
 }
 
 /// Full engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Architecture archetype.
     pub architecture: EngineArchitecture,

@@ -15,10 +15,8 @@
 //! scans, buffer-pool misses add a page-fetch penalty, and network round trips
 //! dominate multi-node coordination.
 
-use serde::{Deserialize, Serialize};
-
 /// Where a table's data lives for the purposes of the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageMedium {
     /// DRAM-resident (MemSQL-like row store).
     Memory,
@@ -27,7 +25,7 @@ pub enum StorageMedium {
 }
 
 /// Service-time constants, all in nanoseconds of *simulated* work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Point read of one row from a memory-resident row store.
     pub mem_point_read_ns: u64,

@@ -28,22 +28,21 @@ use olxp_trace::{
     LogHistogram, SeriesPoint, SpanCategory, TelemetryServer, TimeSeriesRing,
 };
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Declares [`TelemetryPoint`]: each `field(source);` line is one per-interval
 /// counter — the public field, its value `delta.source` in
-/// [`TelemetryPoint::from_delta`] and its key in the `/timeseries` JSON.
+/// [`TelemetryPoint::from_delta`] and its serialized key.
 macro_rules! telemetry_point {
     ( $( $(#[$doc:meta])* $field:ident($($source:tt)+); )* ) => {
         /// One sampling interval of engine activity: counter deltas over the
         /// interval plus a few end-of-interval gauges.  Rates are derived,
         /// not stored, so a point stays mergeable with its neighbours by
         /// summation.  Serialised as is into `BenchmarkResult::timeline`.
-        #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
         pub struct TelemetryPoint {
             /// Milliseconds on the time axis (since the database opened; the
             /// benchmark driver rebases to its own start) at the end of the
@@ -97,35 +96,6 @@ macro_rules! telemetry_point {
             }
         }
 
-        impl SeriesPoint for TelemetryPoint {
-            fn t_ms(&self) -> u64 {
-                self.t_ms
-            }
-
-            /// The `/timeseries` rendering: every field plus the two derived
-            /// rates dashboards plot directly.
-            fn write_json(&self, out: &mut String) {
-                let _ = write!(
-                    out,
-                    "{{\"t_ms\":{},\"interval_ms\":{},",
-                    self.t_ms, self.interval_ms
-                );
-                $( let _ = write!(out, "\"{}\":{},", stringify!($field), self.$field); )*
-                let _ = write!(
-                    out,
-                    "\"replication_lag\":{},\"commit_tps\":{:.1},\"abort_rate\":{:.4},\
-                     \"commit_p50_us\":{:.1},\"commit_p95_us\":{:.1},\
-                     \"freshness_p50_us\":{:.1},\"freshness_p95_us\":{:.1}}}",
-                    self.replication_lag,
-                    self.commit_tps(),
-                    self.abort_rate(),
-                    self.commit_p50_us,
-                    self.commit_p95_us,
-                    self.freshness_p50_us,
-                    self.freshness_p95_us,
-                );
-            }
-        }
     };
 }
 
@@ -169,6 +139,17 @@ impl TelemetryPoint {
         count as f64 * 1_000.0 / self.interval_ms as f64
     }
 
+    /// The `/timeseries` rendering: every field, then the two derived rates
+    /// dashboards plot directly.
+    fn series_json(&self) -> Value {
+        let mut point = self.serialize();
+        if let Value::Map(fields) = &mut point {
+            fields.push(("commit_tps".to_string(), self.commit_tps().serialize()));
+            fields.push(("abort_rate".to_string(), self.abort_rate().serialize()));
+        }
+        point
+    }
+
     /// Commit throughput over the interval (commits/s).
     pub fn commit_tps(&self) -> f64 {
         self.rate(self.commits)
@@ -181,6 +162,12 @@ impl TelemetryPoint {
             return 0.0;
         }
         self.aborts as f64 / attempts as f64
+    }
+}
+
+impl SeriesPoint for TelemetryPoint {
+    fn t_ms(&self) -> u64 {
+        self.t_ms
     }
 }
 
@@ -224,9 +211,21 @@ impl TelemetryState {
         self.ring.lock().points_since(t_ms)
     }
 
-    /// The ring rendered as a JSON document (the `/timeseries` body).
+    /// The ring rendered as a JSON document (the `/timeseries` body):
+    /// `{"capacity":N,"dropped":D,"points":[...]}`.
     pub fn timeline_json(&self) -> String {
-        self.ring.lock().to_json()
+        let ring = self.ring.lock();
+        let points = ring
+            .points()
+            .iter()
+            .map(TelemetryPoint::series_json)
+            .collect();
+        object([
+            ("capacity", ring.capacity().serialize()),
+            ("dropped", ring.dropped().serialize()),
+            ("points", Value::Seq(points)),
+        ])
+        .to_string()
     }
 
     /// True while the sampler believes the WAL fsync path is wedged.
@@ -303,7 +302,8 @@ pub(crate) fn handler_for(db: &Arc<HybridDatabase>) -> Handler {
     let weak: Weak<HybridDatabase> = Arc::downgrade(db);
     Arc::new(move |path: &str| {
         let Some(db) = weak.upgrade() else {
-            return HttpResponse::json(503, "{\"error\":\"database is shut down\"}");
+            let error = object([("error", "database is shut down".serialize())]);
+            return HttpResponse::json(503, error.to_string());
         };
         match path {
             "/metrics" => HttpResponse::text(200, render_prometheus(&db)),
@@ -345,23 +345,18 @@ impl HealthReport {
 
     /// The `/healthz` JSON body.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"healthy\":");
-        out.push_str(if self.healthy() { "true" } else { "false" });
-        out.push_str(",\"checks\":[");
-        for (i, check) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&json_string(check.name));
-            out.push_str(",\"healthy\":");
-            out.push_str(if check.healthy { "true" } else { "false" });
-            out.push_str(",\"detail\":");
-            out.push_str(&json_string(&check.detail));
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let checks = self.checks.iter().map(|check| {
+            object([
+                ("name", check.name.serialize()),
+                ("healthy", check.healthy.serialize()),
+                ("detail", check.detail.serialize()),
+            ])
+        });
+        object([
+            ("healthy", self.healthy().serialize()),
+            ("checks", Value::Seq(checks.collect())),
+        ])
+        .to_string()
     }
 }
 
@@ -484,55 +479,42 @@ pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
 /// report's data).
 pub(crate) fn render_snapshot_json(db: &HybridDatabase) -> String {
     let s = db.metrics_snapshot();
-    let mut out = String::with_capacity(2048);
-    out.push('{');
-    push_field(&mut out, "uptime_ms", db.telemetry_state().elapsed_ms());
-    push_field(&mut out, "replication_lag_records", db.replication_lag());
-    for def in METRICS {
-        push_field(&mut out, def.key, def.value(&s));
-    }
-    out.push_str("\"slow_txns\":[");
-    for (i, record) in db.slow_txn_log().records().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(&record.format()));
-    }
-    out.push_str("],\"slow_queries\":[");
-    for (i, record) in db.slow_query_log().records().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(&record.format()));
-    }
-    out.push_str("]}");
-    out
+    let slow_txns = db
+        .slow_txn_log()
+        .records()
+        .iter()
+        .map(|r| Value::Str(r.format()))
+        .collect();
+    let slow_queries = db
+        .slow_query_log()
+        .records()
+        .iter()
+        .map(|r| Value::Str(r.format()))
+        .collect();
+    let metrics = METRICS
+        .iter()
+        .map(|def| (def.key, def.value(&s).serialize()));
+    let fields = [
+        ("uptime_ms", db.telemetry_state().elapsed_ms().serialize()),
+        ("replication_lag_records", db.replication_lag().serialize()),
+    ]
+    .into_iter()
+    .chain(metrics)
+    .chain([
+        ("slow_txns", Value::Seq(slow_txns)),
+        ("slow_queries", Value::Seq(slow_queries)),
+    ]);
+    object(fields).to_string()
 }
 
-fn push_field(out: &mut String, name: &str, value: u64) {
-    out.push_str(&json_string(name));
-    out.push(':');
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-/// Minimal JSON string encoder for the hand-rolled bodies above.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A JSON object of `fields`, in order.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Map(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -569,15 +551,37 @@ mod tests {
         assert_eq!(idle.commit_tps(), 0.0, "a zero-length interval has no rate");
         assert_eq!(idle.abort_rate(), 0.0);
 
-        let mut json = String::new();
-        point.write_json(&mut json);
-        assert!(json.starts_with("{\"t_ms\":1250,\"interval_ms\":250,\"commits\":50,"));
-        assert!(json.contains("\"chunks_pruned\":3,"), "{json}");
+        let json = point.series_json();
+        let fields = json.as_map().expect("a point is an object");
+        assert_eq!(fields[0], ("t_ms".to_string(), Value::I64(1_250)));
+        assert_eq!(fields[1], ("interval_ms".to_string(), Value::I64(250)));
+        assert_eq!(json.get("commit_tps"), Some(&Value::F64(200.0)));
+        assert_eq!(json.get("abort_rate"), Some(&Value::F64(2.0 / 52.0)));
+    }
+
+    #[test]
+    fn timeline_json_document_shape() {
+        let state = TelemetryState::new();
+        assert_eq!(
+            state.timeline_json(),
+            format!("{{\"capacity\":{TIMELINE_CAPACITY},\"dropped\":0,\"points\":[]}}")
+        );
+        for t_ms in [100, 200] {
+            state.push(TelemetryPoint {
+                t_ms,
+                commits: t_ms / 10,
+                ..TelemetryPoint::default()
+            });
+        }
+        let json = state.timeline_json();
         assert!(
-            json.contains("\"commit_tps\":200.0,\"abort_rate\":0.0385,"),
+            json.starts_with("{\"capacity\":4096,\"dropped\":0,\"points\":[{\"t_ms\":100,"),
             "{json}"
         );
-        assert!(json.ends_with("\"freshness_p95_us\":0.0}"), "{json}");
+        assert!(json.contains("},{\"t_ms\":200,"), "{json}");
+        assert!(json.contains("\"commits\":20,"), "{json}");
+        assert_eq!(json.matches("\"abort_rate\":").count(), 2, "{json}");
+        assert!(json.ends_with("}]}"), "{json}");
     }
 
     #[test]
@@ -609,12 +613,5 @@ mod tests {
         };
         assert!(healthy.healthy());
         assert!(healthy.to_json().starts_with("{\"healthy\":true,"));
-    }
-
-    #[test]
-    fn json_strings_escape_control_characters() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

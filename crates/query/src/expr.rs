@@ -2,10 +2,9 @@
 
 use crate::error::{QueryError, QueryResult};
 use olxp_storage::Value;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate functions supported by [`crate::plan::Plan::Aggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// COUNT of non-null inputs (COUNT(*) when applied to a never-null column).
     Count,
@@ -48,7 +47,7 @@ impl ValueAccess for [Value] {
 /// Columns are referenced by position within the input row of the operator
 /// evaluating the expression (after joins the right side's columns follow the
 /// left side's).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// The value of the column at a position.
     Column(usize),

@@ -1,10 +1,9 @@
 //! Logical query plans.
 
 use crate::expr::{AggFunc, Expr};
-use serde::{Deserialize, Serialize};
 
 /// Join kind.  The workloads only need inner and left-outer joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Keep only matching pairs.
     Inner,
@@ -13,7 +12,7 @@ pub enum JoinKind {
 }
 
 /// One aggregate in an Aggregate node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
     /// The aggregate function.
     pub func: AggFunc,
@@ -29,7 +28,7 @@ impl AggSpec {
 }
 
 /// A sort key: column position plus direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortKey {
     /// Column position in the input rows.
     pub column: usize,
@@ -59,7 +58,7 @@ impl SortKey {
 ///
 /// Plans are trees built bottom-up by the workloads (usually through
 /// [`crate::builder::QueryBuilder`]) and interpreted by [`crate::exec::execute`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Scan every visible row of a table.
     TableScan {

@@ -24,15 +24,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which physical store served a scan; drives the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     /// Row store (TiKV-like / MemSQL row store).
     RowStore,
     /// Column store (TiFlash-like / MemSQL column store).
     ColumnStore,
 }
-
-use serde::{Deserialize, Serialize};
 
 /// A provider of base-table rows for the executor.
 pub trait DataSource {

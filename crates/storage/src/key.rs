@@ -1,7 +1,6 @@
 //! Composite keys used by primary and secondary indexes.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ordered, possibly composite key.
@@ -10,7 +9,7 @@ use std::fmt;
 /// `(s_id, sf_type)` — the composite SUBSCRIBER primary key the paper adds to
 /// TATP — orders first by `s_id` and then by `sf_type`.  Prefix operations are
 /// provided so that an index on `(a, b)` can serve equality lookups on `a`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(Vec<Value>);
 
 impl Key {

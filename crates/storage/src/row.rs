@@ -3,7 +3,6 @@
 use crate::schema::TableSchema;
 use crate::value::Value;
 use crate::{StorageError, StorageResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -12,7 +11,7 @@ use std::ops::Index;
 /// A row stores its values in schema column order.  Rows are cheap to clone for
 /// small tuples; large rows are normally passed around behind `Arc<Row>` by the
 /// row store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Row {
     values: Vec<Value>,
 }

@@ -3,12 +3,11 @@
 use crate::error::{StorageError, StorageResult};
 use crate::key::Key;
 use crate::row::Row;
-use serde::{Deserialize, Serialize};
 
 pub use crate::value::DataType;
 
 /// A column declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (unique within the table).
     pub name: String,
@@ -30,7 +29,7 @@ impl ColumnDef {
 }
 
 /// A secondary index definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name (unique within the table).
     pub name: String,
@@ -46,7 +45,7 @@ pub struct IndexDef {
 /// constraints — because some HTAP systems (e.g. MemSQL) do not support foreign
 /// keys.  The constraint is metadata used by the semantic-consistency validator
 /// and the report generator; enforcement is optional.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKeyDef {
     /// Referencing column positions in this table.
     pub columns: Vec<usize>,
@@ -58,7 +57,7 @@ pub struct ForeignKeyDef {
 
 /// A table schema: named columns, a (possibly composite) primary key, secondary
 /// indexes and optional foreign-key metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     name: String,
     columns: Vec<ColumnDef>,

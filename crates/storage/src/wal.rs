@@ -53,7 +53,6 @@ use crate::value::Value;
 use crate::Timestamp;
 use olxp_trace::LogHistogram;
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -69,7 +68,7 @@ const FLUSH_THRESHOLD: usize = 128 * 1024;
 const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// How commits are made durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// fsync before every commit acknowledgement.
     Always,
@@ -403,14 +402,7 @@ impl Wal {
     pub fn log_create_table(&self, schema: &TableSchema) -> StorageResult<u64> {
         let mut inner = self.inner.lock();
         self.maybe_rotate(&mut inner)?;
-        let lsn = self.append_record(&mut inner, |lsn| {
-            encode_record(
-                lsn,
-                &WalRecord::CreateTable {
-                    schema: schema.clone(),
-                },
-            )
-        })?;
+        let lsn = self.append_record(&mut inner, |out| put_create_table(out, schema))?;
         self.write_through(&mut inner)?;
         Ok(lsn)
     }
@@ -430,16 +422,12 @@ impl Wal {
     ) -> StorageResult<u64> {
         let mut inner = self.inner.lock();
         self.maybe_rotate(&mut inner)?;
-        self.append_record(&mut inner, |lsn| {
-            encode_record(lsn, &WalRecord::Begin { txn_id })
+        self.append_record(&mut inner, |out| {
+            encode_record(out, &WalRecord::Begin { txn_id })
         })?;
         let mut logged = 0;
         for op in ops {
-            self.append_record(&mut inner, |lsn| {
-                let mut out = record_header(lsn);
-                put_mutation(&mut out, txn_id, op, commit_ts);
-                out
-            })?;
+            self.append_record(&mut inner, |out| put_mutation(out, txn_id, op, commit_ts))?;
             logged += 1;
         }
         self.write_through(&mut inner)?;
@@ -454,8 +442,8 @@ impl Wal {
     pub fn log_prepare(&self, txn_id: u64) -> StorageResult<u64> {
         let mut inner = self.inner.lock();
         self.maybe_rotate(&mut inner)?;
-        let lsn = self.append_record(&mut inner, |lsn| {
-            encode_record(lsn, &WalRecord::Prepare { txn_id })
+        let lsn = self.append_record(&mut inner, |out| {
+            encode_record(out, &WalRecord::Prepare { txn_id })
         })?;
         self.write_through(&mut inner)?;
         Ok(lsn)
@@ -466,8 +454,8 @@ impl Wal {
     pub fn log_commit(&self, txn_id: u64, commit_ts: Timestamp) -> StorageResult<u64> {
         let mut inner = self.inner.lock();
         self.maybe_rotate(&mut inner)?;
-        let lsn = self.append_record(&mut inner, |lsn| {
-            encode_record(lsn, &WalRecord::Commit { txn_id, commit_ts })
+        let lsn = self.append_record(&mut inner, |out| {
+            encode_record(out, &WalRecord::Commit { txn_id, commit_ts })
         })?;
         self.write_through(&mut inner)?;
         Ok(lsn)
@@ -620,22 +608,26 @@ impl Wal {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Encode one record (the closure receives the assigned LSN) into the
-    /// buffer.  Caller holds the append lock.
+    /// Frame one record in place at the end of the buffer: a length-and-CRC
+    /// slot, the assigned LSN, whatever `encode` appends (the record's kind
+    /// and fields), then the slot filled in over that payload.  Caller holds
+    /// the append lock.
     fn append_record(
         &self,
         inner: &mut WalInner,
-        encode: impl FnOnce(u64) -> Vec<u8>,
+        encode: impl FnOnce(&mut Vec<u8>),
     ) -> StorageResult<u64> {
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
         inner.last_lsn = lsn;
-        let payload = encode(lsn);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        inner.buffer.extend_from_slice(&frame);
+        let frame = inner.buffer.len();
+        inner.buffer.extend_from_slice(&[0; 8]);
+        inner.buffer.extend_from_slice(&lsn.to_le_bytes());
+        encode(&mut inner.buffer);
+        let payload = &inner.buffer[frame + 8..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        inner.buffer[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        inner.buffer[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
         Ok(lsn)
     }
@@ -1157,11 +1149,10 @@ const MUTATION_IMAGE: u8 = 0;
 const MUTATION_IMAGE_V0: u8 = 1;
 const MUTATION_TOMBSTONE: u8 = 2;
 
-/// A record payload's leading LSN, with room for the rest.
-fn record_header(lsn: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&lsn.to_le_bytes());
-    out
+/// Encode a `CreateTable` record's kind and schema.
+fn put_create_table(out: &mut Vec<u8>, schema: &TableSchema) {
+    out.push(1);
+    codec::put_schema(out, schema);
 }
 
 /// Encode a `Mutation` record's kind and fields.
@@ -1185,15 +1176,10 @@ fn put_mutation(out: &mut Vec<u8>, txn_id: u64, op: &WalOp, commit_ts: Timestamp
     }
 }
 
-/// Encode one record payload (LSN + kind + fields).
-fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
-    use codec::*;
-    let mut out = record_header(lsn);
+/// Append one record's kind and fields (the payload after its LSN).
+fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     match record {
-        WalRecord::CreateTable { schema } => {
-            out.push(1);
-            put_schema(&mut out, schema);
-        }
+        WalRecord::CreateTable { schema } => put_create_table(out, schema),
         WalRecord::Begin { txn_id } => {
             out.push(2);
             out.extend_from_slice(&txn_id.to_le_bytes());
@@ -1202,7 +1188,7 @@ fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
             txn_id,
             op,
             commit_ts,
-        } => put_mutation(&mut out, *txn_id, op, *commit_ts),
+        } => put_mutation(out, *txn_id, op, *commit_ts),
         WalRecord::Commit { txn_id, commit_ts } => {
             out.push(4);
             out.extend_from_slice(&txn_id.to_le_bytes());
@@ -1213,7 +1199,6 @@ fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
             out.extend_from_slice(&txn_id.to_le_bytes());
         }
     }
-    out
 }
 
 /// Decode one record payload.
@@ -1270,6 +1255,13 @@ mod tests {
     use crate::schema::DataType;
     use crate::test_util::temp_dir;
     use std::sync::Arc;
+
+    /// One record payload as the WAL frames it: the LSN, then the record.
+    fn encode(lsn: u64, record: &WalRecord) -> Vec<u8> {
+        let mut out = lsn.to_le_bytes().to_vec();
+        encode_record(&mut out, record);
+        out
+    }
 
     fn orders_schema() -> TableSchema {
         TableSchema::new(
@@ -1349,7 +1341,7 @@ mod tests {
             WalRecord::Prepare { txn_id: 7 },
         ];
         for (i, record) in records.iter().enumerate() {
-            let payload = encode_record(i as u64 + 1, record);
+            let payload = encode(i as u64 + 1, record);
             let (lsn, decoded) = decode_record(&payload).unwrap();
             assert_eq!(lsn, i as u64 + 1);
             assert_eq!(&decoded, record);
@@ -1427,8 +1419,8 @@ mod tests {
             1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, // key
             0, // no row image
         ];
-        assert_eq!(encode_record(3, &mutation(1, Some(row))), image);
-        assert_eq!(encode_record(4, &mutation(2, None)), tombstone);
+        assert_eq!(encode(3, &mutation(1, Some(row))), image);
+        assert_eq!(encode(4, &mutation(2, None)), tombstone);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!
 //! On top of the spine sit the live-telemetry primitives: a fixed-capacity
 //! time-series ring generic over the caller's per-interval sampling point
-//! ([`TimeSeriesRing`], [`SeriesPoint`]) and a dependency-free embedded HTTP/1.1 listener
+//! ([`TimeSeriesRing`], [`SeriesPoint`]; it knows nothing of JSON, which the
+//! engine renders) and a dependency-free embedded HTTP/1.1 listener
 //! ([`TelemetryServer`]) that serves whatever a caller-supplied handler
 //! routes — the engine mounts `/metrics`, `/healthz`, `/snapshot` and
 //! `/timeseries` on it.

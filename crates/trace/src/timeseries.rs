@@ -5,20 +5,16 @@
 //! bounded ring that keeps the newest points and counts what it had to drop,
 //! so a long-lived engine exposes a sliding window of its recent behaviour
 //! without growing memory.  The ring is generic over its point (the engine
-//! owns the point type, which derives serde; this crate stays
-//! dependency-free) and asks of it only what [`SeriesPoint`] names.
+//! owns the point type and renders the ring as JSON) and asks of it only
+//! its place on the time axis, [`SeriesPoint::t_ms`].
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// What a [`TimeSeriesRing`] needs from the points it retains.
 pub trait SeriesPoint: Clone {
     /// Milliseconds on the sampler's time axis at the end of the interval
     /// this point covers.
     fn t_ms(&self) -> u64;
-
-    /// Append this point to `out` as one JSON object.
-    fn write_json(&self, out: &mut String);
 }
 
 /// Bounded ring of points: keeps the newest `capacity` points and counts
@@ -92,25 +88,6 @@ impl<P: SeriesPoint> TimeSeriesRing<P> {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Render the ring as a JSON document:
-    /// `{"capacity":N,"dropped":D,"points":[...]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.points.len() * 512);
-        let _ = write!(
-            out,
-            "{{\"capacity\":{},\"dropped\":{},\"points\":[",
-            self.capacity, self.dropped
-        );
-        for (i, point) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            point.write_json(&mut out);
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -126,14 +103,6 @@ mod tests {
     impl SeriesPoint for Point {
         fn t_ms(&self) -> u64 {
             self.t_ms
-        }
-
-        fn write_json(&self, out: &mut String) {
-            let _ = write!(
-                out,
-                "{{\"t_ms\":{},\"commits\":{}}}",
-                self.t_ms, self.commits
-            );
         }
     }
 
@@ -164,33 +133,5 @@ mod tests {
         ring.push(point(0, 1));
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
-    fn json_document_shape() {
-        let mut ring = TimeSeriesRing::with_capacity(8);
-        ring.push(point(100, 10));
-        ring.push(point(200, 20));
-        let json = ring.to_json();
-        assert!(json.starts_with("{\"capacity\":8,\"dropped\":0,\"points\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"t_ms\":100"));
-        assert!(json.contains("\"commits\":20"));
-        let doc: serde_json::Value = serde_json::from_str(&json).expect("ring JSON parses");
-        let points = doc
-            .get("points")
-            .and_then(|v| v.as_seq())
-            .expect("points is an array");
-        assert_eq!(points.len(), 2);
-        let empty: serde_json::Value =
-            serde_json::from_str(&TimeSeriesRing::<Point>::with_capacity(4).to_json())
-                .expect("empty ring parses");
-        assert_eq!(
-            empty
-                .get("points")
-                .and_then(|v| v.as_seq())
-                .map(|p| p.len()),
-            Some(0)
-        );
     }
 }

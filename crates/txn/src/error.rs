@@ -1,6 +1,5 @@
 //! Transaction errors.
 
-use olxp_storage::StorageError;
 use std::fmt;
 
 /// Result alias for transaction operations.
@@ -38,8 +37,6 @@ pub enum TxnError {
         /// The state the transaction was in.
         state: &'static str,
     },
-    /// Error bubbled up from the storage layer.
-    Storage(StorageError),
 }
 
 impl fmt::Display for TxnError {
@@ -57,18 +54,11 @@ impl fmt::Display for TxnError {
             TxnError::InvalidState { operation, state } => {
                 write!(f, "cannot {operation} a transaction in state {state}")
             }
-            TxnError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
 }
 
 impl std::error::Error for TxnError {}
-
-impl From<StorageError> for TxnError {
-    fn from(e: StorageError) -> Self {
-        TxnError::Storage(e)
-    }
-}
 
 impl TxnError {
     /// True when the transaction should simply be retried (the standard
@@ -105,12 +95,5 @@ mod tests {
             state: "aborted"
         }
         .is_retryable());
-        assert!(!TxnError::Storage(StorageError::TableNotFound("x".into())).is_retryable());
-    }
-
-    #[test]
-    fn storage_errors_convert() {
-        let e: TxnError = StorageError::TableNotFound("item".into()).into();
-        assert!(e.to_string().contains("item"));
     }
 }

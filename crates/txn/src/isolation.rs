@@ -1,13 +1,11 @@
 //! Isolation levels.
 
-use serde::{Deserialize, Serialize};
-
 /// Isolation level of a transaction.
 ///
 /// The paper runs TiDB at repeatable read (snapshot) isolation and notes that
 /// "MemSQL only supports a read committed isolation level" (§V-A2), so these
 /// two levels are what the engine implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IsolationLevel {
     /// Each statement reads the newest committed data (MemSQL-like).
     ReadCommitted,

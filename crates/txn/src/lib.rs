@@ -16,7 +16,7 @@
 //!   schema models, and [`locks::LockStats`] is the quantity that experiment
 //!   reports;
 //! * [`transaction::Transaction`] — a handle that buffers writes (the write
-//!   set) and tracks acquired locks until commit;
+//!   set) until commit; the [`locks::LockManager`] tracks the locks it holds;
 //! * [`manager::TransactionManager`] — begin/commit/abort orchestration.
 //!
 //! The crate deliberately does *not* apply writes to storage itself; the engine

@@ -22,8 +22,8 @@ pub enum TxnState {
 #[derive(Debug, Default, Clone)]
 pub struct WriteSet {
     ops: Vec<WalOp>,
-    /// (table, key) -> index of the latest op touching that row.
-    latest: HashMap<(String, Key), usize>,
+    /// table -> key -> index of the latest op touching that row.
+    latest: HashMap<String, HashMap<Key, usize>>,
 }
 
 impl WriteSet {
@@ -34,9 +34,17 @@ impl WriteSet {
 
     /// Append an operation.
     pub fn push(&mut self, op: WalOp) {
-        let entry = (op.table.clone(), op.key.clone());
+        let idx = self.ops.len();
+        match self.latest.get_mut(op.table.as_str()) {
+            Some(keys) => {
+                keys.insert(op.key.clone(), idx);
+            }
+            None => {
+                let keys = HashMap::from([(op.key.clone(), idx)]);
+                self.latest.insert(op.table.clone(), keys);
+            }
+        }
         self.ops.push(op);
-        self.latest.insert(entry, self.ops.len() - 1);
     }
 
     /// The operations in execution order, by value (a commit installs them).
@@ -60,9 +68,8 @@ impl WriteSet {
     /// * `Some(None)` — the transaction deleted the row.
     /// * `Some(Some(row))` — the transaction wrote this image.
     pub fn effective_row(&self, table: &str, key: &Key) -> Option<Option<&Row>> {
-        self.latest
-            .get(&(table.to_string(), key.clone()))
-            .map(|&idx| self.ops[idx].row.as_ref())
+        let idx = *self.latest.get(table)?.get(key)?;
+        Some(self.ops[idx].row.as_ref())
     }
 }
 
