@@ -4,14 +4,14 @@
 //! This is intentionally not a Criterion benchmark: each experiment is an
 //! end-to-end benchmark run whose output is a table, so the harness simply
 //! executes them all and prints the reports.  For the full-scale pass use
-//! `cargo run -p olxpbench-bench --release --bin olxp-experiments -- all`.
+//! `cargo run -p olxpbench-bench --release --bin olxp_experiments -- all`.
 
 use olxpbench_bench::{all_experiment_ids, run_experiment, ExpOptions};
 use std::time::Instant;
 
 fn main() {
-    // `cargo bench -- --flag` style arguments (e.g. Criterion's `--bench`) are
-    // irrelevant here; run everything in quick mode.
+    // `cargo bench -- --flag` style arguments (e.g. the `--bench` cargo passes)
+    // are irrelevant here; run everything in quick mode.
     let opts = ExpOptions::quick();
     let overall = Instant::now();
     for id in all_experiment_ids() {

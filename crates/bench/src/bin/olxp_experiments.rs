@@ -1,14 +1,14 @@
 //! Experiment harness CLI.
 //!
 //! ```text
-//! olxp-experiments <experiment-id>|all [--quick]
+//! olxp_experiments <experiment-id>|all [--quick]
 //!                  [--durability none|group|always] [--data-dir PATH]
 //!                  [--shards N] [--serve ADDR] [--slo-strict]
 //! ```
 //!
 //! Experiment ids: `table1`, `table2`, `fig1`, `fig3`, `fig4`, `fig5`, `fig6`,
 //! `fig7`, `fig8`, `fig9`, `findings`, `fig10`, `interference`, `durability`,
-//! `shards`, `compression`, `tracing_overhead`, `telemetry_overhead`.
+//! `shards`, `compression`.
 //!
 //! `--durability` runs every experiment engine on a write-ahead log with the
 //! given sync policy (default `none`: in-memory, the paper's setup),
@@ -42,7 +42,7 @@ use std::time::Instant;
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
-        "usage: olxp-experiments <experiment-id>|all [--quick] \
+        "usage: olxp_experiments <experiment-id>|all [--quick] \
          [--durability none|group|always] [--data-dir PATH] [--shards N] \
          [--serve ADDR] [--slo-strict]"
     );
@@ -142,10 +142,12 @@ fn main() {
         match run_experiment(id, opts.clone()) {
             Some(report) => {
                 println!("{report}");
-                // With tracing on (`OLXP_TRACE=on` or a traced experiment),
-                // drain the span rings into a Perfetto-loadable artifact.
-                if let Some(path) = export_trace_artifact(id) {
-                    println!("[trace artifact written to {}]", path.display());
+                // With tracing on (`OLXP_TRACE=on`), drain the span rings into
+                // a Perfetto-loadable artifact.
+                match export_trace_artifact(id) {
+                    Ok(Some(path)) => println!("[trace artifact written to {}]", path.display()),
+                    Ok(None) => {}
+                    Err(e) => eprintln!("[failed to write trace-{id}.json: {e}]"),
                 }
                 let runs = take_run_summaries();
                 if !runs.is_empty() {

@@ -1,9 +1,8 @@
 //! Experiment registry and shared helpers.
 //!
 //! Every experiment corresponds to one table or figure of the paper's
-//! evaluation, or to one engine property the README reports (see the
-//! experiment list in the README's "Running the paper's experiments"
-//! section).  Experiments run
+//! evaluation, or to one engine property the README reports
+//! ([`all_experiment_ids`] lists them).  Experiments run
 //! against freshly created in-process engines; because the substrate is a
 //! calibrated model rather than the authors' 4-node testbed, absolute numbers
 //! differ from the paper, but each experiment prints the same rows/series and
@@ -16,9 +15,6 @@ mod durability;
 mod scaling;
 mod sweeps;
 mod tables;
-mod tracing;
-
-pub use tracing::export_trace_artifact;
 
 use olxpbench::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -160,8 +156,6 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
         "durability",
         "shards",
         "compression",
-        "tracing_overhead",
-        "telemetry_overhead",
     ]
 }
 
@@ -185,8 +179,6 @@ pub fn run_experiment(id: &str, opts: ExpOptions) -> Option<String> {
         "durability" => durability::commit_latency_by_sync_policy(opts),
         "shards" => scaling::shard_scaling(opts),
         "compression" => compression::compression(opts),
-        "tracing_overhead" => tracing::tracing_overhead(opts),
-        "telemetry_overhead" => tracing::telemetry_overhead(opts),
         _ => return None,
     };
     Some(report)
@@ -290,6 +282,20 @@ pub(crate) fn run_config(
         .expect("run-summary registry")
         .push(result.clone());
     result
+}
+
+/// Drain the process-wide span rings and write a Chrome trace-event JSON
+/// artifact for `experiment`, returning the path written, or `Ok(None)` when
+/// no spans were recorded (tracing off or nothing instrumented ran).  Used by
+/// the harness binary after each experiment when `OLXP_TRACE` is on.
+pub fn export_trace_artifact(experiment: &str) -> std::io::Result<Option<std::path::PathBuf>> {
+    let events = olxpbench::trace::take_events();
+    if events.is_empty() {
+        return Ok(None);
+    }
+    let path = std::path::PathBuf::from(format!("trace-{experiment}.json"));
+    std::fs::write(&path, chrome_trace_json(&events))?;
+    Ok(Some(path))
 }
 
 /// One run that violated a service-level bound.
@@ -419,5 +425,16 @@ mod tests {
         );
         assert!(violations.iter().all(|v| v.run == "unhealthy"));
         assert!(check_slos(&[BenchmarkResult::default()]).is_empty());
+    }
+
+    #[test]
+    fn export_trace_artifact_reports_a_failed_write() {
+        olxpbench::trace::set_enabled(true);
+        olxpbench::trace::record_span(SpanCategory::Lock, 0, 1, olxpbench::trace::now_nanos());
+        // The id names a file under a directory that does not exist.
+        let id = format!("missing-dir-{}/x", std::process::id());
+        let result = export_trace_artifact(&id);
+        olxpbench::trace::set_enabled(false);
+        assert!(result.is_err(), "a failed write is an error: {result:?}");
     }
 }

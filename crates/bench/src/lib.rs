@@ -1,18 +1,18 @@
 //! # olxpbench-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! OLxPBench paper's evaluation, plus Criterion micro-benchmarks for the
-//! substrate crates.
+//! OLxPBench paper's evaluation, plus the engine properties the README
+//! reports (durability, shard scaling, compression).
 //!
 //! Run a single experiment with
 //!
 //! ```text
-//! cargo run -p olxpbench-bench --release --bin olxp-experiments -- fig7
+//! cargo run -p olxpbench-bench --release --bin olxp_experiments -- fig7
 //! ```
 //!
 //! or all of them with `-- all` (append `--quick` for a scaled-down pass).
-//! The experiment ids and what each one prints are listed in the README's
-//! "Running the paper's experiments" section.
+//! [`all_experiment_ids`] lists the experiment ids; the README's "Running the
+//! paper's experiments" section shows the commands for the non-figure ones.
 
 pub mod experiments;
 

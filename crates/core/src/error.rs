@@ -15,8 +15,6 @@ pub enum BenchError {
     Config(String),
     /// A workload definition is inconsistent (e.g. empty transaction mix).
     Workload(String),
-    /// Report serialisation failed.
-    Report(String),
 }
 
 impl fmt::Display for BenchError {
@@ -25,7 +23,6 @@ impl fmt::Display for BenchError {
             BenchError::Engine(e) => write!(f, "engine error: {e}"),
             BenchError::Config(msg) => write!(f, "invalid benchmark configuration: {msg}"),
             BenchError::Workload(msg) => write!(f, "invalid workload: {msg}"),
-            BenchError::Report(msg) => write!(f, "report error: {msg}"),
         }
     }
 }

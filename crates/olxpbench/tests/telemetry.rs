@@ -148,6 +148,15 @@ fn wire_names_are_pinned() {
     let driver = BenchmarkDriver::new(bench);
     driver.prepare(&db, &workload).unwrap();
     let result = driver.run(&db, &workload).unwrap();
+    // The engine runs traced, so the driver reports its commit-path stages.
+    assert!(
+        result
+            .stages
+            .iter()
+            .any(|s| s.stage == "commit" && s.count > 0),
+        "a traced run reports a commit stage: {:?}",
+        result.stages.iter().map(|s| &s.stage).collect::<Vec<_>>()
+    );
 
     // (a) /metrics: every family with its type, and the label keys of the
     // labelled families.

@@ -303,8 +303,9 @@ fn latency_does_not_improve_with_cluster_size() {
 ///
 /// The scan is pure in-process CPU work (no modelled latencies, no agent
 /// threads), so even single-core hosts measure it stably; the directional
-/// 2x bar is far below the order-of-magnitude speedup `storage_micro`'s
-/// `colstore_prune` group shows.
+/// 2x bar is far below the speedup of skipping over 100 of 128 chunks.
+/// `olxp-perf` reports the same pruning on the suites as
+/// `storage.zonemap.prune_pct`.
 #[test]
 fn chunk_pruning_speeds_up_selective_scans() {
     use olxpbench::query::{col, execute_with, lit, ColumnSource, ExecOptions, QueryBuilder};
