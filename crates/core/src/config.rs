@@ -141,12 +141,6 @@ impl BenchConfig {
         }
     }
 
-    /// Builder-style label override.
-    pub fn with_label(mut self, label: impl Into<String>) -> BenchConfig {
-        self.label = label.into();
-        self
-    }
-
     /// Builder-style scale-factor override.
     pub fn with_scale_factor(mut self, scale: u32) -> BenchConfig {
         self.scale_factor = scale;
@@ -156,18 +150,6 @@ impl BenchConfig {
     /// Builder-style warm-up override.
     pub fn with_warmup(mut self, warmup: Duration) -> BenchConfig {
         self.warmup = warmup;
-        self
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> BenchConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style loop-mode override.
-    pub fn with_mode(mut self, mode: LoopMode) -> BenchConfig {
-        self.mode = mode;
         self
     }
 

@@ -56,13 +56,6 @@ pub struct BenchmarkResult {
     /// fsync, install, 2PC, replication apply, compaction, query operators).
     /// Empty unless the engine ran with tracing enabled.
     pub stages: Vec<StageSummary>,
-    /// Formatted records of transactions that exceeded the engine's
-    /// slow-transaction threshold during the run (drained from the engine's
-    /// log; empty when the threshold is unset or nothing qualified).
-    pub slow_txns: Vec<String>,
-    /// Formatted records of analytical queries that exceeded the engine's
-    /// slow-query threshold during the run (drained from the engine's log).
-    pub slow_queries: Vec<String>,
     /// The engine's sampled telemetry timeline over the run (warm-up
     /// included), rebased so `t_ms == 0` at the driver's start.  Empty when
     /// the telemetry sampler is disabled.
@@ -262,18 +255,6 @@ impl BenchmarkDriver {
             engine,
             replication_lag: db.replication_lag(),
             freshness,
-            slow_txns: db
-                .slow_txn_log()
-                .take()
-                .iter()
-                .map(|record| record.format())
-                .collect(),
-            slow_queries: db
-                .slow_query_log()
-                .take()
-                .iter()
-                .map(|record| record.format())
-                .collect(),
             timeline: db
                 .telemetry_points_since(telemetry_t0)
                 .into_iter()

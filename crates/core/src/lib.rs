@@ -52,8 +52,7 @@ pub use error::{BenchError, BenchResult};
 pub use features::{BenchmarkComparison, WorkloadFeatures};
 pub use generator::{ClosedLoopSchedule, OpenLoopSchedule, RequestSchedule, WeightedChoice};
 pub use report::{
-    shard_table, stage_table, timeline_table, ClassReport, FreshnessSummary, LatencySummary,
-    StageSummary,
+    shard_table, timeline_table, ClassReport, FreshnessSummary, LatencySummary, StageSummary,
 };
 pub use schema_check::{check_semantic_consistency, SchemaConsistencyReport};
 pub use stats::LatencyRecorder;

@@ -183,37 +183,6 @@ impl StageSummary {
     }
 }
 
-/// Render stage summaries as the commit-path breakdown table the experiment
-/// harness prints (empty string when no stage recorded anything).
-pub fn stage_table(stages: &[StageSummary]) -> String {
-    if stages.is_empty() {
-        return String::new();
-    }
-    let rows: Vec<Vec<String>> = stages
-        .iter()
-        .map(|s| {
-            vec![
-                s.stage.clone(),
-                s.count.to_string(),
-                format!("{:.1}", s.mean_us),
-                format!("{:.1}", s.p50_us),
-                format!("{:.1}", s.p95_us),
-                format!("{:.1}", s.p99_us),
-                format!("{:.1}", s.p999_us),
-                format!("{:.1}", s.max_us),
-                format!("{:.2}", s.total_ms),
-            ]
-        })
-        .collect();
-    render_table(
-        &[
-            "stage", "count", "mean_us", "p50_us", "p95_us", "p99_us", "p99.9_us", "max_us",
-            "total_ms",
-        ],
-        &rows,
-    )
-}
-
 /// Render a run's per-shard commit, lock-wait and WAL counters as a text
 /// table, one row per shard in shard order (empty string for no shards).
 /// Lock-wait accounting is always on, so this is available without tracing.
@@ -398,11 +367,6 @@ mod tests {
         assert_eq!(wal.count, 2);
         assert!((wal.mean_us - 3.0).abs() < 1e-9);
         assert!((wal.total_ms - 0.006).abs() < 1e-9);
-        let table = stage_table(&summaries);
-        assert!(table.contains("wal_append"));
-        assert!(table.contains("fsync"));
-        assert!(table.contains("p99.9_us"));
-        assert!(stage_table(&[]).is_empty());
     }
 
     #[test]

@@ -24,6 +24,13 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+/// Worker threads modelled per node (the paper's servers expose 24 hardware
+/// threads; the model is scaled down with the data sizes).
+const WORKERS_PER_NODE: usize = 6;
+
+/// Buffer-pool capacity per node, in pages.
+const BUFFER_POOL_PAGES: u64 = 512;
+
 /// A counting semaphore modelling one node's worker threads.
 #[derive(Debug)]
 struct WorkerPool {
@@ -92,8 +99,8 @@ impl Cluster {
     pub fn from_config(config: &EngineConfig) -> Cluster {
         let nodes: Vec<Node> = (0..config.nodes)
             .map(|_| Node {
-                workers: WorkerPool::new(config.workers_per_node),
-                buffer_pool: BufferPool::new(config.buffer_pool_pages),
+                workers: WorkerPool::new(WORKERS_PER_NODE),
+                buffer_pool: BufferPool::new(BUFFER_POOL_PAGES),
             })
             .collect();
         let all: Vec<NodeId> = (0..config.nodes).collect();
@@ -269,22 +276,27 @@ mod tests {
 
     #[test]
     fn occupy_charges_service_time_and_measures_queueing() {
-        let config = EngineConfig::single_engine()
-            .with_nodes(1)
-            .with_workers_per_node(1);
+        let config = EngineConfig::single_engine().with_nodes(1);
         let cluster = Arc::new(Cluster::from_config(&config));
-        // Saturate the single worker with a long occupation from another thread.
-        let c2 = Arc::clone(&cluster);
-        let blocker = thread::spawn(move || c2.occupy(0, 3_000_000));
-        thread::sleep(Duration::from_millis(1));
+        // Saturate every worker of the one node; another thread frees them
+        // 3ms from now.
+        for _ in 0..WORKERS_PER_NODE {
+            cluster.nodes[0].workers.acquire();
+        }
         let started = Instant::now();
+        let c2 = Arc::clone(&cluster);
+        let releaser = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(3));
+            for _ in 0..WORKERS_PER_NODE {
+                c2.nodes[0].workers.release();
+            }
+        });
         let occ = cluster.occupy(0, 100_000);
         let elapsed = started.elapsed();
-        blocker.join().unwrap();
+        releaser.join().unwrap();
         assert_eq!(occ.service_nanos, 100_000);
-        // The second occupation had to queue behind the 3ms blocker (allowing
-        // generous slack for scheduling noise).
-        assert!(elapsed >= Duration::from_micros(100));
+        // The occupation had to queue until the workers were freed.
+        assert!(elapsed >= Duration::from_millis(3));
     }
 
     #[test]

@@ -192,11 +192,6 @@ pub struct EngineConfig {
     /// Number of cluster nodes (the paper uses 4 for the main experiments and
     /// 4/8/16 for the scalability study).
     pub nodes: usize,
-    /// Worker threads modelled per node (the paper's servers expose 24
-    /// hardware threads; the default is scaled down with the data sizes).
-    pub workers_per_node: usize,
-    /// Buffer-pool capacity per node, in pages.
-    pub buffer_pool_pages: u64,
     /// Storage service-time model.
     pub cost: CostParams,
     /// Multiplier converting simulated service nanoseconds into real elapsed
@@ -225,16 +220,6 @@ pub struct EngineConfig {
     /// the `OLXP_TEST_SHARDS` environment variable so the whole test suite can
     /// be re-run against a sharded engine without code changes.
     pub shards: usize,
-    /// Run a dedicated background compactor thread that seals full delta
-    /// chunks of the columnar replicas into the compressed, immutable main
-    /// tier (dictionary / run-length encoded per column, with tight zone maps
-    /// rebuilt during the rewrite).  Compaction never
-    /// changes results — global slot indices are stable and scans read both
-    /// tiers — so disabling it only keeps every chunk in the plain delta
-    /// format.  Constructors honour the `OLXP_TEST_COMPRESSION` environment
-    /// variable (`off`/`0`/`false`/`none` disables) so the whole test suite
-    /// can be re-run without compression without code changes.
-    pub compression: bool,
     /// Record lifecycle spans (lock, WAL append, fsync, install, 2PC,
     /// replication apply, compaction, query operators) and per-stage latency
     /// histograms.  When disabled, every instrumentation site reduces to a
@@ -242,18 +227,6 @@ pub struct EngineConfig {
     /// environment variable (`on`/`1`/`true`/`yes` enables) so any run can be
     /// traced without code changes.
     pub tracing: bool,
-    /// Commits slower than this many milliseconds (end to end) log their full
-    /// per-stage span breakdown through the engine's slow-transaction log.
-    /// `0` (the default) disables the slow log.  Only active while
-    /// [`EngineConfig::tracing`] is on, since the stages are measured by the
-    /// tracing instrumentation.
-    pub slow_txn_threshold_ms: u64,
-    /// Analytical queries slower than this many milliseconds (wall clock,
-    /// freshness wait included) log their per-operator time breakdown through
-    /// the engine's slow-query log.  `0` (the default) disables it.  The
-    /// operator breakdown needs [`EngineConfig::tracing`]; the total and the
-    /// freshness lag are recorded either way.
-    pub slow_query_threshold_ms: u64,
     /// Address (e.g. `127.0.0.1:9184`, port `0` for ephemeral) the engine's
     /// embedded telemetry HTTP server binds at open, serving `GET /metrics`
     /// (Prometheus text), `/healthz` (readiness + SLO checks), `/snapshot`
@@ -279,9 +252,9 @@ fn default_shards() -> usize {
         .unwrap_or(1)
 }
 
-/// The boolean spellings every `OLXP_*` switch accepts, case-insensitively:
+/// The boolean spellings `OLXP_TRACE` accepts, case-insensitively:
 /// `on`/`1`/`true`/`yes` and `off`/`0`/`false`/`none`.  Anything else is not
-/// a switch value and leaves the variable's default in force.
+/// a switch value and leaves the default in force.
 fn parse_switch(value: &str) -> Option<bool> {
     match value.trim().to_ascii_lowercase().as_str() {
         "on" | "1" | "true" | "yes" => Some(true),
@@ -290,18 +263,12 @@ fn parse_switch(value: &str) -> Option<bool> {
     }
 }
 
-/// The switch the environment variable `name` is set to, `default` when it
-/// is unset or not a switch value.
-fn env_switch(name: &str, default: bool) -> bool {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| parse_switch(&v))
-        .unwrap_or(default)
-}
-
 /// Default tracing switch: off unless `OLXP_TRACE` switches it on.
 fn default_tracing() -> bool {
-    env_switch(olxp_trace::ENV_TRACE, false)
+    std::env::var(olxp_trace::ENV_TRACE)
+        .ok()
+        .and_then(|v| parse_switch(&v))
+        .unwrap_or(false)
 }
 
 /// Default telemetry scrape address: `OLXP_TELEMETRY_ADDR` if set to a
@@ -313,20 +280,12 @@ fn default_telemetry_addr() -> Option<String> {
         .filter(|v| !v.is_empty())
 }
 
-/// Default compression switch: on unless `OLXP_TEST_COMPRESSION` switches it
-/// off.
-fn default_compression() -> bool {
-    env_switch("OLXP_TEST_COMPRESSION", true)
-}
-
 impl EngineConfig {
     /// MemSQL-like single engine on the default 4-node cluster.
     pub fn single_engine() -> EngineConfig {
         EngineConfig {
             architecture: EngineArchitecture::SingleEngine,
             nodes: 4,
-            workers_per_node: 6,
-            buffer_pool_pages: 512,
             cost: CostParams::default(),
             time_scale: 1.0,
             analytical_rowstore_percent: 100,
@@ -334,10 +293,7 @@ impl EngineConfig {
             freshness_timeout_ms: 2_000,
             durability: DurabilityConfig::disabled(),
             shards: default_shards(),
-            compression: default_compression(),
             tracing: default_tracing(),
-            slow_txn_threshold_ms: 0,
-            slow_query_threshold_ms: 0,
             telemetry_addr: default_telemetry_addr(),
             telemetry_interval_ms: 250,
         }
@@ -364,12 +320,6 @@ impl EngineConfig {
     /// Override the cluster size (builder style).
     pub fn with_nodes(mut self, nodes: usize) -> EngineConfig {
         self.nodes = nodes;
-        self
-    }
-
-    /// Override the per-node worker count (builder style).
-    pub fn with_workers_per_node(mut self, workers: usize) -> EngineConfig {
-        self.workers_per_node = workers;
         self
     }
 
@@ -403,30 +353,9 @@ impl EngineConfig {
         self
     }
 
-    /// Enable or disable delta/main compression and the background compactor
-    /// (builder style).
-    pub fn with_compression(mut self, enabled: bool) -> EngineConfig {
-        self.compression = enabled;
-        self
-    }
-
     /// Enable or disable lifecycle tracing (builder style).
     pub fn with_tracing(mut self, enabled: bool) -> EngineConfig {
         self.tracing = enabled;
-        self
-    }
-
-    /// Override the slow-transaction threshold in milliseconds; `0` disables
-    /// the slow log (builder style).
-    pub fn with_slow_txn_threshold_ms(mut self, threshold_ms: u64) -> EngineConfig {
-        self.slow_txn_threshold_ms = threshold_ms;
-        self
-    }
-
-    /// Override the slow-analytical-query threshold in milliseconds; `0`
-    /// disables the slow-query log (builder style).
-    pub fn with_slow_query_threshold_ms(mut self, threshold_ms: u64) -> EngineConfig {
-        self.slow_query_threshold_ms = threshold_ms;
         self
     }
 
@@ -475,9 +404,6 @@ impl EngineConfig {
     pub fn validate(&self) -> EngineResult<()> {
         if self.nodes == 0 {
             return Err(EngineError::Config("nodes must be >= 1".into()));
-        }
-        if self.workers_per_node == 0 {
-            return Err(EngineError::Config("workers_per_node must be >= 1".into()));
         }
         if !(self.time_scale.is_finite() && self.time_scale >= 0.0) {
             return Err(EngineError::Config(
@@ -537,10 +463,8 @@ mod tests {
     fn builder_overrides() {
         let cfg = EngineConfig::dual_engine()
             .with_nodes(16)
-            .with_workers_per_node(2)
             .with_time_scale(0.25);
         assert_eq!(cfg.nodes, 16);
-        assert_eq!(cfg.workers_per_node, 2);
         assert!((cfg.time_scale - 0.25).abs() < f64::EPSILON);
     }
 
@@ -548,10 +472,6 @@ mod tests {
     fn invalid_configs_are_rejected() {
         assert!(EngineConfig::dual_engine()
             .with_nodes(0)
-            .validate()
-            .is_err());
-        assert!(EngineConfig::dual_engine()
-            .with_workers_per_node(0)
             .validate()
             .is_err());
         let mut cfg = EngineConfig::dual_engine();
@@ -649,33 +569,18 @@ mod tests {
     }
 
     #[test]
-    fn compression_defaults_and_validation() {
-        // Defaults follow OLXP_TEST_COMPRESSION, which the CI matrix sets;
-        // the builder always wins over the environment.
-        let cfg = EngineConfig::dual_engine().with_compression(true);
-        assert!(cfg.compression);
-        assert!(cfg.validate().is_ok());
-        let off = EngineConfig::dual_engine().with_compression(false);
-        assert!(!off.compression);
-        assert!(off.validate().is_ok());
-    }
-
-    #[test]
     fn telemetry_defaults_and_validation() {
         let cfg = EngineConfig::dual_engine();
         // The sampler is on by default; the HTTP server is opt-in (the
         // OLXP_TELEMETRY_ADDR environment default is absent in tests).
         assert_eq!(cfg.telemetry_interval_ms, 250);
-        assert_eq!(cfg.slow_query_threshold_ms, 0);
         assert!(cfg.validate().is_ok());
 
         let served = EngineConfig::dual_engine()
             .with_telemetry_addr("127.0.0.1:0")
-            .with_telemetry_interval_ms(50)
-            .with_slow_query_threshold_ms(25);
+            .with_telemetry_interval_ms(50);
         assert_eq!(served.telemetry_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(served.telemetry_interval_ms, 50);
-        assert_eq!(served.slow_query_threshold_ms, 25);
         assert!(served.validate().is_ok());
 
         // Interval 0 disables the sampler but stays valid.

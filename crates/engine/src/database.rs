@@ -19,7 +19,6 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics};
 use crate::model::Model;
 use crate::session::{CommitCtx, Session};
 use crate::shard::Shard;
-use crate::slowlog::{SlowQueryLog, SlowTxnLog};
 use crate::telemetry::{self, HealthReport, TelemetryPoint, TelemetryState};
 use olxp_storage::checkpoint::load_latest_checkpoint;
 use olxp_storage::{
@@ -90,17 +89,9 @@ pub struct HybridDatabase {
     pub(crate) checkpointing: AtomicBool,
     pub(crate) checkpoints_taken: AtomicU64,
     pub(crate) checkpoint_failures: AtomicU64,
-    /// The delta compactor (started when [`EngineConfig::compression`] is
-    /// on).  Its signal is what the appliers notify when they grow a delta
-    /// tail.
+    /// The delta compactor.  Its signal is what the appliers notify when
+    /// they grow a delta tail.
     compactor: Worker,
-    /// Commits slower than [`EngineConfig::slow_txn_threshold_ms`], retained
-    /// with their per-stage breakdown while tracing is enabled.
-    slow_log: SlowTxnLog,
-    /// Analytical queries slower than
-    /// [`EngineConfig::slow_query_threshold_ms`], retained with their
-    /// per-operator breakdown (operators need tracing).
-    slow_query_log: SlowQueryLog,
     /// Sampler ring, SLO flags and the telemetry time axis.  Always present —
     /// idle when the sampler is disabled.
     telemetry_state: Arc<TelemetryState>,
@@ -166,8 +157,6 @@ impl HybridDatabase {
         // keys its committed-transaction map by them, so new ones start past
         // every id already logged.
         txn_mgr.resume_txn_ids_after(replays.iter().map(|r| r.max_txn_id).max().unwrap_or(0));
-        let slow_log = SlowTxnLog::new(config.slow_txn_threshold_ms);
-        let slow_query_log = SlowQueryLog::new(config.slow_query_threshold_ms);
         let db = Arc::new(HybridDatabase {
             config,
             catalog: Catalog::new(),
@@ -183,8 +172,6 @@ impl HybridDatabase {
             checkpoints_taken: AtomicU64::new(0),
             checkpoint_failures: AtomicU64::new(0),
             compactor: Worker::default(),
-            slow_log,
-            slow_query_log,
             telemetry_state: Arc::new(TelemetryState::new()),
             sampler: Worker::default(),
             telemetry_http: Mutex::new(None),
@@ -202,13 +189,11 @@ impl HybridDatabase {
                 background::apply(signal, index, &log, &replicator, &metrics, &compactor)
             });
         }
-        if db.config.compression {
-            let (tables, metrics) = (Arc::clone(&db.col_tables), Arc::clone(&db.metrics));
-            db.compactor
-                .start("olxp-delta-compactor".into(), move |signal| {
-                    background::compact(signal, &tables, &metrics)
-                });
-        }
+        let (tables, metrics) = (Arc::clone(&db.col_tables), Arc::clone(&db.metrics));
+        db.compactor
+            .start("olxp-delta-compactor".into(), move |signal| {
+                background::compact(signal, &tables, &metrics)
+            });
         if db.config.telemetry_interval_ms > 0 {
             let sampler = telemetry::sampler(&db);
             db.sampler.start("olxp-telemetry-sampler".into(), sampler);
@@ -257,19 +242,6 @@ impl HybridDatabase {
     /// Engine metrics.
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
-    }
-
-    /// The slow-transaction log (populated only while tracing is enabled and
-    /// [`EngineConfig::slow_txn_threshold_ms`] is non-zero).
-    pub fn slow_txn_log(&self) -> &SlowTxnLog {
-        &self.slow_log
-    }
-
-    /// The slow-query log (populated when
-    /// [`EngineConfig::slow_query_threshold_ms`] is non-zero; per-operator
-    /// breakdowns additionally need tracing).
-    pub fn slow_query_log(&self) -> &SlowQueryLog {
-        &self.slow_query_log
     }
 
     /// Live telemetry state: the sampler's time-series ring and SLO flags.
@@ -579,8 +551,8 @@ impl HybridDatabase {
     /// Synchronously seal every full delta chunk of every columnar replica
     /// into the compressed main tier — the same migration the background
     /// compactor performs continuously.  Returns the number of chunks sealed.
-    /// Used by benchmarks that want a settled store before measuring and by
-    /// engines running with the compactor disabled.
+    /// Used by benchmarks that want a settled store before measuring and
+    /// after [`Self::shutdown_compactor`].
     pub fn compact_columnar(&self) -> u64 {
         let tables: Vec<Arc<ColumnTable>> = self.col_tables.read().values().cloned().collect();
         let mut sealed = 0u64;
@@ -788,15 +760,12 @@ mod tests {
 
     #[test]
     fn compactor_shuts_down_cleanly_and_idempotently() {
-        let db = HybridDatabase::new(EngineConfig::dual_engine().with_compression(true)).unwrap();
+        let db = HybridDatabase::dual_engine();
         assert!(db.has_background_compactor());
         db.shutdown_compactor();
         assert!(!db.has_background_compactor());
         db.shutdown_compactor(); // idempotent
         drop(db);
-
-        let off = HybridDatabase::new(EngineConfig::dual_engine().with_compression(false)).unwrap();
-        assert!(!off.has_background_compactor());
     }
 
     /// The named `/healthz` check's verdict and the handler's `/healthz` status.
@@ -819,7 +788,6 @@ mod tests {
     ) {
         let config = EngineConfig::dual_engine()
             .with_shards(4)
-            .with_compression(true)
             .with_telemetry_interval_ms(5);
         let db = HybridDatabase::new(config).unwrap();
         assert!(running(&db));
@@ -983,12 +951,10 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         assert!(body.starts_with("{\"healthy\":true"));
 
-        // /snapshot: the full counter snapshot with both slow logs.
+        // /snapshot: the full counter snapshot.
         let (status, body) = http_get(addr, "/snapshot");
         assert_eq!(status, 200);
         assert!(body.contains("\"commits\":"));
-        assert!(body.contains("\"slow_txns\":["));
-        assert!(body.contains("\"slow_queries\":["));
 
         // /timeseries: wait for the sampler, then fetch the ring.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -1043,7 +1009,7 @@ mod tests {
     fn background_compactor_seals_replicated_chunks() {
         // Small time budget: load enough rows to fill several default-size
         // chunks and wait for the compactor to migrate them to main.
-        let db = HybridDatabase::new(EngineConfig::dual_engine().with_compression(true)).unwrap();
+        let db = HybridDatabase::dual_engine();
         db.create_table(item_schema()).unwrap();
         let rows = 3 * olxp_storage::DEFAULT_PRUNE_CHUNK_SIZE as i64;
         for i in 0..rows {
@@ -1077,7 +1043,8 @@ mod tests {
 
     #[test]
     fn explicit_compaction_works_with_the_compactor_disabled() {
-        let db = HybridDatabase::new(EngineConfig::dual_engine().with_compression(false)).unwrap();
+        let db = HybridDatabase::dual_engine();
+        db.shutdown_compactor();
         db.create_table(item_schema()).unwrap();
         let rows = 2 * olxp_storage::DEFAULT_PRUNE_CHUNK_SIZE as i64;
         for i in 0..rows {
@@ -1144,9 +1111,7 @@ mod tests {
 
     #[test]
     fn idle_workers_stop_promptly_under_a_long_sampling_interval() {
-        let config = EngineConfig::dual_engine()
-            .with_compression(true)
-            .with_telemetry_interval_ms(60_000);
+        let config = EngineConfig::dual_engine().with_telemetry_interval_ms(60_000);
         let db = HybridDatabase::new(config).unwrap();
         assert!(db.has_background_applier() && db.has_background_compactor());
         assert!(db.has_telemetry_sampler());

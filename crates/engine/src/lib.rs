@@ -46,7 +46,6 @@ pub mod model;
 mod recovery;
 pub mod session;
 mod shard;
-pub mod slowlog;
 pub mod telemetry;
 
 pub use config::{DurabilityConfig, EngineArchitecture, EngineConfig, FreshnessPolicy};
@@ -58,5 +57,4 @@ pub use metrics::{
 pub use model::{CostParams, Model, Placement, StorageMedium, Work};
 pub use olxp_storage::SyncPolicy;
 pub use session::{Session, TxnHandle};
-pub use slowlog::{SlowQueryLog, SlowQueryRecord, SlowTxnLog, SlowTxnRecord};
 pub use telemetry::{HealthCheck, HealthReport, TelemetryPoint, TelemetryState};

@@ -39,9 +39,6 @@ pub struct TxnHandle {
     /// Where each write-set op lives, index for index: computed once by the
     /// statement that buffered the op and read by everything after it.
     placements: Vec<Placement>,
-    /// Real nanoseconds this transaction spent acquiring write locks, summed
-    /// over its statements (feeds the commit's stage breakdown while tracing).
-    lock_wait_nanos: u64,
 }
 
 impl TxnHandle {
@@ -89,7 +86,6 @@ impl Session {
             txn: self.db.txn_manager().begin(isolation),
             class,
             placements: Vec::new(),
-            lock_wait_nanos: 0,
         }
     }
 
@@ -166,7 +162,7 @@ impl Session {
         );
         db.metrics().add_shard_commits(&ctx.shards);
         db.note_commit();
-        ctx.finish_trace(handle.lock_wait_nanos);
+        ctx.finish_trace();
         // Runs outside the commit gate: the checkpoint takes it exclusively.
         db.maybe_checkpoint();
         Ok(())
@@ -455,13 +451,6 @@ impl Session {
     /// stale answers.
     pub fn analytical_query(&self, plan: &Plan) -> EngineResult<QueryOutput> {
         self.db.metrics().add_statement(WorkClass::Olap);
-        // Wall clock for the slow-query log, freshness wait included; only
-        // sampled while the log is enabled so the common path pays a branch.
-        let query_started = if self.db.slow_query_log().is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
         match self.db.route_analytical() {
             AnalyticalRoute::ColumnStore => {
                 let fresh_start = if olxp_trace::enabled() {
@@ -492,12 +481,6 @@ impl Session {
                         stats: &output.stats,
                     },
                 );
-                self.note_slow_query(
-                    query_started,
-                    "column_store",
-                    output.stats.freshness_lag_records,
-                    &output.stats,
-                );
                 Ok(output)
             }
             AnalyticalRoute::RowStore => {
@@ -507,7 +490,6 @@ impl Session {
                 self.db
                     .metrics()
                     .record_freshness(FreshnessSample::default());
-                self.note_slow_query(query_started, "row_store", 0, &output.stats);
                 Ok(output)
             }
         }
@@ -677,27 +659,6 @@ impl Session {
         }
     }
 
-    /// Retain the query in the slow-query log when it crossed the configured
-    /// threshold.  `started` is `Some` only while the log is enabled, so the
-    /// common (disabled) path costs a single branch.
-    fn note_slow_query(
-        &self,
-        started: Option<Instant>,
-        route: &'static str,
-        lag_records: u64,
-        stats: &ExecStats,
-    ) {
-        let Some(started) = started else { return };
-        self.db
-            .slow_query_log()
-            .observe(crate::slowlog::SlowQueryRecord {
-                route,
-                total_nanos: started.elapsed().as_nanos() as u64,
-                lag_records,
-                operators: stats.operator_nanos.clone(),
-            });
-    }
-
     fn note_statement(&self, handle: &TxnHandle) {
         self.db.metrics().add_statement(handle.class);
     }
@@ -768,7 +729,6 @@ impl Session {
         // shards experiment reads them); the span and histogram are gated.
         let waited = started.elapsed().as_nanos() as u64;
         self.db.metrics().add_lock_wait(shard, waited);
-        handle.lock_wait_nanos += waited;
         if olxp_trace::enabled() {
             olxp_trace::record_span(
                 SpanCategory::Lock,
@@ -804,7 +764,7 @@ pub(crate) struct CommitCtx<'db> {
     /// from before the timestamp through the last commit marker.
     gates: Vec<RwLockReadGuard<'db, ()>>,
     durable: bool,
-    /// The transaction's one id: WAL records, spans and the slow log.
+    /// The transaction's one id: WAL records and spans.
     txn_id: u64,
     commit_ts: Timestamp,
     /// The LSN the next force waits for, per touched shard: Prepare records
@@ -1015,17 +975,14 @@ impl<'db> CommitCtx<'db> {
         Ok(())
     }
 
-    /// Tracing epilogue of a successful commit: the whole-commit span, one
-    /// stage-histogram update under a single lock hold, and — when the commit
-    /// crossed the configured threshold — a slow-transaction record carrying
-    /// the full breakdown.  Lock waits happened during the statements, not
-    /// inside the commit, so they join the breakdown here rather than a span.
-    fn finish_trace(self, lock_wait_nanos: u64) {
+    /// Tracing epilogue of a successful commit: the whole-commit span and one
+    /// stage-histogram update under a single lock hold.  Lock waits happened
+    /// during the statements and were recorded per acquisition in `lock()`.
+    fn finish_trace(self) {
         let Some(clock) = self.clock else { return };
-        let total = olxp_trace::now_nanos().saturating_sub(clock.started);
         let mut stage_nanos = clock.stage_nanos;
-        stage_nanos[SpanCategory::Lock.index()] = lock_wait_nanos;
-        stage_nanos[SpanCategory::Commit.index()] = total;
+        stage_nanos[SpanCategory::Commit.index()] =
+            olxp_trace::now_nanos().saturating_sub(clock.started);
         let shard = self.shards[0] as u32;
         olxp_trace::record_span(SpanCategory::Commit, shard, self.txn_id, clock.started);
         let stages: Vec<(SpanCategory, u64)> = olxp_trace::ALL_CATEGORIES
@@ -1033,23 +990,7 @@ impl<'db> CommitCtx<'db> {
             .map(|&c| (c, stage_nanos[c.index()]))
             .filter(|&(c, nanos)| nanos > 0 || c == SpanCategory::Commit)
             .collect();
-        // Lock waits were already recorded per acquisition in `lock()`; they
-        // appear in `stages` only so the slow-transaction record is complete.
-        let hist_stages: Vec<(SpanCategory, u64)> = stages
-            .iter()
-            .copied()
-            .filter(|&(c, _)| c != SpanCategory::Lock)
-            .collect();
-        self.db.metrics().record_stages(&hist_stages);
-        let slow_log = self.db.slow_txn_log();
-        if slow_log.is_enabled() && total >= slow_log.threshold_nanos() {
-            slow_log.observe(crate::slowlog::SlowTxnRecord {
-                txn_id: self.txn_id,
-                total_nanos: total,
-                shards: self.shards.iter().map(|&s| s as u32).collect(),
-                stages,
-            });
-        }
+        self.db.metrics().record_stages(&stages);
     }
 }
 
@@ -1533,58 +1474,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_query_log_records_offenders_with_operator_breakdown() {
-        // A large time_scale turns the modelled statement overhead (12µs
-        // simulated) into a real multi-millisecond delay inside `charge`, so
-        // every analytical query deterministically crosses the 1ms threshold
-        // regardless of build profile.
-        let mut config = EngineConfig::dual_engine()
-            .with_tracing(true)
-            .with_slow_query_threshold_ms(1);
-        config.time_scale = 300.0;
-        let db = HybridDatabase::new(config).unwrap();
-        db.create_table(
-            TableSchema::new(
-                "ITEM",
-                vec![
-                    ColumnDef::new("i_id", DataType::Int, false),
-                    ColumnDef::new("i_price", DataType::Decimal, false),
-                ],
-                vec!["i_id"],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        for i in 0..50i64 {
-            db.load_row("ITEM", Row::new(vec![Value::Int(i), Value::Decimal(i)]))
-                .unwrap();
-        }
-        db.finish_load().unwrap();
-        let session = db.session();
-        let plan = QueryBuilder::scan("ITEM")
-            .aggregate(vec![], vec![AggSpec::new(AggFunc::Count, 0)])
-            .build();
-        session.analytical_query(&plan).unwrap();
-        let records = db.slow_query_log().records();
-        assert_eq!(records.len(), 1, "the query must cross the 1ms threshold");
-        let record = &records[0];
-        assert!(record.total_nanos >= 1_000_000);
-        assert!(record.route == "column_store" || record.route == "row_store");
-        assert!(
-            !record.operators.is_empty(),
-            "tracing was on, so operator timings are captured"
-        );
-        assert!(record.format().starts_with("slow query: "));
-        assert!(record.format().contains("op0="));
-
-        // Disabled by default: no threshold, no records.
-        let quiet = test_db(EngineConfig::dual_engine());
-        let quiet_session = quiet.session();
-        quiet_session.analytical_query(&plan).unwrap();
-        assert!(quiet.slow_query_log().is_empty());
-    }
-
-    #[test]
     fn bounded_nanos_accepts_a_drained_pipeline() {
         let config = colstore_only(EngineConfig::dual_engine())
             .with_freshness(FreshnessPolicy::BoundedNanos(50_000_000));
@@ -1734,6 +1623,7 @@ mod tests {
         let snap = db.metrics_snapshot();
         assert!(!snap.stages.is_empty(), "stage histograms were recorded");
         assert!(snap.stages.get(SpanCategory::Commit).count() >= 1);
+        assert!(snap.stages.get(SpanCategory::QueryOperator).count() >= 1);
         assert_eq!(snap.per_shard.len(), 2);
         assert!(snap.per_shard.iter().all(|shard| shard.commits >= 1));
         assert!(snap.per_shard.iter().all(|shard| shard.wal_appends >= 1));
@@ -1826,24 +1716,6 @@ mod tests {
         assert!(snap.lock_waits >= 1);
         assert_eq!(snap.per_shard.len(), db.shard_count());
         assert!(snap.per_shard.iter().map(|s| s.commits).sum::<u64>() >= 1);
-    }
-
-    #[test]
-    fn slow_txn_log_wiring_respects_threshold_config() {
-        let _serial = trace_gate_lock();
-        let with_threshold = test_db(
-            EngineConfig::dual_engine()
-                .with_tracing(true)
-                .with_slow_txn_threshold_ms(5),
-        );
-        assert!(with_threshold.slow_txn_log().is_enabled());
-        assert_eq!(with_threshold.slow_txn_log().threshold_nanos(), 5_000_000);
-        assert!(with_threshold.slow_txn_log().is_empty());
-
-        let without = test_db(EngineConfig::dual_engine());
-        assert!(!without.slow_txn_log().is_enabled());
-        // Restore the gate the tracing database raised at open.
-        olxp_trace::set_enabled(false);
     }
 
     /// Every statement kind once, on fixed keys: ids 4, 5 and 1002 hash to one

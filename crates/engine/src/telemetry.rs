@@ -371,11 +371,7 @@ pub fn health_report(db: &HybridDatabase) -> HealthReport {
     let config = db.config();
     let mut checks = vec![
         thread_check("replication_applier", true, db.has_background_applier()),
-        thread_check(
-            "delta_compactor",
-            config.compression,
-            db.has_background_compactor(),
-        ),
+        thread_check("delta_compactor", true, db.has_background_compactor()),
         thread_check(
             "telemetry_sampler",
             config.telemetry_interval_ms > 0,
@@ -473,24 +469,10 @@ pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
     out
 }
 
-/// Render the `/snapshot` JSON body: uptime, replication lag, every declared
-/// metric ([`METRICS`]) plus the retained slow-transaction and slow-query
-/// records (copied, not drained — scraping must never steal the benchmark
-/// report's data).
+/// Render the `/snapshot` JSON body: uptime, replication lag and every
+/// declared metric ([`METRICS`]).
 pub(crate) fn render_snapshot_json(db: &HybridDatabase) -> String {
     let s = db.metrics_snapshot();
-    let slow_txns = db
-        .slow_txn_log()
-        .records()
-        .iter()
-        .map(|r| Value::Str(r.format()))
-        .collect();
-    let slow_queries = db
-        .slow_query_log()
-        .records()
-        .iter()
-        .map(|r| Value::Str(r.format()))
-        .collect();
     let metrics = METRICS
         .iter()
         .map(|def| (def.key, def.value(&s).serialize()));
@@ -499,11 +481,7 @@ pub(crate) fn render_snapshot_json(db: &HybridDatabase) -> String {
         ("replication_lag_records", db.replication_lag().serialize()),
     ]
     .into_iter()
-    .chain(metrics)
-    .chain([
-        ("slow_txns", Value::Seq(slow_txns)),
-        ("slow_queries", Value::Seq(slow_queries)),
-    ]);
+    .chain(metrics);
     object(fields).to_string()
 }
 

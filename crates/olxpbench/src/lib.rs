@@ -52,8 +52,8 @@ pub mod prelude {
     pub use olxp_engine::{
         CostParams, DurabilityConfig, EngineArchitecture, EngineConfig, EngineError, EngineResult,
         FreshnessPolicy, FreshnessSample, HealthCheck, HealthReport, HybridDatabase,
-        RecoveryReport, Session, ShardBreakdown, SlowQueryLog, SlowQueryRecord, SlowTxnLog,
-        SlowTxnRecord, StorageMedium, SyncPolicy, TelemetryPoint, TxnHandle, WalMetrics, WorkClass,
+        RecoveryReport, Session, ShardBreakdown, StorageMedium, SyncPolicy, TelemetryPoint,
+        TxnHandle, WalMetrics, WorkClass,
     };
     pub use olxp_query::{col, lit, AggFunc, AggSpec, JoinKind, Plan, QueryBuilder, SortKey};
     pub use olxp_storage::{ColumnDef, DataType, Key, Row, TableSchema, Value};
@@ -63,10 +63,10 @@ pub mod prelude {
     };
     pub use olxp_txn::IsolationLevel;
     pub use olxpbench_core::{
-        check_semantic_consistency, shard_table, stage_table, timeline_table, AgentConfig,
-        AnalyticalQuery, BenchConfig, BenchmarkComparison, BenchmarkDriver, BenchmarkResult,
-        FreshnessSummary, HybridTransaction, LatencySummary, LoopMode, OnlineTransaction,
-        StageSummary, TransactionMix, Workload, WorkloadFeatures, WorkloadKind,
+        check_semantic_consistency, shard_table, timeline_table, AgentConfig, AnalyticalQuery,
+        BenchConfig, BenchmarkComparison, BenchmarkDriver, BenchmarkResult, FreshnessSummary,
+        HybridTransaction, LatencySummary, LoopMode, OnlineTransaction, StageSummary,
+        TransactionMix, Workload, WorkloadFeatures, WorkloadKind,
     };
     pub use olxpbench_workloads::{
         olxp_suites, workload_by_name, ChBenchmark, Fibenchmark, Subenchmark, Tabenchmark,

@@ -227,8 +227,6 @@ fn wire_names_are_pinned() {
         "replication_errors",
         "replication_lag_records",
         "shards",
-        "slow_queries",
-        "slow_txns",
         "uptime_ms",
         "wal_appends",
         "wal_bytes_written",

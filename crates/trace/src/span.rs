@@ -288,15 +288,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Elapsed nanoseconds since the span began (0 for inert spans).
-    pub fn elapsed_nanos(&self) -> u64 {
-        if self.armed {
-            now_nanos().saturating_sub(self.start_nanos)
-        } else {
-            0
-        }
-    }
-
     /// True when this guard will record on drop.
     pub fn is_armed(&self) -> bool {
         self.armed
