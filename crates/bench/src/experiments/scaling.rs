@@ -123,7 +123,7 @@ pub fn fig10_scalability(opts: ExpOptions) -> String {
 
 /// Shard scaling: peak OLTP throughput of one durable engine as the number of
 /// hash-partitioned write-path shards grows.  Every shard owns its own row
-/// partitions, lock table, WAL stream and commit gate.  The binding resource
+/// partitions, WAL stream and commit gate.  The binding resource
 /// is the log force: each `wal-shard<K>` stream admits one force at a time
 /// (modelled by the engine's per-shard WAL device, whose service time here is
 /// calibrated to a measured commodity-SSD fsync), so one shard serialises

@@ -70,8 +70,6 @@ pub struct BenchConfig {
     /// Workload scale factor (e.g. warehouses for subenchmark).  The paper
     /// uses 50 warehouses; the default here is laptop-sized.
     pub scale_factor: u32,
-    /// Maximum retries for retryable transaction failures.
-    pub max_retries: usize,
     /// RNG seed so runs are reproducible.
     pub seed: u64,
     /// Optional override of per-transaction weights, `(name, weight)` pairs.
@@ -90,7 +88,6 @@ impl Default for BenchConfig {
             olap: AgentConfig::disabled(),
             hybrid: AgentConfig::disabled(),
             scale_factor: 2,
-            max_retries: 5,
             seed: 42,
             weight_overrides: Vec::new(),
         }

@@ -178,7 +178,7 @@ impl BenchmarkDriver {
             let marker = scope.spawn(|| {
                 std::thread::sleep(measure_start.saturating_duration_since(Instant::now()));
                 db.metrics().take_freshness_samples();
-                (db.metrics_snapshot(), db.txn_manager().locks().stats())
+                (db.metrics_snapshot(), db.txn_manager().stats().locks)
             });
             let mut handles = Vec::new();
             let groups: [(AgentKind, &AgentConfig); 3] = [
@@ -232,7 +232,7 @@ impl BenchmarkDriver {
         });
 
         let engine = db.metrics_snapshot().delta_since(&metrics_before);
-        let locks_after = db.txn_manager().locks().stats();
+        let locks_after = db.txn_manager().stats().locks;
         let lock_overhead = compute_lock_overhead(&engine, &locks_before, &locks_after);
         let measured_samples = db.metrics().take_freshness_samples();
         let freshness = if self.config.olap.is_enabled() {

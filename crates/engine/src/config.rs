@@ -214,8 +214,8 @@ pub struct EngineConfig {
     /// is configured.
     pub durability: DurabilityConfig,
     /// Number of hash-partitioned storage shards.  Each shard owns its own
-    /// `RowTable` partition, lock table, replication applier, WAL stream and
-    /// commit gate; the timestamp oracle stays global.  `1` (the default) is
+    /// `RowTable` partition, replication applier, WAL stream and commit gate;
+    /// the timestamp oracle and the lock table stay global.  `1` (the default) is
     /// behaviorally identical to the unsharded engine.  Constructors honour
     /// the `OLXP_TEST_SHARDS` environment variable so the whole test suite can
     /// be re-run against a sharded engine without code changes.

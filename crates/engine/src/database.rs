@@ -2,10 +2,10 @@
 //!
 //! The write path is hash-partitioned into N engine shards (see
 //! `shard.rs`): each owns its own `RowTable` partition of every table, its
-//! own lock table (held by the transaction manager), its own replication log
-//! and applier feeding the shared columnar replicas, its own segmented WAL
-//! stream (`wal-shard<K>-<seq>.seg`) and its own commit gate.  The timestamp
-//! oracle stays global: it is the single commit-timestamp authority, so
+//! own replication log and applier feeding the shared columnar replicas, its
+//! own segmented WAL stream (`wal-shard<K>-<seq>.seg`) and its own commit
+//! gate.  The timestamp oracle and the transaction manager's one lock table
+//! stay global: the oracle is the single commit-timestamp authority, so
 //! snapshots remain consistent across shards.  `shards = 1` is behaviorally
 //! identical to the unsharded engine (including WAL file names).
 //!
@@ -33,13 +33,9 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use crate::recovery::RecoveryReport;
 pub use crate::shard::shard_of;
-
-/// How long a transaction waits for a row lock before giving up.
-const LOCK_WAIT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Which physical store a standalone analytical query is routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +148,7 @@ impl HybridDatabase {
         }
         let metrics = Arc::new(EngineMetrics::with_shards(shard_count));
         let model = Model::new(&config, Arc::clone(&metrics));
-        let txn_mgr = TransactionManager::with_shards(LOCK_WAIT_TIMEOUT, shard_count);
+        let txn_mgr = TransactionManager::new();
         // Transaction ids name WAL records on every shard stream: recovery
         // keys its committed-transaction map by them, so new ones start past
         // every id already logged.
@@ -634,6 +630,7 @@ mod tests {
     use crate::metrics::WorkClass;
     use crate::model::Work;
     use olxp_storage::{ColumnDef, DataType, Key, Value};
+    use std::time::Duration;
 
     fn item_schema() -> TableSchema {
         TableSchema::new(
@@ -682,6 +679,32 @@ mod tests {
         assert_eq!(db.col_table("ITEM").unwrap().live_row_count(), 100);
         assert_eq!(db.total_live_rows(), 100);
         assert_eq!(db.table_key_count("ITEM"), 100);
+    }
+
+    #[test]
+    fn one_lock_table_counts_the_lock_waits_of_every_shard() {
+        let config = EngineConfig::dual_engine().with_time_scale(0.0);
+        let db = HybridDatabase::new(config.with_shards(4)).unwrap();
+        db.create_table(item_schema()).unwrap();
+        let session = db.session();
+        for batch in 0..8i64 {
+            let mut txn = session.begin(WorkClass::Oltp);
+            for i in batch * 8..(batch + 1) * 8 {
+                let row = Row::new(vec![Value::Int(i), Value::Decimal(i)]);
+                session.insert(&mut txn, "ITEM", row).unwrap();
+            }
+            session.commit(txn).unwrap();
+        }
+        let locks = db.txn_manager().stats().locks;
+        let snap = db.metrics_snapshot();
+        let per_shard: Vec<u64> = snap.per_shard.iter().map(|s| s.lock_waits).collect();
+        assert_eq!(locks.acquisitions, 64);
+        assert_eq!(snap.lock_waits, locks.acquisitions);
+        assert_eq!(per_shard.iter().sum::<u64>(), locks.acquisitions);
+        assert!(
+            per_shard.iter().all(|&n| n > 0),
+            "the writes land on all four shards: {per_shard:?}"
+        );
     }
 
     #[test]

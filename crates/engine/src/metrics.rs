@@ -41,7 +41,7 @@ impl WalMetrics {
 pub struct ShardBreakdown {
     /// Commits that wrote to this shard.
     pub commits: u64,
-    /// Write-lock acquisitions on this shard's lock table.
+    /// Write-lock acquisitions on rows this shard owns.
     pub lock_waits: u64,
     /// Real nanoseconds those acquisitions took (queueing included).
     pub lock_wait_nanos: u64,
@@ -331,7 +331,7 @@ engine_metrics! {
         freshness_timeouts [inc add_freshness_timeout] => "olxp_freshness_timeouts" {}
             "Freshness-bounded analytical reads that timed out waiting for the replica: any growth means replication cannot hold the staleness bound.";
         lock_waits => "olxp_lock_waits" {}
-            "Write-lock acquisitions across every shard's lock table.";
+            "Write-lock acquisitions, summed over every shard.";
         lock_wait_nanos => "olxp_lock_wait_nanos" {}
             "Real nanoseconds write-lock acquisitions took, queueing included.";
     }

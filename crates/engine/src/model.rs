@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 pub type NodeId = usize;
 
 /// Where a key lives: the engine shard that stores it (row-table partition,
-/// lock table, WAL stream) and the simulated storage node that pays for work
+/// WAL stream) and the simulated storage node that pays for work
 /// on it.  Both come from one hash of `(table, key)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {

@@ -711,9 +711,8 @@ impl Session {
         Ok(())
     }
 
-    /// Take the write lock on `(table, key)` in `shard`'s lock table: each
-    /// shard has its own, so unrelated shards never contend on a shared lock
-    /// map.
+    /// Take the write lock on `(table, key)`, charging the wait to `shard`,
+    /// the shard the row routes to.
     fn lock(
         &self,
         handle: &mut TxnHandle,
@@ -721,13 +720,12 @@ impl Session {
         key: &Key,
         shard: usize,
     ) -> EngineResult<()> {
-        let started = Instant::now();
-        self.db
+        let waited = self
+            .db
             .txn_manager()
-            .lock_for_write_on(shard, &mut handle.txn, table, key)?;
+            .lock_for_write(&mut handle.txn, table, key)?;
         // The per-shard lock-wait counters stay on regardless of tracing (the
         // shards experiment reads them); the span and histogram are gated.
-        let waited = started.elapsed().as_nanos() as u64;
         self.db.metrics().add_lock_wait(shard, waited);
         if olxp_trace::enabled() {
             olxp_trace::record_span(

@@ -13,11 +13,12 @@
 //! * a [`locks::LockManager`] implementing row-level exclusive locks with a
 //!   wait-die deadlock-avoidance policy and, crucially, **wait-time
 //!   instrumentation**: the paper's Figure 4 compares "lock overhead" between
-//!   schema models, and [`locks::LockStats`] is the quantity that experiment
-//!   reports;
+//!   schema models, and [`locks::LockStatsSnapshot`] is the quantity that
+//!   experiment reports;
 //! * [`transaction::Transaction`] — a handle that buffers writes (the write
-//!   set) until commit; the [`locks::LockManager`] tracks the locks it holds;
-//! * [`manager::TransactionManager`] — begin/commit/abort orchestration.
+//!   set) and holds its row locks until commit;
+//! * [`manager::TransactionManager`] — begin/commit/abort orchestration over
+//!   one lock table for the whole engine.
 //!
 //! The crate deliberately does *not* apply writes to storage itself; the engine
 //! owns the tables and applies a committed transaction's write set, which keeps
@@ -32,7 +33,7 @@ pub mod transaction;
 
 pub use error::{TxnError, TxnResult};
 pub use isolation::IsolationLevel;
-pub use locks::{LockManager, LockStats, LockStatsSnapshot};
+pub use locks::{LockManager, LockStatsSnapshot};
 pub use manager::{TransactionManager, TxnManagerStats};
 pub use oracle::TimestampOracle;
 pub use transaction::{Transaction, TxnState, WriteSet};

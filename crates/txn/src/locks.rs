@@ -21,6 +21,9 @@ use std::time::{Duration, Instant};
 /// A lockable resource: a row of a table.
 pub type LockTarget = (String, Key);
 
+/// How long an older transaction waits for a row lock before giving up.
+const LOCK_WAIT_TIMEOUT: Duration = Duration::from_millis(500);
+
 #[derive(Debug, Clone)]
 struct LockEntry {
     holder: TxnId,
@@ -28,7 +31,7 @@ struct LockEntry {
 
 /// Aggregate lock counters.
 #[derive(Debug, Default)]
-pub struct LockStats {
+struct LockStats {
     acquisitions: AtomicU64,
     contended: AtomicU64,
     wait_die_aborts: AtomicU64,
@@ -36,7 +39,7 @@ pub struct LockStats {
     wait_nanos: AtomicU64,
 }
 
-/// A point-in-time copy of [`LockStats`].
+/// A point-in-time copy of the lock manager's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LockStatsSnapshot {
     /// Locks granted.
@@ -64,23 +67,35 @@ impl LockStats {
     }
 }
 
+/// What one granted [`LockManager::lock_exclusive`] request did.
+#[derive(Debug)]
+pub struct Grant {
+    /// Nanoseconds spent blocked (near 0 when granted at once).
+    pub waited_nanos: u64,
+    /// The lock this request newly granted, for the holder to keep until it
+    /// passes it to [`LockManager::release`]; `None` when the transaction
+    /// already held it.
+    pub granted: Option<LockTarget>,
+}
+
 struct LockShard {
     table: Mutex<HashMap<LockTarget, LockEntry>>,
     released: Condvar,
 }
 
 /// Row-level exclusive lock manager shared by every session of an engine.
+/// It records who holds each lock, not which locks a transaction holds: the
+/// holder keeps that list (see [`Grant::granted`]).
 pub struct LockManager {
     shards: Vec<LockShard>,
-    held: Mutex<HashMap<TxnId, Vec<LockTarget>>>,
     stats: LockStats,
     wait_timeout: Duration,
 }
 
 impl LockManager {
-    /// Create a manager with the default wait timeout (1 second).
+    /// Create a manager with the engine's lock-wait timeout (500 ms).
     pub fn new() -> LockManager {
-        LockManager::with_timeout(Duration::from_secs(1))
+        LockManager::with_timeout(LOCK_WAIT_TIMEOUT)
     }
 
     /// Create a manager with an explicit lock-wait timeout.
@@ -93,7 +108,6 @@ impl LockManager {
             .collect();
         LockManager {
             shards,
-            held: Mutex::new(HashMap::new()),
             stats: LockStats::default(),
             wait_timeout,
         }
@@ -111,38 +125,29 @@ impl LockManager {
     /// Acquire an exclusive lock on `(table, key)` for transaction `txn_id`.
     ///
     /// `txn_id` doubles as the transaction's age: smaller ids are older.
-    /// Returns the nanoseconds spent waiting (0 when granted immediately).
-    pub fn lock_exclusive(&self, txn_id: TxnId, table: &str, key: &Key) -> TxnResult<u64> {
+    /// The returned [`Grant`] carries the time spent waiting and, unless the
+    /// transaction already held the lock, the lock to release later.
+    pub fn lock_exclusive(&self, txn_id: TxnId, table: &str, key: &Key) -> TxnResult<Grant> {
         let target: LockTarget = (table.to_string(), key.clone());
         let shard = self.shard_for(&target);
-        let deadline = Instant::now() + self.wait_timeout;
         let started = Instant::now();
+        let deadline = started + self.wait_timeout;
         let mut guard = shard.table.lock();
-        loop {
+        let outcome = loop {
             match guard.get(&target) {
                 None => {
                     guard.insert(target.clone(), LockEntry { holder: txn_id });
-                    drop(guard);
-                    self.held.lock().entry(txn_id).or_default().push(target);
                     self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let waited = started.elapsed().as_nanos() as u64;
-                    self.stats.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-                    return Ok(waited);
+                    break Ok(Some(target));
                 }
-                Some(entry) if entry.holder == txn_id => {
-                    // Re-entrant acquisition.
-                    let waited = started.elapsed().as_nanos() as u64;
-                    self.stats.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-                    return Ok(waited);
-                }
+                // Re-entrant acquisition.
+                Some(entry) if entry.holder == txn_id => break Ok(None),
                 Some(entry) => {
                     self.stats.contended.fetch_add(1, Ordering::Relaxed);
                     // Wait-die: only an older transaction (smaller id) may wait.
                     if txn_id > entry.holder {
                         self.stats.wait_die_aborts.fetch_add(1, Ordering::Relaxed);
-                        let waited = started.elapsed().as_nanos() as u64;
-                        self.stats.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-                        return Err(TxnError::Aborted {
+                        break Err(TxnError::Aborted {
                             table: table.to_string(),
                             key: key.to_string(),
                         });
@@ -150,22 +155,28 @@ impl LockManager {
                     let timed_out = shard.released.wait_until(&mut guard, deadline).timed_out();
                     if timed_out {
                         self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let waited = started.elapsed().as_nanos() as u64;
-                        self.stats.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-                        return Err(TxnError::LockTimeout {
+                        break Err(TxnError::LockTimeout {
                             table: table.to_string(),
                             key: key.to_string(),
                         });
                     }
                 }
             }
-        }
+        };
+        drop(guard);
+        let waited_nanos = started.elapsed().as_nanos() as u64;
+        self.stats
+            .wait_nanos
+            .fetch_add(waited_nanos, Ordering::Relaxed);
+        outcome.map(|granted| Grant {
+            waited_nanos,
+            granted,
+        })
     }
 
-    /// Release every lock held by `txn_id`.
-    pub fn release_all(&self, txn_id: TxnId) {
-        let targets = self.held.lock().remove(&txn_id).unwrap_or_default();
-        for target in targets {
+    /// Release the locks `txn_id` was granted, waking their waiters.
+    pub fn release(&self, txn_id: TxnId, held: impl IntoIterator<Item = LockTarget>) {
+        for target in held {
             let shard = self.shard_for(&target);
             let mut guard = shard.table.lock();
             if guard.get(&target).map(|e| e.holder) == Some(txn_id) {
@@ -173,11 +184,6 @@ impl LockManager {
             }
             shard.released.notify_all();
         }
-    }
-
-    /// Number of locks currently held by `txn_id` (for tests/metrics).
-    pub fn held_by(&self, txn_id: TxnId) -> usize {
-        self.held.lock().get(&txn_id).map_or(0, Vec::len)
     }
 
     /// Counter snapshot.
@@ -209,20 +215,21 @@ mod tests {
     #[test]
     fn uncontended_lock_is_granted() {
         let lm = LockManager::new();
-        let waited = lm.lock_exclusive(1, "ITEM", &Key::int(5)).unwrap();
-        assert!(waited < Duration::from_millis(100).as_nanos() as u64);
-        assert_eq!(lm.held_by(1), 1);
+        let grant = lm.lock_exclusive(1, "ITEM", &Key::int(5)).unwrap();
+        assert!(grant.waited_nanos < Duration::from_millis(100).as_nanos() as u64);
+        assert_eq!(grant.granted, Some(("ITEM".to_string(), Key::int(5))));
         assert_eq!(lm.stats().acquisitions, 1);
-        lm.release_all(1);
-        assert_eq!(lm.held_by(1), 0);
+        lm.release(1, grant.granted);
+        assert!(lm.lock_exclusive(2, "ITEM", &Key::int(5)).is_ok());
     }
 
     #[test]
     fn reentrant_lock_is_granted() {
         let lm = LockManager::new();
-        lm.lock_exclusive(1, "ITEM", &Key::int(5)).unwrap();
-        lm.lock_exclusive(1, "ITEM", &Key::int(5)).unwrap();
-        assert_eq!(lm.held_by(1), 1);
+        let first = lm.lock_exclusive(1, "ITEM", &Key::int(5)).unwrap();
+        let again = lm.lock_exclusive(1, "ITEM", &Key::int(5)).unwrap();
+        assert!(first.granted.is_some() && again.granted.is_none());
+        assert_eq!(lm.stats().acquisitions, 1);
     }
 
     #[test]
@@ -237,12 +244,12 @@ mod tests {
     #[test]
     fn older_transaction_waits_until_release() {
         let lm = Arc::new(LockManager::new());
-        lm.lock_exclusive(5, "ITEM", &Key::int(9)).unwrap();
+        let held = lm.lock_exclusive(5, "ITEM", &Key::int(9)).unwrap().granted;
         let lm2 = Arc::clone(&lm);
         let waiter = thread::spawn(move || lm2.lock_exclusive(1, "ITEM", &Key::int(9)));
         thread::sleep(Duration::from_millis(30));
-        lm.release_all(5);
-        let waited = waiter.join().unwrap().unwrap();
+        lm.release(5, held);
+        let waited = waiter.join().unwrap().unwrap().waited_nanos;
         assert!(waited >= Duration::from_millis(10).as_nanos() as u64);
         assert!(lm.stats().wait_nanos >= waited);
         assert_eq!(lm.stats().contended, 1);
@@ -269,7 +276,7 @@ mod tests {
     #[test]
     fn release_wakes_all_waiters() {
         let lm = Arc::new(LockManager::new());
-        lm.lock_exclusive(10, "T", &Key::int(1)).unwrap();
+        let held = lm.lock_exclusive(10, "T", &Key::int(1)).unwrap().granted;
         let mut handles = Vec::new();
         for waiter_id in 1..=3u64 {
             let lm = Arc::clone(&lm);
@@ -278,7 +285,7 @@ mod tests {
             }));
         }
         thread::sleep(Duration::from_millis(30));
-        lm.release_all(10);
+        lm.release(10, held);
         let successes = handles
             .into_iter()
             .filter(|h| matches!(h, _))

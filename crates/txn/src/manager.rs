@@ -9,7 +9,6 @@ use crate::TxnId;
 use olxp_storage::{Key, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Aggregate transaction counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,16 +25,13 @@ pub struct TxnManagerStats {
 
 /// Coordinates transaction begin/commit/abort, timestamps and locks.
 ///
-/// One manager is shared by every session of an engine node.  When the engine
-/// hash-partitions its storage into shards, the manager holds one independent
-/// lock table per shard: a transaction only touches the lock tables of the
-/// shards its keys route to, so single-shard transactions never contend on a
-/// shared lock structure.  The timestamp oracle stays global — it is the
-/// single commit-timestamp authority across all shards.
+/// One manager is shared by every session of an engine, whatever its shard
+/// count: one lock table covers every shard's rows, and the timestamp oracle
+/// is the single commit-timestamp authority across all shards.
 #[derive(Debug)]
 pub struct TransactionManager {
     oracle: Arc<TimestampOracle>,
-    locks: Vec<Arc<LockManager>>,
+    locks: LockManager,
     next_txn_id: AtomicU64,
     begun: AtomicU64,
     committed: AtomicU64,
@@ -43,24 +39,11 @@ pub struct TransactionManager {
 }
 
 impl TransactionManager {
-    /// Create a manager with a default lock-wait timeout and one lock table.
+    /// Create a manager with a fresh oracle and an empty lock table.
     pub fn new() -> TransactionManager {
-        TransactionManager::with_lock_timeout(Duration::from_millis(500))
-    }
-
-    /// Create a manager with an explicit lock-wait timeout and one lock table.
-    pub fn with_lock_timeout(timeout: Duration) -> TransactionManager {
-        TransactionManager::with_shards(timeout, 1)
-    }
-
-    /// Create a manager with one independent lock table per storage shard.
-    pub fn with_shards(timeout: Duration, shards: usize) -> TransactionManager {
-        let shards = shards.max(1);
         TransactionManager {
             oracle: Arc::new(TimestampOracle::new()),
-            locks: (0..shards)
-                .map(|_| Arc::new(LockManager::with_timeout(timeout)))
-                .collect(),
+            locks: LockManager::new(),
             next_txn_id: AtomicU64::new(1),
             begun: AtomicU64::new(0),
             committed: AtomicU64::new(0),
@@ -71,21 +54,6 @@ impl TransactionManager {
     /// The shared timestamp oracle.
     pub fn oracle(&self) -> &Arc<TimestampOracle> {
         &self.oracle
-    }
-
-    /// The first shard's lock manager (the only one in unsharded setups).
-    pub fn locks(&self) -> &Arc<LockManager> {
-        &self.locks[0]
-    }
-
-    /// The lock table owned by storage shard `shard`.
-    pub fn locks_for_shard(&self, shard: usize) -> &Arc<LockManager> {
-        &self.locks[shard]
-    }
-
-    /// Number of per-shard lock tables.
-    pub fn lock_shards(&self) -> usize {
-        self.locks.len()
     }
 
     /// Begin a transaction at the given isolation level.
@@ -122,50 +90,22 @@ impl TransactionManager {
         }
     }
 
-    /// Acquire the exclusive row lock `(table, key)` for `txn` in the first
-    /// shard's lock table.
-    pub fn lock_for_write(&self, txn: &mut Transaction, table: &str, key: &Key) -> TxnResult<()> {
-        self.lock_for_write_on(0, txn, table, key)
-    }
-
-    /// Acquire the exclusive row lock `(table, key)` for `txn` in the lock
-    /// table of storage shard `shard`.  The caller is responsible for
-    /// routing: the same `(table, key)` must always be locked on the same
-    /// shard.
-    pub fn lock_for_write_on(
-        &self,
-        shard: usize,
-        txn: &mut Transaction,
-        table: &str,
-        key: &Key,
-    ) -> TxnResult<()> {
+    /// Acquire the exclusive row lock `(table, key)` for `txn`, which holds
+    /// it until commit or abort.  Returns the nanoseconds spent waiting.
+    pub fn lock_for_write(&self, txn: &mut Transaction, table: &str, key: &Key) -> TxnResult<u64> {
         if !txn.is_active() {
             return Err(TxnError::InvalidState {
                 operation: "write in",
                 state: txn.state_name(),
             });
         }
-        self.locks[shard].lock_exclusive(txn.id(), table, key)?;
-        Ok(())
+        let grant = self.locks.lock_exclusive(txn.id(), table, key)?;
+        txn.locks.extend(grant.granted);
+        Ok(grant.waited_nanos)
     }
 
-    fn release_everywhere(&self, txn_id: u64) {
-        for locks in &self.locks {
-            locks.release_all(txn_id);
-        }
-    }
-
-    fn summed_lock_stats(&self) -> LockStatsSnapshot {
-        let mut total = LockStatsSnapshot::default();
-        for locks in &self.locks {
-            let s = locks.stats();
-            total.acquisitions += s.acquisitions;
-            total.contended += s.contended;
-            total.wait_die_aborts += s.wait_die_aborts;
-            total.timeouts += s.timeouts;
-            total.wait_nanos += s.wait_nanos;
-        }
-        total
+    fn release(&self, txn: &mut Transaction) {
+        self.locks.release(txn.id(), txn.locks.drain(..));
     }
 
     /// Allocate a commit timestamp for `txn` *without* finishing it.
@@ -197,7 +137,7 @@ impl TransactionManager {
             });
         }
         txn.mark_committed();
-        self.release_everywhere(txn.id());
+        self.release(txn);
         self.committed.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -209,7 +149,7 @@ impl TransactionManager {
             txn.mark_aborted();
             self.aborted.fetch_add(1, Ordering::Relaxed);
         }
-        self.release_everywhere(txn.id());
+        self.release(txn);
     }
 
     /// Counter snapshot.
@@ -218,7 +158,7 @@ impl TransactionManager {
             begun: self.begun.load(Ordering::Relaxed),
             committed: self.committed.load(Ordering::Relaxed),
             aborted: self.aborted.load(Ordering::Relaxed),
-            locks: self.summed_lock_stats(),
+            locks: self.locks.stats(),
         }
     }
 }
@@ -279,10 +219,10 @@ mod tests {
         let mgr = TransactionManager::new();
         let mut txn = mgr.begin(IsolationLevel::RepeatableRead);
         mgr.lock_for_write(&mut txn, "ITEM", &Key::int(1)).unwrap();
-        assert_eq!(mgr.locks().held_by(txn.id()), 1);
+        assert_eq!(txn.locks.len(), 1);
         let ts = commit(&mgr, &mut txn).unwrap();
         assert!(ts > 0);
-        assert_eq!(mgr.locks().held_by(txn.id()), 0);
+        assert!(txn.locks.is_empty());
         assert_eq!(mgr.stats().committed, 1);
     }
 
@@ -305,7 +245,7 @@ mod tests {
         mgr.abort(&mut txn);
         mgr.abort(&mut txn);
         assert_eq!(mgr.stats().aborted, 1);
-        assert_eq!(mgr.locks().held_by(txn.id()), 0);
+        assert!(txn.locks.is_empty());
         assert!(matches!(
             mgr.lock_for_write(&mut txn, "ITEM", &Key::int(2)),
             Err(TxnError::InvalidState { .. })
@@ -319,37 +259,27 @@ mod tests {
         mgr.lock_for_write(&mut txn, "ITEM", &Key::int(1)).unwrap();
         let ts = mgr.prepare_commit(&txn).unwrap();
         assert!(ts > txn.begin_read_ts());
-        assert_eq!(mgr.locks().held_by(txn.id()), 1, "locks survive prepare");
+        assert_eq!(txn.locks.len(), 1, "locks survive prepare");
         mgr.finish_commit(&mut txn).unwrap();
-        assert_eq!(mgr.locks().held_by(txn.id()), 0);
+        assert!(txn.locks.is_empty());
         assert_eq!(mgr.stats().committed, 1);
         assert!(mgr.finish_commit(&mut txn).is_err());
     }
 
     #[test]
-    fn sharded_lock_tables_are_independent_and_all_released() {
-        let mgr = TransactionManager::with_shards(Duration::from_millis(100), 4);
-        assert_eq!(mgr.lock_shards(), 4);
-        let mut a = mgr.begin(IsolationLevel::RepeatableRead);
-        let mut b = mgr.begin(IsolationLevel::RepeatableRead);
-        mgr.lock_for_write_on(1, &mut a, "ITEM", &Key::int(7))
+    fn relocking_a_key_records_it_once_and_one_commit_frees_it() {
+        let mgr = TransactionManager::new();
+        let mut old = mgr.begin(IsolationLevel::RepeatableRead);
+        mgr.lock_for_write(&mut old, "ITEM", &Key::int(7)).unwrap();
+        mgr.lock_for_write(&mut old, "ITEM", &Key::int(7)).unwrap();
+        assert_eq!(old.locks, [("ITEM".to_string(), Key::int(7))]);
+        assert_eq!(mgr.stats().locks.acquisitions, 1);
+        commit(&mgr, &mut old).unwrap();
+        assert!(old.locks.is_empty());
+        let mut young = mgr.begin(IsolationLevel::RepeatableRead);
+        mgr.lock_for_write(&mut young, "ITEM", &Key::int(7))
             .unwrap();
-        // Same (table, key) on a *different* shard's table does not conflict:
-        // routing guarantees a key only ever locks on its own shard.
-        mgr.lock_for_write_on(2, &mut b, "ITEM", &Key::int(7))
-            .unwrap();
-        mgr.lock_for_write_on(3, &mut a, "ITEM", &Key::int(8))
-            .unwrap();
-        assert_eq!(mgr.locks_for_shard(1).held_by(a.id()), 1);
-        assert_eq!(mgr.locks_for_shard(3).held_by(a.id()), 1);
-        mgr.finish_commit(&mut a).unwrap();
-        for shard in 0..4 {
-            assert_eq!(mgr.locks_for_shard(shard).held_by(a.id()), 0);
-        }
-        mgr.abort(&mut b);
-        assert_eq!(mgr.locks_for_shard(2).held_by(b.id()), 0);
-        let stats = mgr.stats();
-        assert_eq!(stats.locks.acquisitions, 3, "stats sum across shards");
+        commit(&mgr, &mut young).unwrap();
     }
 
     #[test]

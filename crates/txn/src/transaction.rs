@@ -1,6 +1,7 @@
 //! Transaction handles and write sets.
 
 use crate::isolation::IsolationLevel;
+use crate::locks::LockTarget;
 use crate::TxnId;
 use olxp_storage::{Key, Row, Timestamp, WalOp};
 use std::collections::HashMap;
@@ -76,8 +77,8 @@ impl WriteSet {
 /// A transaction handle.
 ///
 /// The handle is a passive record: it owns the snapshot timestamp, the write
-/// set and the lifecycle state; the engine session drives reads, writes and
-/// commit against it.
+/// set, the row locks it holds and the lifecycle state; the engine session
+/// drives reads, writes and commit against it.
 #[derive(Debug)]
 pub struct Transaction {
     id: TxnId,
@@ -85,6 +86,9 @@ pub struct Transaction {
     begin_read_ts: Timestamp,
     state: TxnState,
     write_set: WriteSet,
+    /// Locks granted to this transaction, in grant order, each once; the
+    /// manager releases them at commit or abort.
+    pub(crate) locks: Vec<LockTarget>,
 }
 
 impl Transaction {
@@ -96,6 +100,7 @@ impl Transaction {
             begin_read_ts,
             state: TxnState::Active,
             write_set: WriteSet::new(),
+            locks: Vec::new(),
         }
     }
 

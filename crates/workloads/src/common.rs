@@ -9,6 +9,10 @@ use olxpbench_core::AnalyticalQuery;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Attempts every suite gives a transaction that fails with a retryable
+/// conflict (a wait-die abort or a lock timeout).
+pub(crate) const RETRIES: usize = 5;
+
 /// An analytical-query template defined by a name, the tables it reads and a
 /// plan-builder function.  All OLxPBench suites define their analytical
 /// queries this way.

@@ -9,7 +9,7 @@
 //! that "checks whether the cheque balance is sufficient and aggregates the
 //! value of the minimum savings" (§IV-B2).
 
-use crate::common::{self, PlannedQuery};
+use crate::common::{self, PlannedQuery, RETRIES};
 use olxp_engine::{EngineError, EngineResult, HybridDatabase, Session, TxnHandle, WorkClass};
 use olxp_query::{col as qcol, lit, AggFunc, AggSpec, JoinKind, QueryBuilder, SortKey};
 use olxp_storage::{ColumnDef, DataType, Key, Row, StorageError, TableSchema, Value};
@@ -24,8 +24,6 @@ use std::sync::Arc;
 
 /// Accounts per scale-factor unit.
 pub const ACCOUNTS_PER_SCALE: i64 = 1_000;
-/// Retry attempts for retryable conflicts.
-const RETRIES: usize = 5;
 
 /// Column positions.
 pub mod col {

@@ -9,10 +9,10 @@
 
 use super::oltp::{
     as_int, new_order_statements, order_status_statements, payment_statements,
-    stock_level_statements, SubenchmarkState, RETRIES,
+    stock_level_statements, SubenchmarkState,
 };
 use super::schema::{col, CUSTOMERS_PER_DISTRICT, DISTRICTS_PER_WAREHOUSE, ITEM_COUNT};
-use crate::common::{self, PlannedQuery};
+use crate::common::{self, PlannedQuery, RETRIES};
 use olxp_engine::{EngineResult, Session, WorkClass};
 use olxp_query::{col as qcol, lit, AggFunc, AggSpec, JoinKind, QueryBuilder, SortKey};
 use olxp_storage::{Key, Value};

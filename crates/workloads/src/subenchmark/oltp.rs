@@ -1,16 +1,13 @@
 //! Subenchmark online transactions — the five TPC-C transactions.
 
 use super::schema::{col, CUSTOMERS_PER_DISTRICT, DISTRICTS_PER_WAREHOUSE, ITEM_COUNT};
-use crate::common;
+use crate::common::{self, RETRIES};
 use olxp_engine::{EngineError, EngineResult, Session, TxnHandle, WorkClass};
 use olxp_storage::{Key, Row, StorageError, Value};
 use olxpbench_core::OnlineTransaction;
 use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-
-/// Number of retry attempts for retryable conflicts.
-pub(crate) const RETRIES: usize = 5;
 
 /// Fetch a row or fail with `KeyNotFound` — loaders guarantee these rows
 /// exist, so absence indicates a workload bug.

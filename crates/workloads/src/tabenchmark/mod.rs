@@ -11,7 +11,7 @@
 //! Seven online transactions (80 % read-only), five analytical queries and six
 //! hybrid transactions (40 % read-only) including the fuzzy subscriber search.
 
-use crate::common::{self, PlannedQuery};
+use crate::common::{self, PlannedQuery, RETRIES};
 use olxp_engine::{EngineError, EngineResult, HybridDatabase, Session, TxnHandle, WorkClass};
 use olxp_query::{col as qcol, lit, AggFunc, AggSpec, QueryBuilder, SortKey};
 use olxp_storage::{ColumnDef, DataType, Key, Row, StorageError, TableSchema, Value};
@@ -26,8 +26,6 @@ use std::sync::Arc;
 
 /// Subscribers per scale-factor unit.
 pub const SUBSCRIBERS_PER_SCALE: i64 = 1_000;
-/// Retry attempts for retryable conflicts.
-const RETRIES: usize = 5;
 
 /// Column positions used by transactions and queries.
 pub mod col {
